@@ -11,7 +11,7 @@ Usage: python3 scripts/partition_experiment.py [freq] [Q]
 import math
 import sys
 
-from smalldivlab.bounds import brj1, brj2
+from smalldivlab.bounds import _away_leading, _brjuno_box_bound, _const_type_leading
 from smalldivlab.cli import parse_frequency
 from smalldivlab.contfrac import expand
 from smalldivlab.smalldiv import box_sum, partition_sums
@@ -34,18 +34,13 @@ def main():
         sums = partition_sums(cf, delta, Q)
         oracle = box_sum(cf, delta, Q)
         rel = abs(sums.total - oracle) / oracle
-        Delta = (1.0 + omega) * delta
-        depth = cf.depth - 1
         away_bound = (
-            MU * (4 / (1 + omega) + 2 / (1 - omega)) * math.log(1 / delta) / delta
+            MU * _away_leading(omega) * math.log(1 / delta) / delta
             if delta * math.e < 1
             else float("nan")
         )
-        const_bound = MU * 8 / (1 + omega) ** 2 / delta**2
-        brj_bound = 2 * (
-            (2 + MU - 1) * brj1(cf, Delta, depth).value
-            + MU * brj2(cf, 2 * Delta, depth).value
-        )
+        const_bound = _const_type_leading(omega, MU) / delta**2
+        brj_bound = _brjuno_box_bound(cf, delta, MU)
         print(
             f"{delta:>7} {sums.away:>12.4f} {sums.const_type:>12.4f} "
             f"{sums.brjuno:>12.4f} {sums.brjuno_k0:>10.4f} {rel:>10.2e} "

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .classify import KLParams
+from .classify import PHI, KLParams
 from .contfrac import ContinuedFraction, DepthExhausted, mul_big_float
 
-PHI = (1.0 + math.sqrt(5.0)) / 2.0
 LOG_PHI = math.log(PHI)
 _UNDERFLOW_LOG = -746.0
 _OVERFLOW_LOG = 709.0
@@ -161,13 +160,6 @@ def _brj_terms(cf: ContinuedFraction, Delta: float, depth: int, weighted: bool):
         else:
             terms.append(_exp_sat(lt))
     return terms, dropped
-
-
-def _geometric_pair_tail(t1: float, t2: float, ratio_ok: bool) -> Optional[float]:
-    # two interleaved subsequences, each dominated by ratio <= 1/2
-    if not ratio_ok:
-        return None
-    return 2.0 * (t1 + t2)
 
 
 def _tail_bound(
@@ -307,8 +299,32 @@ def brj_combined(
 
 
 # ---------------------------------------------------------------------------
-# reports and the loss-of-domain factor
+# class bounds, reports and the loss-of-domain factor
 # ---------------------------------------------------------------------------
+
+
+def _away_leading(omega: float) -> float:
+    """Leading constant 4/(1+omega) + 2/(1-omega) of the away-class bound."""
+    return 4.0 / (1.0 + omega) + 2.0 / (1.0 - omega)
+
+
+def _const_type_leading(omega: float, mu: float = 1.0) -> float:
+    """mu * 8/(1+omega)^2, the const-type class bound times delta^2."""
+    return mu * 8.0 / (1.0 + omega) ** 2
+
+
+def _brjuno_box_bound(cf: ContinuedFraction, delta: float, mu: float) -> float:
+    """Brjuno-class bound 2((2+eps) brj1(Delta) + (1+eps) brj2(2 Delta)).
+
+    Delta = (1+omega) delta, eps = mu - 1, both series to full depth.
+    """
+    Delta = (1.0 + cf.omega_float()) * delta
+    eps = mu - 1.0
+    depth = cf.depth - 1
+    return 2.0 * (
+        (2.0 + eps) * brj1(cf, Delta, depth).value
+        + (1.0 + eps) * brj2(cf, 2.0 * Delta, depth).value
+    )
 
 
 @dataclass(frozen=True)
@@ -353,11 +369,11 @@ class GammaDelta:
 
     @property
     def G_away_leading(self) -> float:
-        return 4.0 / (1.0 + self.omega) + 2.0 / (1.0 - self.omega)
+        return _away_leading(self.omega)
 
     @property
     def G_const_type_leading(self) -> float:
-        return 8.0 / (1.0 + self.omega) ** 2
+        return _const_type_leading(self.omega)
 
     @property
     def Gamma0(self) -> float:
@@ -391,8 +407,8 @@ def gamma_delta(
     Delta = (1.0 + omega) * delta
     combined = brj_combined(cf, Delta, depth, growth)
     log_inv = math.log(1.0 / delta)
-    away = (4.0 / (1.0 + omega) + 2.0 / (1.0 - omega)) / delta * log_inv
-    const_type = 8.0 / (1.0 + omega) ** 2 / delta**2
+    away = _away_leading(omega) / delta * log_inv
+    const_type = _const_type_leading(omega) / delta**2
     return GammaDelta(
         delta=delta,
         Delta=Delta,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -69,9 +68,7 @@ def _gauss_tail_enclosure(M: int, shifted: bool):
     return lo, hi
 
 
-def khintchine_constants(
-    tolerance: float = 1e-8, cache_path: Optional[str] = None
-) -> KhintchineConstants:
+def khintchine_constants(tolerance: float = 1e-8) -> KhintchineConstants:
     """Evaluate kappa and kappa' from the Gauss-interval weight series.
 
     kappa  = sum_{k>=1} log(k)   * log2((k+1)^2 / (k(k+2)))
@@ -79,28 +76,11 @@ def khintchine_constants(
 
     Terms are summed until the rigorous integral-comparison tail bound
     drops below ``tolerance``; the returned values carry that bound.
-    When ``cache_path`` is given, results are cached one line per
-    tolerance in the format ``kappa=<dec> kappa_prime=<dec> tol=<dec>``.
     """
     if tolerance < 1e-10:
         raise ValueError("tolerance must be >= 1e-10")
-    if tolerance in _CONSTANTS_MEMO and cache_path is None:
+    if tolerance in _CONSTANTS_MEMO:
         return _CONSTANTS_MEMO[tolerance]
-
-    if cache_path is not None:
-        path = Path(cache_path)
-        if path.exists():
-            for line in path.read_text().splitlines():
-                fields = dict(part.split("=", 1) for part in line.split())
-                if float(fields.get("tol", "nan")) == tolerance:
-                    result = KhintchineConstants(
-                        kappa=float(fields["kappa"]),
-                        kappa_prime=float(fields["kappa_prime"]),
-                        tail_bound=tolerance,
-                        terms=0,
-                    )
-                    _CONSTANTS_MEMO[tolerance] = result
-                    return result
 
     K = 64
     while True:
@@ -131,11 +111,6 @@ def khintchine_constants(
         kappa=kappa, kappa_prime=kappa_prime, tail_bound=bound, terms=K
     )
     _CONSTANTS_MEMO[tolerance] = result
-    if cache_path is not None:
-        with open(cache_path, "a") as fh:
-            fh.write(
-                f"kappa={kappa!r} kappa_prime={kappa_prime!r} tol={tolerance!r}\n"
-            )
     return result
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import asdict, dataclass
@@ -29,6 +28,8 @@ from . import __version__
 from .bounds import (
     BoundReport,
     DiophGrowth,
+    _brjuno_box_bound,
+    _const_type_leading,
     brj1,
     brj2,
     brj_combined,
@@ -141,13 +142,6 @@ def parse_frequency(spec: str, depth_cap=None, bit_cap=None) -> FrequencySpec:
                 params[key.strip()] = value.strip()
         return FrequencySpec.make_rule(name, **params, **caps)
     raise ExpansionError(f"cannot parse frequency {spec!r}; {_GRAMMAR_HINT}")
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SMALLDIV_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _scalar_text(v) -> str:
@@ -332,7 +326,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    consts = khintchine_constants(args.tolerance, cache_path=args.cache)
+    consts = khintchine_constants(args.tolerance)
     ell, G = levy_example_bound()
     report = _report(
         "constants",
@@ -510,52 +504,27 @@ def _cmd_sweep(args) -> int:
     if not deltas:
         raise ExpansionError("sweep needs a nonempty delta list")
     rows = []
-    all_ok = True
-
-    def one(delta: float):
+    for delta in deltas:
         if args.check == "away":
             rep = away_bound_check(cf, delta, args.Q, mu=args.mu)
         elif args.check == "const_type":
-            sums = partition_sums(cf, delta, args.Q)
-            omega = cf.omega_float()
-            bound = args.mu * 8.0 / (1.0 + omega) ** 2 / delta**2
             rep = BoundReport(
                 quantity="const_type box sum",
-                computed=sums.const_type,
-                bound=bound,
+                computed=partition_sums(cf, delta, args.Q).const_type,
+                bound=_const_type_leading(cf.omega_float(), args.mu) / delta**2,
                 params={"delta": delta, "Q": args.Q, "mu": args.mu},
             )
         elif args.check == "brjuno":
-            sums = partition_sums(cf, delta, args.Q)
-            omega = cf.omega_float()
-            Delta = (1.0 + omega) * delta
-            eps = args.mu - 1.0
-            depth = cf.depth - 1
-            bound = 2.0 * (
-                (2.0 + eps) * brj1(cf, Delta, depth).value
-                + (1.0 + eps) * brj2(cf, 2.0 * Delta, depth).value
-            )
             rep = BoundReport(
                 quantity="brjuno box sum",
-                computed=sums.brjuno,
-                bound=bound,
+                computed=partition_sums(cf, delta, args.Q).brjuno,
+                bound=_brjuno_box_bound(cf, delta, args.mu),
                 params={"delta": delta, "Q": args.Q, "mu": args.mu},
             )
         else:
             raise ExpansionError(f"unknown sweep check {args.check!r}")
-        return rep
-
-    n_threads = _threads()
-    if n_threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            reports = list(pool.map(one, deltas))
-    else:
-        reports = [one(d) for d in deltas]
-    for delta, rep in zip(deltas, reports):
         rows.append((delta, rep))
-        all_ok = all_ok and rep.verdict
+    all_ok = all(rep.verdict for _, rep in rows)
 
     lines = ["delta,computed,bound,margin,verdict"]
     for delta, rep in rows:
@@ -617,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--T-minus", dest="T_minus", type=float, default=0.1)
     sp.add_argument("--T-plus", dest="T_plus", type=float, default=0.1)
     sp.add_argument("--N", type=int, default=1)
-    sp.set_defaults(func=_cmd_classify)
 
     sp = sub.add_parser("brj", help="weighted convergent series values and tails")
     _add_io_opts(sp)
@@ -625,7 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--Delta", type=float, required=True)
     sp.add_argument("--C", type=float, default=None, help="attach a growth certificate")
     sp.add_argument("--tau", type=float, default=1.0)
-    sp.set_defaults(func=_cmd_brj)
 
     sp = sub.add_parser("gamma", help="loss-of-domain factor components")
     _add_io_opts(sp)
@@ -633,18 +600,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rho", type=float, default=1.0)
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--mu", type=float, default=1.25)
-    sp.set_defaults(func=_cmd_gamma)
 
     sp = sub.add_parser("table1", help="band-constant grid as CSV")
     _add_io_opts(sp)
     sp.add_argument("--tolerance", type=float, default=1e-8)
-    sp.set_defaults(func=_cmd_table1)
 
     sp = sub.add_parser("constants", help="universal constants")
     _add_io_opts(sp)
     sp.add_argument("--tolerance", type=float, default=1e-8)
-    sp.add_argument("--cache", default=None, help="constants cache file")
-    sp.set_defaults(func=_cmd_constants)
 
     sp = sub.add_parser("partition", help="partitioned box sums + oracle check")
     _add_io_opts(sp)
@@ -652,13 +615,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--Q", type=int, required=True)
     sp.add_argument("--dump", default=None, help="write the per-pair audit CSV here")
-    sp.set_defaults(func=_cmd_partition)
 
     sp = sub.add_parser("legendre", help="exact critical-strip divisor check")
     _add_io_opts(sp)
     _add_freq_opts(sp)
     sp.add_argument("--Q", type=int, required=True)
-    sp.set_defaults(func=_cmd_legendre)
 
     sp = sub.add_parser("solve", help="solve modes and report strip norms")
     _add_io_opts(sp)
@@ -667,7 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--R", type=float, required=True)
     sp.add_argument("--grid-n", dest="grid_n", type=int, default=64)
     sp.add_argument("--out-modes", dest="out_modes", default=None)
-    sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("thm1", help="end-to-end shrunk-strip bound check")
     _add_io_opts(sp)
@@ -679,7 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=int, default=20)
     sp.add_argument("--modes-per-map", dest="modes_per_map", type=int, default=25)
     sp.add_argument("--span", type=int, default=12)
-    sp.set_defaults(func=_cmd_thm1)
 
     sp = sub.add_parser("counterexample", help="blow-up data and witness")
     _add_io_opts(sp)
@@ -690,7 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", dest="n_max", type=int, default=8)
     sp.add_argument("--witness-csv", dest="witness_csv", default=None)
     sp.add_argument("--out-modes", dest="out_modes", default=None)
-    sp.set_defaults(func=_cmd_counterexample)
 
     sp = sub.add_parser("sweep", help="bound check over a delta grid, CSV out")
     _add_io_opts(sp)
@@ -701,12 +659,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--deltas", required=True, help="comma-separated deltas")
     sp.add_argument("--Q", type=int, default=200)
     sp.add_argument("--mu", type=float, default=1.25)
-    sp.set_defaults(func=_cmd_sweep)
 
     return ap
 
 
-_RESERVED = ("command", "freq", "out", "fmt", "func")
+_RESERVED = ("command", "freq", "out", "fmt")
 
 
 def config_from_args(args) -> RunConfig:

@@ -17,10 +17,11 @@ m >= 1 sit on strip edges and are tiled into Away(m) / Away(-m-1), the
 assignment that preserves central symmetry (class(q, p) maps to
 class(-q, -p) with Away(n) <-> Away(-n-1)).
 
-Summand: L(q, p) = e^(-(|p|+|q|) delta) / |q omega - p|, evaluated as an
-interval midpoint with the interval width folded into the error bound.
-Sums use exact float summation, so identical inputs give bit-identical
-results in any grouping.
+Summand: L(q, p) = e^(-(|p|+|q|) delta) / |q omega - p|, evaluated at the
+midpoint of the divisor interval, whose relative width must be below
+1e-12.  Box scans evaluate the canonical half q >= 1 (plus q = 0, p < 0)
+once and count its mirror through the symmetry.  Sums use exact float
+summation, so identical inputs give bit-identical results in any grouping.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import BoundReport
+import numpy as np
+
+from .bounds import BoundReport, _away_leading
 from .contfrac import (
     ContinuedFraction,
     DepthExhausted,
@@ -208,9 +211,13 @@ def L_value(
 # box scans
 # ---------------------------------------------------------------------------
 
+# class labels of the half-box scan; _MIRROR marks row-0 cells outside the half
+_AWAY, _CONST, _BRJUNO, _MIRROR = 0, 1, 2, -1
+_KINDS = ("away", "const_type", "brjuno_pos", "brjuno_neg")
 
-def _box_kernel(cf: ContinuedFraction, Q: int):
-    """Shared exact machinery for box scans: floors, table, divisor floats."""
+
+def _box_rows(cf: ContinuedFraction, Q: int):
+    """Exact per-row data of a box: Brjuno table, floors, sandwich integers."""
     table = brjuno_pairs_up_to(cf, Q)
     floors = _floor_table(cf, Q)
     if cf.exact is not None:
@@ -220,86 +227,112 @@ def _box_kernel(cf: ContinuedFraction, Q: int):
         box = cf.finest_sandwich()
         lon, lod = box.lo.numerator, box.lo.denominator
         hin, hid = box.hi.numerator, box.hi.denominator
-    # p * denominator products, shared across all q
-    plo = [p * lod for p in range(-Q, Q + 1)]
-    phi = [p * hid for p in range(-Q, Q + 1)]
-
-    def divisor(q: int, p: int, qlon: int, qhin: int) -> float:
-        # exact integer endpoints of q*omega - p, rounded once each
-        d_lo = (qlon - plo[p + Q]) / lod
-        d_hi = (qhin - phi[p + Q]) / hid
-        if d_lo > 0.0:
-            lo, hi = d_lo, d_hi
-        elif d_hi < 0.0:
-            lo, hi = -d_hi, -d_lo
-        else:
-            raise DepthExhausted(
-                f"divisor unresolved at (q={q}, p={p}); expand deeper"
-            )
-        if hi - lo > _REL_WIDTH_TOL * lo:
-            raise DepthExhausted(
-                f"divisor interval too wide at (q={q}, p={p}); expand deeper"
-            )
-        return 0.5 * (lo + hi)
-
-    return table, floors, (lon, lod, hin, hid), divisor
+    return table, floors, (lon, lod, hin, hid)
 
 
-def partition_sums(cf: ContinuedFraction, delta: float, Q: int) -> PartitionSums:
-    """Classify and sum L over all 0 < max(|q|, |p|) <= Q, one pass per class."""
+def _divisor_midpoint(lo: float, hi: float, q: int, p: int) -> float:
+    """Midpoint of lo <= |q omega - p| <= hi once its sign and width are resolved."""
+    if not lo > 0.0:
+        raise DepthExhausted(f"divisor unresolved at (q={q}, p={p}); expand deeper")
+    if hi - lo > _REL_WIDTH_TOL * lo:
+        raise DepthExhausted(
+            f"divisor interval too wide at (q={q}, p={p}); expand deeper"
+        )
+    return 0.5 * (lo + hi)
+
+
+@dataclass(frozen=True)
+class _HalfBox:
+    """Classes, strips and L values of the canonical half of a box.
+
+    Arrays are indexed [q, p + Q] for q = 0..Q and p = -Q..Q.  The
+    canonical half is q >= 1 with every p plus q = 0 with p < 0; the other
+    row-0 cells are (0, 0) and mirrors, labelled _MIRROR.  ``n`` is the
+    strip floor(q omega - p).  The mirror (-q, -p) of a canonical pair has
+    the same L, class brjuno_neg in place of brjuno_pos and strip -n - 1.
+    ``brjuno`` holds one (q, p, k, a) row per Brjuno-table pair.
+    """
+
+    label: np.ndarray
+    n: np.ndarray
+    L: np.ndarray
+    brjuno: np.ndarray
+
+
+def _half_box(cf: ContinuedFraction, delta: float, Q: int) -> _HalfBox:
+    """The box kernel: classify and evaluate every pair of the canonical half.
+
+    Per row, in exact integers, f = q omega - floor(q omega) and 1 - f come
+    from the sandwich endpoints, each rounded once.  They are the divisors
+    at p = floor and p = floor + 1, the smallest in the row (whose interval
+    width is the same for every p), so checking their sign and relative
+    width checks the whole row.  Over the box, as arrays, |q omega - p| is
+    n + f for n >= 0 and (-n - 1) + (1 - f) for n <= -1, free of
+    cancellation; numerators come from one table of e^(-k delta).
+    """
     if delta <= 0:
         raise ValueError("delta must be > 0")
     if Q < 1:
         raise ExpansionError("box radius must be >= 1")
-    table, floors, (lon, lod, hin, hid), divisor = _box_kernel(cf, Q)
-
-    away_terms: list = []
-    const_terms: list = []
-    brj_terms: list = []
-    brj_k0_terms: list = []
-    counts = {"away": 0, "const_type": 0, "brjuno_pos": 0, "brjuno_neg": 0}
-
-    # canonical half: q >= 1, every p; the mirror (-q, -p) shares its L value
+    table, floors, (lon, lod, hin, hid) = _box_rows(cf, Q)
+    f = [0.0] * (Q + 1)  # row q = 0: floor 0, so the divisors are |p| exactly
+    g = [1.0] * (Q + 1)
     for q in range(1, Q + 1):
-        qlon = q * lon
-        qhin = q * hin
         fl = floors[q]
-        for p in range(-Q, Q + 1):
-            entry = table.pairs.get((q, p))
-            L = math.exp(-(abs(p) + q) * delta) / divisor(q, p, qlon, qhin)
-            if entry is not None:
-                brj_terms.append(L)
-                brj_terms.append(L)
-                counts["brjuno_pos"] += 1
-                counts["brjuno_neg"] += 1
-                if entry[0] == 0:
-                    brj_k0_terms.append(L)
-                    brj_k0_terms.append(L)
-            elif fl - p in (-1, 0):
-                const_terms.append(L)
-                const_terms.append(L)
-                counts["const_type"] += 2
-            else:
-                away_terms.append(L)
-                away_terms.append(L)
-                counts["away"] += 2
-    # q = 0 column: |q omega - p| = |p| exactly; both signs are away pairs
-    for p in range(1, Q + 1):
-        L = math.exp(-p * delta) / p
-        away_terms.append(L)
-        away_terms.append(L)
-        counts["away"] += 2
+        f[q] = _divisor_midpoint(
+            (q * lon - fl * lod) / lod, (q * hin - fl * hid) / hid, q, fl
+        )
+        g[q] = _divisor_midpoint(
+            ((fl + 1) * hid - q * hin) / hid, ((fl + 1) * lod - q * lon) / lod, q, fl + 1
+        )
 
-    away = math.fsum(away_terms)
-    const_type = math.fsum(const_terms)
-    brjuno = math.fsum(brj_terms)
+    p = np.arange(-Q, Q + 1)
+    n = np.array(floors)[:, None] - p
+    neg = n < 0
+    d = np.where(neg, np.array(g)[:, None], np.array(f)[:, None])
+    d += np.where(neg, ~n, n)  # ~n == -n - 1
+    d[0, Q] = math.inf  # (0, 0) has no divisor
+    weights = np.array([math.exp(-k * delta) for k in range(2 * Q + 1)])
+    L = weights[np.arange(Q + 1)[:, None] + np.abs(p)]
+    L /= d
+
+    label = np.full(n.shape, _AWAY, dtype=np.int8)
+    label[(n == 0) | (n == -1)] = _CONST
+    brjuno = np.array(
+        [pair + ka for pair, ka in table.pairs.items()], dtype=np.int64
+    ).reshape(-1, 4)
+    label[brjuno[:, 0], brjuno[:, 1] + Q] = _BRJUNO
+    label[0, Q:] = _MIRROR
+    return _HalfBox(label=label, n=n, L=L, brjuno=brjuno)
+
+
+def partition_sums(cf: ContinuedFraction, delta: float, Q: int) -> PartitionSums:
+    """Classify and sum L over all 0 < max(|q|, |p|) <= Q, one sum per class.
+
+    Each class sum is twice the exact sum over the canonical half, and
+    doubling a float is exact.
+    """
+    half = _half_box(cf, delta, Q)
+    away = half.label == _AWAY
+    const = half.label == _CONST
+    brj = half.label == _BRJUNO
+    k0 = half.brjuno[half.brjuno[:, 2] == 0]
+    away_sum = 2.0 * math.fsum(half.L[away])
+    const_sum = 2.0 * math.fsum(half.L[const])
+    brj_sum = 2.0 * math.fsum(half.L[brj])
+    n_brj = int(np.count_nonzero(brj))
     return PartitionSums(
-        away=away,
-        const_type=const_type,
-        brjuno=brjuno,
-        brjuno_k0=math.fsum(brj_k0_terms),
-        total=away + const_type + brjuno,
-        counts=counts,
+        away=away_sum,
+        const_type=const_sum,
+        brjuno=brj_sum,
+        brjuno_k0=2.0 * math.fsum(half.L[k0[:, 0], k0[:, 1] + Q]),
+        total=away_sum + const_sum + brj_sum,
+        counts={
+            "away": 2 * int(np.count_nonzero(away)),
+            "const_type": 2 * int(np.count_nonzero(const)),
+            "brjuno_pos": n_brj,
+            "brjuno_neg": n_brj,
+        },
         delta=delta,
         Q=Q,
         away_tail_bound=away_tail_majorant(delta, Q),
@@ -307,67 +340,52 @@ def partition_sums(cf: ContinuedFraction, delta: float, Q: int) -> PartitionSums
 
 
 def box_sum(cf: ContinuedFraction, delta: float, Q: int) -> float:
-    """Single-pass unclassified sum of L over the same box (partition oracle)."""
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
-    _, _, (lon, lod, hin, hid), divisor = _box_kernel(cf, Q)
-    terms = []
-    for q in range(1, Q + 1):
-        qlon = q * lon
-        qhin = q * hin
-        for p in range(-Q, Q + 1):
-            L = math.exp(-(abs(p) + q) * delta) / divisor(q, p, qlon, qhin)
-            terms.append(L)
-            terms.append(L)
-    for p in range(1, Q + 1):
-        L = math.exp(-p * delta) / p
-        terms.append(L)
-        terms.append(L)
-    return math.fsum(terms)
+    """Unclassified sum of L over the same box.
+
+    It shares the kernel with :func:`partition_sums`, so agreement shows
+    that the classes tile the box; ``classify_index`` and ``L_value`` are
+    the independent scalar oracle.
+    """
+    half = _half_box(cf, delta, Q)
+    return 2.0 * math.fsum(half.L[half.label != _MIRROR])
 
 
 def partition_dump(cf: ContinuedFraction, delta: float, Q: int, path) -> None:
     """Audit CSV with one row per box pair: q,p,class,k,a,strip_n,L."""
-    table, floors, (lon, lod, hin, hid), divisor = _box_kernel(cf, Q)
+    half = _half_box(cf, delta, Q)
+    k = np.zeros(half.label.shape, dtype=np.int64)
+    a = np.zeros(half.label.shape, dtype=np.int64)
+    bq, bp, bk, ba = half.brjuno.T
+    k[bq, bp + Q] = bk
+    a[bq, bp + Q] = ba
+    kinds = np.array(_KINDS, dtype=object)
+    side = np.arange(-Q, Q + 1)
+
+    def cells(mask, values):
+        return np.where(mask, values.astype(object), "").tolist()
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["q", "p", "class", "k", "a", "strip_n", "L"])
+        # one box row at a time; each cell reads its canonical pair, which
+        # is (q, p) itself or the mirror (-q, -p)
         for q in range(-Q, Q + 1):
-            aq = abs(q)
-            qlon = aq * lon
-            qhin = aq * hin
-            for p in range(-Q, Q + 1):
-                if q == 0 and p == 0:
-                    continue
-                if q == 0:
-                    cls = IndexClass(kind="away", strip=(-p - 1) if p > 0 else -p)
-                    L = math.exp(-abs(p) * delta) / abs(p)
-                else:
-                    cp = p if q > 0 else -p
-                    entry = table.pairs.get((aq, cp))
-                    if entry is not None:
-                        kind = "brjuno_pos" if q > 0 else "brjuno_neg"
-                        cls = IndexClass(kind=kind, k=entry[0], a=entry[1])
-                    else:
-                        n = floors[aq] - cp
-                        if n in (-1, 0):
-                            cls = IndexClass(kind="const_type")
-                        else:
-                            cls = IndexClass(
-                                kind="away", strip=n if q > 0 else -n - 1
-                            )
-                    L = math.exp(-(abs(p) + aq) * delta) / divisor(aq, cp, qlon, qhin)
-                writer.writerow(
-                    [
-                        q,
-                        p,
-                        cls.kind,
-                        "" if cls.k is None else cls.k,
-                        "" if cls.a is None else cls.a,
-                        "" if cls.strip is None else cls.strip,
-                        repr(L),
-                    ]
+            p = side[side != 0] if q == 0 else side
+            mirror = p > 0 if q == 0 else np.full(p.size, q < 0)
+            cq, cp = abs(q), np.where(mirror, -p, p) + Q
+            label, n = half.label[cq, cp], half.n[cq, cp]
+            is_brj = label == _BRJUNO
+            writer.writerows(
+                zip(
+                    [q] * p.size,
+                    p.tolist(),
+                    kinds[label + (is_brj & mirror)].tolist(),
+                    cells(is_brj, k[cq, cp]),
+                    cells(is_brj, a[cq, cp]),
+                    cells(label == _AWAY, np.where(mirror, ~n, n)),
+                    half.L[cq, cp].tolist(),
                 )
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +403,9 @@ def verify_legendre(cf: ContinuedFraction, Q: int) -> BoundReport:
     """
     if Q < 1:
         raise ExpansionError("box radius must be >= 1")
-    table = brjuno_pairs_up_to(cf, Q)
-    floors = _floor_table(cf, Q)
+    table, floors, (lon, lod, hin, hid) = _box_rows(cf, Q)
     if cf.exact is not None:
         raise ExpansionError("verify_legendre needs an irrational frequency")
-    box = cf.finest_sandwich()
-    lon, lod = box.lo.numerator, box.lo.denominator
-    hin, hid = box.hi.numerator, box.hi.denominator
 
     worst = 0.0
     checked = 0
@@ -438,7 +452,6 @@ def away_bound_check(
     Q: int,
     mu: float = 1.25,
     n_max: Optional[int] = None,
-    sums: Optional[PartitionSums] = None,
 ) -> BoundReport:
     """Box away sum against mu * (4/(1+omega) + 2/(1-omega)) delta^-1 log(1/delta).
 
@@ -449,31 +462,16 @@ def away_bound_check(
     if delta * math.e >= 1.0:
         raise ValueError("away bound needs log(1/delta) > 1, i.e. delta < 1/e")
     if n_max is None:
-        if sums is None:
-            sums = partition_sums(cf, delta, Q)
-        computed = sums.away
+        computed = partition_sums(cf, delta, Q).away
     else:
-        table, floors, (lon, lod, hin, hid), divisor = _box_kernel(cf, Q)
-        terms = []
-        for q in range(1, Q + 1):
-            qlon, qhin = q * lon, q * hin
-            fl = floors[q]
-            for p in range(-Q, Q + 1):
-                if (q, p) in table.pairs:
-                    continue
-                n = fl - p
-                if n in (-1, 0) or abs(n) > n_max:
-                    continue
-                L = math.exp(-(abs(p) + q) * delta) / divisor(q, p, qlon, qhin)
-                terms.append(L)
-                terms.append(L)
-        for p in range(1, min(Q, n_max) + 1):
-            L = math.exp(-p * delta) / p
-            terms.append(L)
-            terms.append(L)
-        computed = math.fsum(terms)
-    omega = cf.omega_float()
-    leading = 4.0 / (1.0 + omega) + 2.0 / (1.0 - omega)
+        half = _half_box(cf, delta, Q)
+        away = half.label == _AWAY
+        L, n = half.L[away], half.n[away]
+        # the mirror of a pair in strip n lies in strip -n - 1
+        computed = math.fsum(
+            np.concatenate((L[np.abs(n) <= n_max], L[np.abs(n + 1) <= n_max]))
+        )
+    leading = _away_leading(cf.omega_float())
     bound = mu * leading * math.log(1.0 / delta) / delta
     return BoundReport(
         quantity="away box sum",

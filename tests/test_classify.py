@@ -92,19 +92,6 @@ def test_gauss_weights_telescope_to_one():
     assert abs(gauss_weight_partial_sum(10**9) - 1.0) < 1e-8
 
 
-def test_constants_cache_round_trip(tmp_path):
-    path = tmp_path / "constants.txt"
-    first = khintchine_constants(1e-7, cache_path=str(path))
-    text = path.read_text()
-    assert "kappa=" in text and "kappa_prime=" in text and "tol=" in text
-    again = khintchine_constants(1e-7, cache_path=str(path))
-    assert again.kappa == first.kappa
-    assert again.kappa_prime == first.kappa_prime
-    # a second tolerance appends a second line
-    khintchine_constants(1e-6, cache_path=str(path))
-    assert len(path.read_text().splitlines()) == 2
-
-
 def test_levy_example_bound():
     ell, G = levy_example_bound()
     assert abs(ell - math.pi**2 / (12 * math.log(2))) < 1e-15

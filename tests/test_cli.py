@@ -261,8 +261,7 @@ def test_run_config_api(tmp_path):
     assert run(RunConfig(command="bogus")) == EXIT_INPUT
 
 
-def test_smalldiv_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("SMALLDIV_THREADS", "2")
+def test_sweep_const_type(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(
         ["--out", str(out), "sweep", "--freq", "golden", "--check", "const_type",

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from collections import Counter
 
 import mpmath as mp
 import pytest
@@ -11,7 +12,12 @@ from hypothesis import strategies as st
 from smalldivlab.bounds import brj1, brj2
 from smalldivlab.contfrac import ExpansionError, FrequencySpec, expand
 from smalldivlab.smalldiv import (
+    _AWAY,
+    _BRJUNO,
+    _CONST,
+    _MIRROR,
     L_value,
+    _half_box,
     away_bound_check,
     box_sum,
     brjuno_pairs_up_to,
@@ -20,6 +26,19 @@ from smalldivlab.smalldiv import (
     partition_sums,
     verify_legendre,
 )
+
+# quotients:[...] prefixes long enough to resolve Q <= 25 boxes, and surds
+_quotient = st.integers(min_value=1, max_value=30)
+frequencies = st.one_of(
+    st.lists(_quotient, min_size=45, max_size=60).map(FrequencySpec.literal),
+    st.builds(
+        FrequencySpec.periodic,
+        st.lists(_quotient, max_size=3),
+        st.lists(_quotient, min_size=1, max_size=3),
+    ),
+)
+
+_KIND_NAMES = ("away", "const_type", "brjuno_pos", "brjuno_neg")
 
 pairs = st.tuples(
     st.integers(min_value=-60, max_value=60), st.integers(min_value=-60, max_value=60)
@@ -208,6 +227,68 @@ def test_partition_k0_subset(golden):
     assert sums.brjuno_k0 == pytest.approx(2.0 * L_value(1, 0, 0.2, golden), rel=1e-15)
 
 
+@settings(max_examples=40, deadline=None)
+@given(frequencies, st.integers(min_value=1, max_value=25), st.floats(0.05, 0.5))
+def test_half_box_matches_scalar_oracle(spec, Q, delta):
+    cf = expand(spec, 60)
+    table = brjuno_pairs_up_to(cf, Q)
+    half = _half_box(cf, delta, Q)
+    brjuno = {(q, p): (k, a) for q, p, k, a in half.brjuno.tolist()}
+    labels = {"away": _AWAY, "const_type": _CONST, "brjuno_pos": _BRJUNO}
+    mirrors = {"away": "away", "const_type": "const_type", "brjuno_pos": "brjuno_neg"}
+    kinds = Counter()
+    terms = {"away": [], "const_type": [], "brjuno": []}
+    for q in range(Q + 1):
+        for p in range(-Q, Q + 1):
+            if q == 0 and p >= 0:
+                assert half.label[0, p + Q] == _MIRROR
+                continue
+            cls = classify_index(q, p, cf, table)
+            assert half.label[q, p + Q] == labels[cls.kind], (q, p)
+            if cls.kind == "away":
+                assert half.n[q, p + Q] == cls.strip
+            if cls.kind == "brjuno_pos":
+                assert brjuno[(q, p)] == (cls.k, cls.a)
+            L = L_value(q, p, delta, cf)
+            assert abs(half.L[q, p + Q] - L) <= 1e-15 * L, (q, p)
+            # central symmetry: the mirror has the same L, Away(n) <-> Away(-n-1)
+            mirror = classify_index(-q, -p, cf, table)
+            assert mirror.kind == mirrors[cls.kind]
+            assert (mirror.k, mirror.a) == (cls.k, cls.a)
+            if cls.kind == "away":
+                assert mirror.strip == -cls.strip - 1
+            assert L_value(-q, -p, delta, cf) == L
+            kinds.update((cls.kind, mirror.kind))
+            terms[cls.kind.replace("_pos", "")] += [L, L]
+    sums = partition_sums(cf, delta, Q)
+    assert sums.counts == {kind: kinds[kind] for kind in _KIND_NAMES}
+    assert sum(sums.counts.values()) == (2 * Q + 1) ** 2 - 1
+    for name, values in terms.items():
+        oracle = math.fsum(values)
+        assert abs(getattr(sums, name) - oracle) <= 1e-15 * oracle
+    oracle = math.fsum(sum(terms.values(), []))
+    assert abs(box_sum(cf, delta, Q) - oracle) <= 1e-15 * oracle
+
+
+def test_partition_dump_matches_scalar_oracle(tmp_path, large_quot):
+    Q, delta = 12, 0.2
+    path = tmp_path / "dump.csv"
+    partition_dump(large_quot, delta, Q, path)
+    with open(path) as fh:
+        rows = list(csv.reader(fh))[1:]
+    box = [(q, p) for q in range(-Q, Q + 1) for p in range(-Q, Q + 1) if (q, p) != (0, 0)]
+    assert [(int(r[0]), int(r[1])) for r in rows] == box
+    table = brjuno_pairs_up_to(large_quot, Q)
+    assert {r[2] for r in rows} == {"away", "const_type", "brjuno_pos", "brjuno_neg"}
+    assert max(int(r[4]) for r in rows if r[4]) > 1  # multiples a > 1 occur
+    for (q, p), row in zip(box, rows):
+        cls = classify_index(q, p, large_quot, table)
+        blank = ["" if v is None else str(v) for v in (cls.k, cls.a, cls.strip)]
+        assert row[2:6] == [cls.kind] + blank, (q, p)
+        L = L_value(q, p, delta, large_quot)
+        assert abs(float(row[6]) - L) <= 1e-15 * L, (q, p)
+
+
 def test_partition_dump_schema(tmp_path, golden):
     path = tmp_path / "dump.csv"
     partition_dump(golden, 0.3, 6, path)
@@ -270,6 +351,22 @@ def test_away_bound_strip_cutoff(golden):
     assert cut.verdict
 
 
+def test_away_bound_strip_cutoff_oracle(golden):
+    Q, delta = 30, 0.1
+    table = brjuno_pairs_up_to(golden, Q)
+    box = [(q, p) for q in range(-Q, Q + 1) for p in range(-Q, Q + 1) if (q, p) != (0, 0)]
+    for n_max in (0, 1, 3):
+        oracle = math.fsum(
+            L_value(q, p, delta, golden)
+            for q, p in box
+            if (cls := classify_index(q, p, golden, table)).kind == "away"
+            and abs(cls.strip) <= n_max
+        )
+        rep = away_bound_check(golden, delta, Q, mu=1.25, n_max=n_max)
+        assert abs(rep.computed - oracle) <= 1e-14 * oracle, (n_max, rep.computed, oracle)
+    assert rep.computed == pytest.approx(30.3742, abs=1e-4)
+
+
 def test_const_type_box_bound(golden, sqrt2m1, pi_like):
     mu = 1.25
     for cf in (golden, sqrt2m1, pi_like):
@@ -281,9 +378,9 @@ def test_const_type_box_bound(golden, sqrt2m1, pi_like):
             # and the crude critical-strip majorant dominates the class sum
             crit_majorant = 0.0
             m = None
-            from smalldivlab.smalldiv import _box_kernel
+            from smalldivlab.smalldiv import _floor_table
 
-            table, floors, _, _ = _box_kernel(cf, 200)
+            floors = _floor_table(cf, 200)
             for q in range(1, 201):
                 fl = floors[q]
                 for p in (fl, fl + 1):
