@@ -2,10 +2,12 @@
 
 Subcommands: classify, brj, gamma, table1, constants, partition,
 legendre, solve, thm1, counterexample, sweep.  Reports are emitted as
-JSON objects {command, params, results, verdicts, version} (or CSV for
-tabular artifacts); identical configurations produce byte-identical
-files (fixed ordering, no timestamps).  Exit codes: 0 success, 1 a
-check-command verdict failed, 2 input error.
+strict JSON objects {command, params, results, verdicts, version} (or CSV
+for tabular artifacts); non-finite floats are encoded as the strings
+"inf", "-inf" and "nan".  Identical configurations produce byte-identical
+files (fixed ordering, no timestamps).  A frequency expansion that stops
+short of the requested depth is reported on stderr.  Exit codes: 0
+success, 1 a verdict failed, 2 input error, 3 internal error (a crash).
 
 Frequency mini-language: ``golden``, ``surd:[pre;per]`` (e.g.
 ``surd:[;2]``), ``quotients:[a1,a2,...]``, ``rational:P/Q``,
@@ -19,8 +21,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
-from typing import Optional
+from dataclasses import asdict
 
 import numpy as np
 
@@ -61,33 +62,12 @@ from .smalldiv import away_bound_check, box_sum, partition_dump, partition_sums,
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_INPUT = 2
+EXIT_CRASH = 3
 
 _GRAMMAR_HINT = (
     "expected one of: golden | surd:[pre;per] | quotients:[a1,a2,...] | "
     "rational:P/Q | rule:name(k=v,...)"
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters of a single invocation.
-
-    ``numbers`` holds the per-command numeric/string options (delta, Q,
-    tau, mu, seed, paths, ...) exactly as the argument parser validated
-    them.  Identical configs produce byte-identical artifacts.
-    """
-
-    command: str
-    freq: Optional[str] = None
-    out: Optional[str] = None
-    fmt: str = "json"
-    numbers: tuple = ()  # sorted (name, value) pairs
-
-    def get(self, name, default=None):
-        for key, value in self.numbers:
-            if key == name:
-                return value
-        return default
 
 
 def _parse_int_list(body: str):
@@ -147,34 +127,30 @@ def parse_frequency(spec: str, depth_cap=None, bit_cap=None) -> FrequencySpec:
 def _scalar_text(v) -> str:
     if isinstance(v, float):
         return f"{v:.6g}"
-    if isinstance(v, complex):
-        return f"{v.real:.6g}{v.imag:+.6g}i"
     return str(v)
 
 
 def _render_text(value, indent=0) -> str:
     """Human-readable rendering: floats rounded to 6 significant digits."""
     pad = "  " * indent
-    if hasattr(value, "__dataclass_fields__"):
-        value = asdict(value)
     if isinstance(value, dict):
         if not value:
             return f"{pad}(none)"
         lines = []
         for key in sorted(value, key=str):
             v = value[key]
-            if isinstance(v, (dict, list, tuple)) or hasattr(v, "__dataclass_fields__"):
+            if isinstance(v, (dict, list)):
                 lines.append(f"{pad}{key}:")
                 lines.append(_render_text(v, indent + 1))
             else:
                 lines.append(f"{pad}{key} = {_scalar_text(v)}")
         return "\n".join(lines)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         if not value:
             return f"{pad}(empty)"
         lines = []
         for v in value:
-            if isinstance(v, (dict, list, tuple)) or hasattr(v, "__dataclass_fields__"):
+            if isinstance(v, (dict, list)):
                 lines.append(f"{pad}-")
                 lines.append(_render_text(v, indent + 1))
             else:
@@ -183,28 +159,28 @@ def _render_text(value, indent=0) -> str:
     return pad + _scalar_text(value)
 
 
-def _emit(report: dict, out: Optional[str], fmt: str = "json") -> None:
+def _plain(value):
+    """``value`` as plain JSON data: dataclasses become dicts, tuples lists,
+    numpy scalars Python scalars, and non-finite floats the strings "inf",
+    "-inf" and "nan"."""
+    if hasattr(value, "__dataclass_fields__"):
+        value = asdict(value)
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
+
+
+def _render(report: dict, fmt: str) -> str:
+    report = _plain(report)
     if fmt == "text":
-        text = _render_text(report) + "\n"
-    else:
-        text = json.dumps(report, indent=2, sort_keys=True, default=_jsonable) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _jsonable(obj):
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if hasattr(obj, "__dataclass_fields__"):
-        return asdict(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, tuple):
-        return list(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+        return _render_text(report) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _report(command: str, params: dict, results: dict, verdicts: dict) -> dict:
@@ -217,23 +193,19 @@ def _report(command: str, params: dict, results: dict, verdicts: dict) -> dict:
     }
 
 
-def _expand_freq(args, default_depth=64) -> ContinuedFraction:
-    spec = parse_frequency(
-        args.freq, getattr(args, "depth_cap", None), getattr(args, "bit_cap", None)
-    )
-    depth = getattr(args, "depth", None)
-    return expand(spec, default_depth if depth is None else depth)
+def _expand_freq(args) -> ContinuedFraction:
+    spec = parse_frequency(args.freq, args.depth_cap, args.bit_cap)
+    cf = expand(spec, args.depth)
+    if cf.truncated:
+        sys.stderr.write(
+            f"warning: --freq {args.freq} truncated: {cf.depth} of the "
+            f"{args.depth} requested partial quotients\n"
+        )
+    return cf
 
 
 def _bound_report_dict(rep: BoundReport) -> dict:
-    return {
-        "quantity": rep.quantity,
-        "computed": rep.computed,
-        "bound": rep.bound,
-        "margin": rep.margin,
-        "verdict": rep.verdict,
-        "params": rep.params,
-    }
+    return {**asdict(rep), "margin": rep.margin, "verdict": rep.verdict}
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +213,7 @@ def _bound_report_dict(rep: BoundReport) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> dict:
     cf = _expand_freq(args)
     depth = min(args.depth, cf.depth - 1)
     cert = diophantine_constant(cf, args.tau, depth)
@@ -249,7 +221,7 @@ def _cmd_classify(args) -> int:
     kl = kl_membership(cf, params, min(cf.depth, max(params.N, depth)))
     bps = brjuno_partial_sum(cf, depth)
     nint = verify_nint_lemma(cf, min(10, cf.depth - 1))
-    report = _report(
+    return _report(
         "classify",
         {
             "freq": args.freq,
@@ -260,19 +232,17 @@ def _cmd_classify(args) -> int:
             "N": args.N,
         },
         {
-            "diophantine": asdict(cert),
-            "kl": asdict(kl),
-            "brjuno_partial_sum": asdict(bps),
+            "diophantine": cert,
+            "kl": kl,
+            "brjuno_partial_sum": bps,
             "quotients_head": list(cf.quotients[:12]),
             "truncated": cf.truncated,
         },
         {"nint_lemma_all_true": all(ok for _, _, ok in nint)},
     )
-    _emit(report, args.out, args.fmt)
-    return EXIT_OK if all(ok for _, _, ok in nint) else EXIT_VERDICT
 
 
-def _cmd_brj(args) -> int:
+def _cmd_brj(args) -> dict:
     cf = _expand_freq(args)
     depth = min(args.depth, cf.depth - 1)
     growth = None
@@ -281,20 +251,18 @@ def _cmd_brj(args) -> int:
     b1 = brj1(cf, args.Delta, depth, growth)
     b2 = brj2(cf, args.Delta, depth, growth)
     comb = brj_combined(cf, args.Delta, depth, growth)
-    report = _report(
+    return _report(
         "brj",
         {"freq": args.freq, "Delta": args.Delta, "depth": depth},
-        {"brj1": asdict(b1), "brj2": asdict(b2), "brj_combined": asdict(comb)},
+        {"brj1": b1, "brj2": b2, "brj_combined": comb},
         {},
     )
-    _emit(report, args.out, args.fmt)
-    return EXIT_OK
 
 
-def _cmd_gamma(args) -> int:
+def _cmd_gamma(args) -> dict:
     cf = _expand_freq(args)
     gd = gamma_delta(cf, args.rho, args.delta, mu=args.mu)
-    report = _report(
+    return _report(
         "gamma",
         {"freq": args.freq, "rho": args.rho, "delta": args.delta, "mu": args.mu},
         {
@@ -310,25 +278,17 @@ def _cmd_gamma(args) -> int:
         },
         {},
     )
-    _emit(report, args.out, args.fmt)
-    return EXIT_OK
 
 
-def _cmd_table1(args) -> int:
+def _cmd_table1(args) -> tuple:
     rows = table1_rows(tolerance=args.tolerance)
-    text = format_table1_csv(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return format_table1_csv(rows), True
 
 
-def _cmd_constants(args) -> int:
+def _cmd_constants(args) -> dict:
     consts = khintchine_constants(args.tolerance)
     ell, G = levy_example_bound()
-    report = _report(
+    return _report(
         "constants",
         {"tolerance": args.tolerance},
         {
@@ -342,11 +302,9 @@ def _cmd_constants(args) -> int:
         },
         {},
     )
-    _emit(report, args.out, args.fmt)
-    return EXIT_OK
 
 
-def _cmd_partition(args) -> int:
+def _cmd_partition(args) -> dict:
     cf = _expand_freq(args)
     sums = partition_sums(cf, args.delta, args.Q)
     oracle = box_sum(cf, args.delta, args.Q)
@@ -356,7 +314,7 @@ def _cmd_partition(args) -> int:
     ok = rel <= 1e-12 and count_total == box_cells
     if args.dump:
         partition_dump(cf, args.delta, args.Q, args.dump)
-    report = _report(
+    return _report(
         "partition",
         {"freq": args.freq, "delta": args.delta, "Q": args.Q},
         {
@@ -372,24 +330,20 @@ def _cmd_partition(args) -> int:
         },
         {"oracle_match": ok, "counts_tile_box": count_total == box_cells},
     )
-    _emit(report, args.out, args.fmt)
-    return EXIT_OK if ok else EXIT_VERDICT
 
 
-def _cmd_legendre(args) -> int:
+def _cmd_legendre(args) -> dict:
     cf = _expand_freq(args)
     rep = verify_legendre(cf, args.Q)
-    report = _report(
+    return _report(
         "legendre",
         {"freq": args.freq, "Q": args.Q},
         _bound_report_dict(rep),
         {"all_pass": rep.verdict and not rep.params["violations"]},
     )
-    _emit(report, args.out, args.fmt)
-    return EXIT_OK if rep.verdict else EXIT_VERDICT
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> dict:
     cf = _expand_freq(args)
     a = load_modes(args.modes)
     solved = solve_modes(a, cf)
@@ -397,19 +351,17 @@ def _cmd_solve(args) -> int:
     a_norm = strip_norm(a, args.R, args.grid_n)
     if args.out_modes:
         save_modes(solved.modes, args.out_modes)
-    report = _report(
+    return _report(
         "solve",
         {"freq": args.freq, "modes": args.modes, "R": args.R},
         {
             "mode_count": len(a),
             "max_rel_err": solved.max_rel_err,
-            "data_norm": asdict(a_norm),
-            "solution_norm": asdict(g_norm),
+            "data_norm": a_norm,
+            "solution_norm": g_norm,
         },
         {},
     )
-    _emit(report, args.out, args.fmt)
-    return EXIT_OK
 
 
 def _random_decay_modes(rng, rho: float, count: int, span: int) -> ModeMap:
@@ -428,7 +380,13 @@ def _random_decay_modes(rng, rho: float, count: int, span: int) -> ModeMap:
     return ModeMap.build(entries, hermitian=True)
 
 
-def _cmd_thm1(args) -> int:
+def _cmd_thm1(args) -> dict:
+    cells = (2 * args.span + 1) ** 2 - 1
+    if 2 * args.modes_per_map > cells:
+        raise ValueError(
+            f"--modes-per-map {args.modes_per_map} needs {2 * args.modes_per_map} "
+            f"distinct modes, but --span {args.span} has only {cells} nonzero cells"
+        )
     cf = _expand_freq(args)
     rng = np.random.default_rng(args.seed)
     failures = 0
@@ -439,7 +397,7 @@ def _cmd_thm1(args) -> int:
         margins.append(rep.margin)
         if not rep.verdict:
             failures += 1
-    report = _report(
+    return _report(
         "thm1",
         {
             "freq": args.freq,
@@ -452,11 +410,9 @@ def _cmd_thm1(args) -> int:
         {"min_margin": min(margins), "failures": failures},
         {"all_pass": failures == 0},
     )
-    _emit(report, args.out, args.fmt)
-    return EXIT_OK if failures == 0 else EXIT_VERDICT
 
 
-def _cmd_counterexample(args) -> int:
+def _cmd_counterexample(args) -> dict:
     cf = _expand_freq(args)
     n_max = min(args.n_max, cf.depth - 1)
     ce = counterexample_modes(cf, args.rho, args.epsilon, n_max)
@@ -470,7 +426,7 @@ def _cmd_counterexample(args) -> int:
                 )
     if args.out_modes:
         save_modes(ce.modes, args.out_modes)
-    report = _report(
+    return _report(
         "counterexample",
         {
             "freq": args.freq,
@@ -480,9 +436,9 @@ def _cmd_counterexample(args) -> int:
             "n_max": n_max,
         },
         {
-            "alpha": asdict(ce.alpha),
+            "alpha": ce.alpha,
             "norm_upper": ce.norm_upper,
-            "witness": [asdict(pt) for pt in points],
+            "witness": points,
         },
         {
             "normalization_in_band": 1.0 - ce.alpha.deficit
@@ -491,14 +447,9 @@ def _cmd_counterexample(args) -> int:
             "norm_below_epsilon": ce.norm_upper <= ce.epsilon,
         },
     )
-    _emit(report, args.out, args.fmt)
-    ok = report["verdicts"]["normalization_in_band"] and report["verdicts"][
-        "norm_below_epsilon"
-    ]
-    return EXIT_OK if ok else EXIT_VERDICT
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple:
     cf = _expand_freq(args)
     deltas = [float(tok) for tok in args.deltas.split(",") if tok]
     if not deltas:
@@ -514,35 +465,32 @@ def _cmd_sweep(args) -> int:
                 bound=_const_type_leading(cf.omega_float(), args.mu) / delta**2,
                 params={"delta": delta, "Q": args.Q, "mu": args.mu},
             )
-        elif args.check == "brjuno":
+        else:  # brjuno; argparse choices admit nothing else
             rep = BoundReport(
                 quantity="brjuno box sum",
                 computed=partition_sums(cf, delta, args.Q).brjuno,
                 bound=_brjuno_box_bound(cf, delta, args.mu),
                 params={"delta": delta, "Q": args.Q, "mu": args.mu},
             )
-        else:
-            raise ExpansionError(f"unknown sweep check {args.check!r}")
         rows.append((delta, rep))
-    all_ok = all(rep.verdict for _, rep in rows)
-
     lines = ["delta,computed,bound,margin,verdict"]
     for delta, rep in rows:
         lines.append(
             f"{delta!r},{rep.computed!r},{rep.bound!r},{rep.margin!r},{rep.verdict}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK if all_ok else EXIT_VERDICT
+    return "\n".join(lines) + "\n", all(rep.verdict for _, rep in rows)
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 # ---------------------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_io_opts(sp):
@@ -636,8 +584,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--mu", type=float, default=1.25)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=20)
-    sp.add_argument("--modes-per-map", dest="modes_per_map", type=int, default=25)
+    sp.add_argument("--count", type=_positive_int, default=20)
+    sp.add_argument(
+        "--modes-per-map", dest="modes_per_map", type=_positive_int, default=25
+    )
     sp.add_argument("--span", type=int, default=12)
 
     sp = sub.add_parser("counterexample", help="blow-up data and witness")
@@ -663,63 +613,56 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_RESERVED = ("command", "freq", "out", "fmt")
-
-
-def config_from_args(args) -> RunConfig:
-    numbers = tuple(
-        sorted((k, v) for k, v in vars(args).items() if k not in _RESERVED)
-    )
-    return RunConfig(
-        command=args.command,
-        freq=getattr(args, "freq", None),
-        out=args.out,
-        fmt=args.fmt,
-        numbers=numbers,
-    )
-
-
-def run(config: RunConfig) -> int:
-    """Execute a validated configuration; returns the process exit code.
-
-    Check commands return 1 when any verdict fails; malformed inputs
-    return 2 before any computation starts.
-    """
-    handlers = {
-        "classify": _cmd_classify,
-        "brj": _cmd_brj,
-        "gamma": _cmd_gamma,
-        "table1": _cmd_table1,
-        "constants": _cmd_constants,
-        "partition": _cmd_partition,
-        "legendre": _cmd_legendre,
-        "solve": _cmd_solve,
-        "thm1": _cmd_thm1,
-        "counterexample": _cmd_counterexample,
-        "sweep": _cmd_sweep,
-    }
-    if config.command not in handlers:
-        sys.stderr.write(f"error: unknown command {config.command!r}\n")
-        return EXIT_INPUT
-    ns = argparse.Namespace(
-        command=config.command, out=config.out, fmt=config.fmt, **dict(config.numbers)
-    )
-    if config.freq is not None:
-        ns.freq = config.freq
-    try:
-        return handlers[config.command](ns)
-    except (ExpansionError, ValueError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
+_HANDLERS = {
+    "classify": _cmd_classify,
+    "brj": _cmd_brj,
+    "gamma": _cmd_gamma,
+    "table1": _cmd_table1,
+    "constants": _cmd_constants,
+    "partition": _cmd_partition,
+    "legendre": _cmd_legendre,
+    "solve": _cmd_solve,
+    "thm1": _cmd_thm1,
+    "counterexample": _cmd_counterexample,
+    "sweep": _cmd_sweep,
+}
 
 
 def main(argv=None) -> int:
+    """Run one command; returns the process exit code.
+
+    Handlers return a JSON report, or ``(csv_text, ok)`` for the CSV
+    commands; this is the one place that renders it, writes it to
+    ``--out`` or stdout and turns its verdicts into the exit code.
+    Malformed inputs return 2 before any computation starts; an
+    unexpected exception returns 3, never the verdict code 1.
+    """
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    return run(config_from_args(args))
+    try:
+        result = _HANDLERS[args.command](args)
+        if isinstance(result, tuple):
+            text, ok = result
+        else:
+            text, ok = _render(result, args.fmt), all(result["verdicts"].values())
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, OSError) as exc:  # ExpansionError and JSONDecodeError included
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INPUT
+    except Exception as exc:
+        import traceback  # imported here: only a crash needs it
+
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        traceback.print_exc()
+        return EXIT_CRASH
+    return EXIT_OK if ok else EXIT_VERDICT
 
 
 def console_main() -> None:

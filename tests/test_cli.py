@@ -1,10 +1,16 @@
 """Front-end parsing, report determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import smalldivlab
 from smalldivlab.cli import (
+    EXIT_CRASH,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VERDICT,
@@ -12,6 +18,21 @@ from smalldivlab.cli import (
     parse_frequency,
 )
 from smalldivlab.contfrac import ExpansionError
+
+SRC = Path(smalldivlab.__file__).resolve().parents[1]
+
+
+def run_cli(*argv, timeout):
+    """``python -m smalldivlab.cli ARGV`` in a fresh process, importing this
+    source tree."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "smalldivlab.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +244,8 @@ def test_exit_codes_distinguish_input_errors(tmp_path):
     # domain violation -> input error
     code = main(["gamma", "--freq", "golden", "--delta", "0.9"])
     assert code == EXIT_INPUT
+    # unknown command -> argparse input error
+    assert main(["bogus"]) == EXIT_INPUT
 
 
 def test_exit_code_verdict_failure(tmp_path):
@@ -245,22 +268,6 @@ def test_text_format_rounds_to_six_digits(tmp_path):
     assert "G_example = 3.96586" in text
 
 
-def test_run_config_api(tmp_path):
-    from smalldivlab.cli import RunConfig, build_parser, config_from_args, run
-
-    args = build_parser().parse_args(
-        ["--out", str(tmp_path / "r.json"), "partition", "--freq", "golden",
-         "--delta", "0.2", "--Q", "20"]
-    )
-    config = config_from_args(args)
-    assert isinstance(config, RunConfig)
-    assert config.command == "partition" and config.get("Q") == 20
-    assert run(config) == EXIT_OK
-    data = json.loads((tmp_path / "r.json").read_text())
-    assert data["verdicts"]["oracle_match"] is True
-    assert run(RunConfig(command="bogus")) == EXIT_INPUT
-
-
 def test_sweep_const_type(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(
@@ -269,3 +276,116 @@ def test_sweep_const_type(tmp_path):
     )
     assert code == EXIT_OK
     assert len(out.read_text().strip().splitlines()) == 3
+
+
+def _write_modes(path, p):
+    path.write_text(
+        json.dumps(
+            [
+                {"p": p, "q": 1, "re": 1.0, "im": 0.0},
+                {"p": -p, "q": -1, "re": 1.0, "im": 0.0},
+            ]
+        )
+    )
+
+
+# one invocation per command; side files go to the run's directory OUT, the
+# input mode map is shared as TMP/modes.json so both runs get equal params
+COMMANDS = {
+    "classify": ["classify", "--freq", "surd:[;2]", "--tau", "1.0"],
+    "brj": ["brj", "--freq", "golden", "--Delta", "0.3", "--C", "0.5"],
+    "gamma": ["gamma", "--freq", "golden", "--delta", "0.1"],
+    "table1": ["table1"],
+    "constants": ["constants", "--tolerance", "1e-7"],
+    "partition": ["partition", "--freq", "golden", "--delta", "0.2", "--Q", "20",
+                  "--dump", "OUT/dump.csv"],
+    "legendre": ["legendre", "--freq", "golden", "--Q", "200"],
+    "solve": ["solve", "--freq", "golden", "--modes", "TMP/modes.json", "--R", "0.5",
+              "--out-modes", "OUT/g.json"],
+    "thm1": ["thm1", "--freq", "golden", "--delta", "0.2", "--count", "2"],
+    "counterexample": ["counterexample", "--freq", "golden", "--delta-prime", "0.05",
+                       "--n-max", "4", "--witness-csv", "OUT/w.csv",
+                       "--out-modes", "OUT/ce.json"],
+    "sweep": ["sweep", "--freq", "golden", "--check", "away", "--deltas", "0.1,0.2",
+              "--Q", "30"],
+    "sweep-failing": ["sweep", "--freq", "golden", "--check", "away", "--deltas", "0.1",
+                      "--Q", "30", "--mu", "0.001"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_every_command_deterministic_and_exit_matches_verdicts(tmp_path, name):
+    _write_modes(tmp_path / "modes.json", 1)
+    runs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        out.mkdir()
+        argv = [
+            arg.replace("OUT", str(out)).replace("TMP", str(tmp_path))
+            for arg in COMMANDS[name]
+        ]
+        code = main(["--out", str(out / "report")] + argv)
+        runs.append((code, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+    (code, files), (code_b, files_b) = runs
+    assert code == code_b and files == files_b
+    report = files["report"].decode()
+    if name == "table1":
+        verdicts = []
+    elif name.startswith("sweep"):
+        rows = report.splitlines()[1:]
+        verdicts = [row.rsplit(",", 1)[1] == "True" for row in rows]
+    else:
+        verdicts = json.loads(report)["verdicts"].values()
+    assert code == (EXIT_OK if all(verdicts) else EXIT_VERDICT)
+
+
+def test_report_is_strict_json_with_non_finite_values(capsys):
+    # a 10^400 quotient overflows the brj series to +inf
+    code = main(
+        ["brj", "--freq", f"quotients:[1,{10**400},1,1,1]", "--Delta", "1e-300"]
+    )
+    assert code == EXIT_OK
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    data = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert data["results"]["brj1"]["value"] == "inf"
+    assert data["results"]["brj_combined"]["value"] == "inf"
+
+
+def test_crash_exits_with_its_own_code(tmp_path, capsys):
+    # exp(R (|p| + |q|)) overflows in strip_norm: a defect, not a failed verdict
+    modes = tmp_path / "modes.json"
+    _write_modes(modes, 800)
+    code = main(["solve", "--freq", "golden", "--modes", str(modes), "--R", "1"])
+    assert code == EXIT_CRASH
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: OverflowError")
+    assert "Traceback" in err
+
+
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--span", "1"], "--modes-per-map"),  # 50 modes cannot fit in 8 cells
+        (["--count", "0"], "--count"),
+        (["--modes-per-map", "0"], "--modes-per-map"),
+    ],
+    ids=["span-too-small", "count-zero", "modes-per-map-zero"],
+)
+def test_thm1_rejects_impossible_inputs_before_computing(extra, flag):
+    proc = run_cli("thm1", "--freq", "golden", "--delta", "0.2", *extra, timeout=60)
+    assert proc.returncode == EXIT_INPUT
+    assert flag in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_truncation_reported_on_stderr(capsys):
+    argv = ["brj", "--freq", "rule:exp-liouville(c=0.5,a1=1)", "--Delta", "0.3"]
+    assert main(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert "truncated" in err and "5 of the 64 requested" in err
+    assert "warning" not in out and json.loads(out)["params"]["depth"] == 4
+    assert main(["brj", "--freq", "golden", "--Delta", "0.3"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
