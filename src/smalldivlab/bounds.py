@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .classify import PHI, KLParams
-from .contfrac import ContinuedFraction, DepthExhausted, mul_big_float
+from .contfrac import ContinuedFraction, mul_big_float
 
 LOG_PHI = math.log(PHI)
 _UNDERFLOW_LOG = -746.0
@@ -247,11 +247,7 @@ def _brj_eval(
         raise ValueError("depth must be >= 0")
     if depth == 0:
         return BrjunoValue(0.0, 0, 0.0, "heuristic", 0.0, "empty sum")
-    if depth + 1 > cf.depth:
-        raise DepthExhausted(
-            f"series depth {depth} needs an expansion of depth >= {depth + 1}; "
-            f"have {cf.depth}"
-        )
+    cf.require_depth(depth + 1, f"{'brj2' if weighted else 'brj1'}(depth={depth})")
     terms, dropped = _brj_terms(cf, Delta, depth, weighted)
     value = math.fsum(terms)
     last_term = terms[-1]
@@ -397,13 +393,9 @@ def gamma_delta(
         raise ValueError("mu must be >= 1")
     if depth is None:
         depth = cf.depth - 1
-    box = cf.finest_sandwich() if cf.exact is None else None
-    if box is not None:
-        omega = float(box.midpoint)
-        halfwidth = float(box.width) / 2.0
-    else:
-        omega = float(cf.exact)
-        halfwidth = 0.0
+    omega = cf.omega_float()
+    lo, hi = cf.bracket
+    halfwidth = float(hi - lo) / 2.0
     Delta = (1.0 + omega) * delta
     combined = brj_combined(cf, Delta, depth, growth)
     log_inv = math.log(1.0 / delta)
@@ -551,8 +543,7 @@ def brj_fin_diff(cf: ContinuedFraction, m: int, Delta: float, params: KLParams):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m > cf.depth:
-        raise DepthExhausted(f"brj_fin_diff(m={m}) needs expansion depth >= {m}")
+    cf.require_depth(m, f"brj_fin_diff(m={m})")
     b, bp = params.beta, params.beta_prime
     t1, i1, t2, i2 = [], [], [], []
     for n in range(1, m):
@@ -644,8 +635,7 @@ def eval_majorant_series(
     if kind in ("Dph1", "Dph2"):
         if cf is None or tau is None:
             raise ValueError(f"{kind} needs cf and tau")
-        if n_max > cf.depth:
-            raise DepthExhausted(f"{kind} with n_max={n_max} needs depth >= {n_max}")
+        cf.require_depth(n_max, f"eval_majorant_series({kind}, n_max={n_max})")
         terms = []
         for n in range(1, n_max + 1):
             qn = cf.q[n]

@@ -214,11 +214,7 @@ def diophantine_constant(
         raise ValueError("tau must be >= 1")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if depth + 1 > cf.depth:
-        raise DepthExhausted(
-            f"diophantine_constant(depth={depth}) needs an expansion of depth "
-            f">= {depth + 1}; have {cf.depth}"
-        )
+    cf.require_depth(depth + 1, f"diophantine_constant(depth={depth})")
 
     tau_int = int(tau) if float(tau).is_integer() else None
     emp_lo = None
@@ -275,10 +271,7 @@ def brjuno_partial_sum(cf: ContinuedFraction, depth: int) -> BrjunoPartialSum:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if depth + 1 > cf.depth:
-        raise DepthExhausted(
-            f"brjuno_partial_sum(depth={depth}) needs expansion depth >= {depth + 1}"
-        )
+    cf.require_depth(depth + 1, f"brjuno_partial_sum(depth={depth})")
     terms = []
     for n in range(1, depth + 1):
         q_n = cf.q[n]
@@ -310,10 +303,7 @@ def kl_membership(
     """
     if depth < params.N:
         raise DepthExhausted(f"depth {depth} < N = {params.N}")
-    if depth > cf.depth:
-        raise DepthExhausted(
-            f"kl_membership(depth={depth}) needs expansion depth >= {depth}"
-        )
+    cf.require_depth(depth, f"kl_membership(depth={depth})")
     log_M = 0.0
     log_Mp = 0.0
     lower_ok = True

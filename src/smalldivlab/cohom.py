@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -159,6 +158,11 @@ class StripNormEstimate:
     grid_n: int
 
 
+def _coef_upper(items, R: float) -> float:
+    """sum |c| e^(R(|p|+|q|)) over ((p, q), c) items, exactly rounded."""
+    return math.fsum(abs(c) * math.exp(R * (abs(p) + abs(q))) for (p, q), c in items)
+
+
 def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
     """upper = sum |c| e^(R(|p|+|q|)); lower = max |f| over boundary grids.
 
@@ -173,9 +177,7 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
     if not modes.entries:
         return StripNormEstimate(R=R, upper=0.0, sampled_lower=0.0, grid_n=grid_n)
     items = sorted(modes.entries.items())
-    upper = math.fsum(
-        abs(c) * math.exp(R * (abs(p) + abs(q))) for (p, q), c in items
-    )
+    upper = _coef_upper(items, R)
     P = np.array([p for (p, q), _ in items], dtype=np.float64)
     Q = np.array([q for (p, q), _ in items], dtype=np.float64)
     C = np.array([c for _, c in items], dtype=np.complex128)
@@ -210,9 +212,9 @@ def check_thm1(
     gd = gamma_delta(cf, rho, delta, depth=depth, mu=mu, growth=growth)
     solved = solve_modes(a, cf)
     g_norm = strip_norm(solved.modes, rho - delta, grid_n)
-    a_norm = strip_norm(a, rho, grid_n)
+    a_upper = _coef_upper(a.entries.items(), rho)
     computed = g_norm.sampled_lower
-    bound = mu * gd.Gamma0 * a_norm.upper
+    bound = mu * gd.Gamma0 * a_upper
     return BoundReport(
         quantity="sampled lower bound of the shrunk-strip solution norm",
         computed=computed,
@@ -222,7 +224,7 @@ def check_thm1(
             "delta": delta,
             "mu": mu,
             "Gamma0": gd.Gamma0,
-            "a_upper": a_norm.upper,
+            "a_upper": a_upper,
             "g_upper": g_norm.upper,
             "modes": len(a),
             "solver_max_rel_err": solved.max_rel_err,
@@ -265,8 +267,7 @@ class Counterexample:
 def _alpha_data(cf: ContinuedFraction, n_max: int) -> AlphaReport:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max > cf.depth:
-        raise DepthExhausted(f"n_max={n_max} needs expansion depth >= {n_max}")
+    cf.require_depth(n_max, f"counterexample_modes(n_max={n_max})")
     partial = math.fsum(
         1.0 / cf.q[n] if cf.q[n].bit_length() <= 1020 else 0.0
         for n in range(1, n_max + 1)
@@ -351,10 +352,7 @@ def blowup_witness(
         raise ValueError("need 0 < delta_prime < rho")
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    if n_max + 1 > cf.depth:
-        raise DepthExhausted(
-            f"blowup_witness(n_max={n_max}) needs expansion depth >= {n_max + 1}"
-        )
+    cf.require_depth(n_max + 1, f"blowup_witness(n_max={n_max})")
     alpha = _alpha_data(cf, n_max)
     log_eps = math.log(epsilon)
     log_2abar = math.log(2.0 * alpha.abar)

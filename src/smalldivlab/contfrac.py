@@ -213,6 +213,18 @@ class ContinuedFraction:
     def depth(self) -> int:
         return len(self.quotients)
 
+    @property
+    def _levels(self) -> int:
+        """Number of sandwich levels; an exact last convergent closes none."""
+        return self.depth if self.exact is None else self.depth - 1
+
+    def require_depth(self, n: int, what: str) -> None:
+        """Raise DepthExhausted naming ``what`` unless depth >= n."""
+        if n > self.depth:
+            raise DepthExhausted(
+                f"{what} needs expansion depth >= {n}; have {self.depth} -- expand deeper"
+            )
+
     def convergent(self, n: int) -> Fraction:
         return Fraction(self.p[n], self.q[n])
 
@@ -222,8 +234,7 @@ class ContinuedFraction:
         The width is exactly 1/(q_m q_{m+1}).  Even-index convergents lie
         below omega, odd-index ones above.
         """
-        top = self.depth if self.exact is None else self.depth - 1
-        if m < 0 or m + 1 > top:
+        if m < 0 or m + 1 > self._levels:
             raise DepthExhausted(
                 f"sandwich level {m} needs depth {m + 1}"
                 + ("" if self.exact is None else " strictly inside the exact expansion")
@@ -234,14 +245,24 @@ class ContinuedFraction:
         return RationalInterval(a, b) if m % 2 == 0 else RationalInterval(b, a)
 
     def finest_sandwich(self) -> RationalInterval:
-        top = self.depth if self.exact is None else self.depth - 1
-        return self.sandwich(top - 1)
+        return self.sandwich(self._levels - 1)
+
+    @property
+    def bracket(self) -> tuple:
+        """Fractions lo <= omega <= hi.
+
+        (exact, exact) for a terminated rational, else the finest sandwich;
+        every floor, divisor and float value of omega reads it.
+        """
+        if self.exact is not None:
+            return self.exact, self.exact
+        box = self.finest_sandwich()
+        return box.lo, box.hi
 
     def omega_float(self) -> float:
-        """Float midpoint of the finest sandwich (exact value when rational)."""
-        if self.exact is not None:
-            return float(self.exact)
-        return float(self.finest_sandwich().midpoint)
+        """Float midpoint of the bracket (the exact value when rational)."""
+        lo, hi = self.bracket
+        return float((lo + hi) / 2)
 
 
 def mul_big_float(big: int, x: float) -> float:
@@ -408,11 +429,6 @@ def expand(spec: FrequencySpec, depth: int) -> ContinuedFraction:
     )
 
 
-def sandwich(cf: ContinuedFraction, m: int) -> RationalInterval:
-    """Module-level alias for :meth:`ContinuedFraction.sandwich`."""
-    return cf.sandwich(m)
-
-
 # ---------------------------------------------------------------------------
 # exact comparisons against omega
 # ---------------------------------------------------------------------------
@@ -437,11 +453,9 @@ def floor_mult(cf: ContinuedFraction, n: int) -> int:
     """Exact floor(n * omega) for an integer n >= 1."""
     if n < 1:
         raise ExpansionError("floor_mult needs n >= 1")
-    if cf.exact is not None:
-        return (n * cf.exact.numerator) // cf.exact.denominator
-    box = cf.finest_sandwich()
-    f_lo = (n * box.lo.numerator) // box.lo.denominator
-    f_hi = (n * box.hi.numerator) // box.hi.denominator
+    lo, hi = cf.bracket
+    f_lo = (n * lo.numerator) // lo.denominator
+    f_hi = (n * hi.numerator) // hi.denominator
     if f_lo == f_hi:
         return f_lo
     raise DepthExhausted(
@@ -455,15 +469,8 @@ def divisor_interval(cf: ContinuedFraction, q: int, p: int):
     Signed; lo <= q*omega - p <= hi with equality only for rational specs
     (or q = 0, where the value is the exact integer -p).
     """
-    if q == 0:
-        v = Fraction(-p)
-        return v, v
-    if cf.exact is not None:
-        v = q * cf.exact - p
-        return v, v
-    box = cf.finest_sandwich()
-    lo = q * box.lo - p
-    hi = q * box.hi - p
+    lo, hi = cf.bracket
+    lo, hi = q * lo - p, q * hi - p
     return (lo, hi) if q > 0 else (hi, lo)
 
 
@@ -475,11 +482,9 @@ def resolve_depth_for_box(cf: ContinuedFraction, box_radius: int) -> int:
     from q*omega to the nearest integer, which is at least |q_{m-1}
     omega - p_{m-1}| > 1/(2 q_m) for q < q_m.
     """
-    for m in range(cf.depth + 1):
+    for m in range(cf._levels):
         if cf.q[m] > 2 * box_radius:
-            if m + 1 <= (cf.depth if cf.exact is None else cf.depth - 1):
-                return m
-            break
+            return m
     raise DepthExhausted(
         f"expansion of depth {cf.depth} too shallow for box radius {box_radius};"
         " expand deeper"
@@ -500,10 +505,7 @@ def verify_nint_lemma(cf: ContinuedFraction, k_max: int):
     integer to q_0*omega is p_1, not p_0); level 0 carries no separate
     multiple in that case and is skipped.
     """
-    if k_max + 1 > cf.depth:
-        raise DepthExhausted(
-            f"verify_nint_lemma(k_max={k_max}) needs depth >= {k_max + 1}"
-        )
+    cf.require_depth(k_max + 1, f"verify_nint_lemma(k_max={k_max})")
     half = Fraction(1, 2)
     results = []
     for k in range(k_max + 1):

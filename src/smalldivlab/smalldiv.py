@@ -127,23 +127,6 @@ def brjuno_pairs_up_to(cf: ContinuedFraction, Q: int) -> BrjunoTable:
     return BrjunoTable(pairs=pairs, Q=Q)
 
 
-def _floor_table(cf: ContinuedFraction, Q: int):
-    """floors[q] = floor(q * omega) for q = 1..Q, all resolved at one level."""
-    m = resolve_depth_for_box(cf, Q)
-    box = cf.sandwich(m)
-    lon, lod = box.lo.numerator, box.lo.denominator
-    hin, hid = box.hi.numerator, box.hi.denominator
-    floors = [0] * (Q + 1)
-    for q in range(1, Q + 1):
-        f_lo = (q * lon) // lod
-        f_hi = (q * hin) // hid
-        if f_lo != f_hi:  # cannot happen once q_m > 2Q; kept as a guard
-            floors[q] = floor_mult(cf, q)
-        else:
-            floors[q] = f_lo
-    return floors
-
-
 def classify_index(
     q: int, p: int, cf: ContinuedFraction, table: Optional[BrjunoTable] = None
 ) -> IndexClass:
@@ -217,16 +200,22 @@ _KINDS = ("away", "const_type", "brjuno_pos", "brjuno_neg")
 
 
 def _box_rows(cf: ContinuedFraction, Q: int):
-    """Exact per-row data of a box: Brjuno table, floors, sandwich integers."""
+    """Exact per-row data of a box: Brjuno table, floors, bracket integers.
+
+    Both bracket endpoints give floor(q omega) for q <= Q once some sandwich
+    level has q_m > 2Q, which ``resolve_depth_for_box`` checks first.
+    """
     table = brjuno_pairs_up_to(cf, Q)
-    floors = _floor_table(cf, Q)
-    if cf.exact is not None:
-        lon, lod = cf.exact.numerator, cf.exact.denominator
-        hin, hid = lon, lod
-    else:
-        box = cf.finest_sandwich()
-        lon, lod = box.lo.numerator, box.lo.denominator
-        hin, hid = box.hi.numerator, box.hi.denominator
+    resolve_depth_for_box(cf, Q)
+    lo, hi = cf.bracket
+    lon, lod, hin, hid = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    floors = [0] * (Q + 1)
+    for q in range(1, Q + 1):
+        floors[q] = (q * lon) // lod
+        if (q * hin) // hid != floors[q]:
+            raise DepthExhausted(
+                f"floor({q}*omega) unresolved at depth {cf.depth}; expand deeper"
+            )
     return table, floors, (lon, lod, hin, hid)
 
 
@@ -403,9 +392,9 @@ def verify_legendre(cf: ContinuedFraction, Q: int) -> BoundReport:
     """
     if Q < 1:
         raise ExpansionError("box radius must be >= 1")
-    table, floors, (lon, lod, hin, hid) = _box_rows(cf, Q)
     if cf.exact is not None:
         raise ExpansionError("verify_legendre needs an irrational frequency")
+    table, floors, (lon, lod, hin, hid) = _box_rows(cf, Q)
 
     worst = 0.0
     checked = 0

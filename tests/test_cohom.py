@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from smalldivlab import cohom
 from smalldivlab.cohom import (
     ModeMap,
     blowup_witness,
@@ -163,6 +164,21 @@ def test_check_thm1_seeded_random(golden, sqrt2m1):
             a = _random_hermitian(rng, 1.0, 25, span=12)
             rep = check_thm1(a, cf, 1.0, 0.2)
             assert rep.verdict, rep
+
+
+def test_check_thm1_norms_the_solution_only(golden, monkeypatch):
+    # the data needs only its coefficient-sum upper bound, not a sampled norm
+    a = _random_hermitian(np.random.default_rng(3), 1.0, 25, span=12)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return strip_norm(*args, **kwargs)
+
+    monkeypatch.setattr(cohom, "strip_norm", counted)
+    rep = check_thm1(a, golden, 1.0, 0.2)
+    assert len(calls) == 1
+    assert rep.params["a_upper"] == strip_norm(a, 1.0).upper
 
 
 def test_check_thm1_delta_near_rho(golden):

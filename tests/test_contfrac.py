@@ -1,5 +1,6 @@
 """Exact continued-fraction core: recurrences, sandwiches, Legendre bounds."""
 
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -7,6 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smalldivlab.bounds import brj1, brj2, brj_fin_diff, eval_majorant_series, gamma_delta
+from smalldivlab.classify import (
+    brjuno_partial_sum,
+    diophantine_constant,
+    kl_membership,
+    kl_params,
+)
+from smalldivlab.cohom import blowup_witness, counterexample_modes
 from smalldivlab.contfrac import (
     ContinuedFraction,
     DepthExhausted,
@@ -279,6 +288,68 @@ def test_nint_depth_error(golden):
     shallow = expand(FrequencySpec.golden(), 5)
     with pytest.raises(DepthExhausted):
         verify_nint_lemma(shallow, 10)
+
+
+# ---------------------------------------------------------------------------
+# bracket and depth contract
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("num,den", [(355, 113000), (2, 5)])
+def test_bracket_rational_is_plain_fraction_arithmetic(num, den):
+    cf = expand(FrequencySpec.rational(num, den), 64)
+    omega = Fraction(num, den)
+    assert cf.exact == omega
+    assert cf.bracket == (omega, omega)
+    assert cf.omega_float() == float(omega)
+    assert gamma_delta(cf, 1.0, 0.1).omega_halfwidth == 0.0
+    for q in (1, 2, 3, 7, 112, 113, 5000):
+        assert floor_mult(cf, q) == (q * num) // den
+        for p in (-3, 0, (q * num) // den, 9):
+            v = q * omega - p
+            assert divisor_interval(cf, q, p) == (v, v)
+            assert divisor_interval(cf, -q, -p) == (-v, -v)
+    assert divisor_interval(cf, 0, 4) == (-4, -4)
+
+
+def test_bracket_irrational_is_finest_sandwich(golden):
+    box = golden.finest_sandwich()
+    assert golden.bracket == (box.lo, box.hi)
+    assert golden.omega_float() == float(box.midpoint)
+    assert gamma_delta(golden, 1.0, 0.1).omega_halfwidth == float(box.width) / 2.0
+    for q in (1, 2, 3, 7, 112, 113, 5000):
+        assert floor_mult(golden, q) == (q * box.lo.numerator) // box.lo.denominator
+        for p in (-3, 0, 9):
+            assert divisor_interval(golden, q, p) == (q * box.lo - p, q * box.hi - p)
+            assert divisor_interval(golden, -q, -p) == (p - q * box.hi, p - q * box.lo)
+
+
+_KL = kl_params(0.3, 0.1, 1)
+_DEPTH_CALLS = {
+    # caller name in the message: (call on a depth-5 expansion, depth it needs)
+    "verify_nint_lemma(k_max=5)": (lambda cf: verify_nint_lemma(cf, 5), 6),
+    "diophantine_constant(depth=5)": (lambda cf: diophantine_constant(cf, 2.0, 5), 6),
+    "brjuno_partial_sum(depth=5)": (lambda cf: brjuno_partial_sum(cf, 5), 6),
+    "kl_membership(depth=6)": (lambda cf: kl_membership(cf, _KL, 6), 6),
+    "brj1(depth=5)": (lambda cf: brj1(cf, 0.1, 5), 6),
+    "brj2(depth=5)": (lambda cf: brj2(cf, 0.1, 5), 6),
+    "brj_fin_diff(m=6)": (lambda cf: brj_fin_diff(cf, 6, 0.1, _KL), 6),
+    "eval_majorant_series(Dph1, n_max=6)": (
+        lambda cf: eval_majorant_series("Dph1", 0.1, 6, cf=cf, tau=2.0),
+        6,
+    ),
+    "counterexample_modes(n_max=6)": (lambda cf: counterexample_modes(cf, 1.0, 0.1, 6), 6),
+    "blowup_witness(n_max=5)": (lambda cf: blowup_witness(cf, 1.0, 0.5, 0.1, 5), 6),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_DEPTH_CALLS))
+def test_require_depth_names_caller_and_depth(what):
+    shallow = expand(FrequencySpec.golden(), 5)
+    call, needed = _DEPTH_CALLS[what]
+    message = f"{what} needs expansion depth >= {needed}; have 5 -- expand deeper"
+    with pytest.raises(DepthExhausted, match=re.escape(message)):
+        call(shallow)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smalldivlab.bounds import brj1, brj2
-from smalldivlab.contfrac import ExpansionError, FrequencySpec, expand
+from smalldivlab.contfrac import ExpansionError, FrequencySpec, expand, floor_mult
 from smalldivlab.smalldiv import (
     _AWAY,
     _BRJUNO,
@@ -328,6 +328,13 @@ def test_legendre_tiny_box(golden):
     assert rep.verdict
 
 
+def test_legendre_rejects_rational_before_scanning():
+    # 2/5 = [2, 2] is too shallow for any box; the rational is named first
+    cf = expand(FrequencySpec.rational(2, 5), 64)
+    with pytest.raises(ExpansionError, match="irrational"):
+        verify_legendre(cf, 3)
+
+
 # ---------------------------------------------------------------------------
 # box sums against their closed-form majorants
 # ---------------------------------------------------------------------------
@@ -378,11 +385,8 @@ def test_const_type_box_bound(golden, sqrt2m1, pi_like):
             # and the crude critical-strip majorant dominates the class sum
             crit_majorant = 0.0
             m = None
-            from smalldivlab.smalldiv import _floor_table
-
-            floors = _floor_table(cf, 200)
             for q in range(1, 201):
-                fl = floors[q]
+                fl = floor_mult(cf, q)
                 for p in (fl, fl + 1):
                     if abs(p) <= 200:
                         crit_majorant += 2 * (
