@@ -12,8 +12,7 @@ import math
 import sys
 
 from smalldivlab.bounds import _away_leading, _brjuno_box_bound, _const_type_leading
-from smalldivlab.cli import parse_frequency
-from smalldivlab.contfrac import expand
+from smalldivlab.contfrac import expand, parse_frequency
 from smalldivlab.smalldiv import box_sum, partition_sums
 
 MU = 1.25

@@ -299,7 +299,9 @@ def kl_membership(
 ) -> KLVerdicts:
     """Check e^(beta n) <= M_n and M'_n <= e^(beta' n) for N <= n <= depth.
 
-    Comparisons run in log space on the exact big-integer products.
+    Comparisons run in float log space: log M_n and log M'_n are running
+    sums of log a_k and log(a_k + 1), not reads of the big-integer
+    products ``cf.M`` and ``cf.Mprime``.
     """
     if depth < params.N:
         raise DepthExhausted(f"depth {depth} < N = {params.N}")

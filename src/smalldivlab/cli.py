@@ -9,9 +9,8 @@ files (fixed ordering, no timestamps).  A frequency expansion that stops
 short of the requested depth is reported on stderr.  Exit codes: 0
 success, 1 a verdict failed, 2 input error, 3 internal error (a crash).
 
-Frequency mini-language: ``golden``, ``surd:[pre;per]`` (e.g.
-``surd:[;2]``), ``quotients:[a1,a2,...]``, ``rational:P/Q``,
-``rule:omega-star(alpha=1/n,a1=2)``, ``rule:exp-liouville(c=0.5,a1=1)``.
+``--freq`` takes the frequency mini-language of
+``contfrac.parse_frequency``.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 from dataclasses import asdict
 
@@ -56,73 +54,13 @@ from .cohom import (
     solve_modes,
     strip_norm,
 )
-from .contfrac import ContinuedFraction, ExpansionError, FrequencySpec, expand, verify_nint_lemma
+from .contfrac import ContinuedFraction, ExpansionError, expand, parse_frequency, verify_nint_lemma
 from .smalldiv import away_bound_check, box_sum, partition_dump, partition_sums, verify_legendre
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_INPUT = 2
 EXIT_CRASH = 3
-
-_GRAMMAR_HINT = (
-    "expected one of: golden | surd:[pre;per] | quotients:[a1,a2,...] | "
-    "rational:P/Q | rule:name(k=v,...)"
-)
-
-
-def _parse_int_list(body: str):
-    body = body.strip()
-    if not body:
-        return ()
-    try:
-        return tuple(int(tok) for tok in body.split(","))
-    except ValueError as exc:
-        raise ExpansionError(f"bad integer list {body!r}: {exc}; {_GRAMMAR_HINT}")
-
-
-def parse_frequency(spec: str, depth_cap=None, bit_cap=None) -> FrequencySpec:
-    """Parse the frequency mini-language into a FrequencySpec."""
-    caps = {}
-    if depth_cap is not None:
-        caps["depth_cap"] = depth_cap
-    if bit_cap is not None:
-        caps["bit_cap"] = bit_cap
-    spec = spec.strip()
-    if spec == "golden":
-        return FrequencySpec.golden(**caps)
-    if spec.startswith("surd:[") and spec.endswith("]"):
-        body = spec[len("surd:[") : -1]
-        if ";" not in body:
-            raise ExpansionError(f"surd needs 'pre;per': {spec!r}; {_GRAMMAR_HINT}")
-        pre, per = body.split(";", 1)
-        return FrequencySpec.periodic(_parse_int_list(pre), _parse_int_list(per), **caps)
-    if spec.startswith("quotients:[") and spec.endswith("]"):
-        return FrequencySpec.literal(
-            _parse_int_list(spec[len("quotients:[") : -1]), **caps
-        )
-    if spec.startswith("rational:"):
-        body = spec[len("rational:") :]
-        m = re.fullmatch(r"(\d+)/(\d+)", body)
-        if not m:
-            raise ExpansionError(f"bad rational {body!r}; {_GRAMMAR_HINT}")
-        return FrequencySpec.rational(int(m.group(1)), int(m.group(2)), **caps)
-    if spec.startswith("rule:"):
-        m = re.fullmatch(r"rule:([a-z-]+)\(([^)]*)\)", spec)
-        if not m:
-            raise ExpansionError(f"bad rule syntax {spec!r}; {_GRAMMAR_HINT}")
-        name, body = m.group(1), m.group(2)
-        params = {}
-        if body.strip():
-            for item in body.split(","):
-                if "=" not in item:
-                    raise ExpansionError(
-                        f"rule parameter {item!r} needs key=value; {_GRAMMAR_HINT}"
-                    )
-                key, value = item.split("=", 1)
-                params[key.strip()] = value.strip()
-        return FrequencySpec.make_rule(name, **params, **caps)
-    raise ExpansionError(f"cannot parse frequency {spec!r}; {_GRAMMAR_HINT}")
-
 
 def _scalar_text(v) -> str:
     if isinstance(v, float):

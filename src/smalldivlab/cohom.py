@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,10 +75,38 @@ def save_modes(modes: ModeMap, path) -> None:
         fh.write("\n")
 
 
+def _finite_real(v) -> bool:
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def load_modes(path) -> ModeMap:
+    """Read a save_modes file, checking every record before any solve.
+
+    The top level must be a list of objects with integer ``p`` and ``q``
+    and finite ``re`` and ``im``, and no (p, q) may repeat; otherwise a
+    ValueError names the first bad record's index.
+    """
     with open(path) as fh:
         rows = json.load(fh)
-    entries = {(int(r["p"]), int(r["q"])): complex(r["re"], r["im"]) for r in rows}
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: mode file must be a JSON list of {{p, q, re, im}} records")
+    entries = {}
+    for i, r in enumerate(rows):
+        if not (
+            isinstance(r, dict)
+            and type(r.get("p")) is int
+            and type(r.get("q")) is int
+            and _finite_real(r.get("re"))
+            and _finite_real(r.get("im"))
+        ):
+            raise ValueError(f"{path}: record {i} needs integer p, q and finite re, im")
+        mode = (r["p"], r["q"])
+        if mode in entries:
+            raise ValueError(f"{path}: record {i} repeats mode {mode}")
+        entries[mode] = complex(r["re"], r["im"])
     return ModeMap.build(entries)
 
 
@@ -158,9 +187,40 @@ class StripNormEstimate:
     grid_n: int
 
 
+# exponents up to this leave room for summing many terms below the float maximum
+_EXP_ROOM = 700.0
+
+
+def _exp_shift(items, R: float) -> float:
+    """s >= 0 with R(|p|+|q|) - s <= _EXP_ROOM for every item; 0 while none exceeds it."""
+    return max(0.0, R * max((abs(p) + abs(q) for (p, q), _ in items), default=0) - _EXP_ROOM)
+
+
+def _times_exp(x: float, shift: float) -> float:
+    """x e^shift, saturating to inf where the product leaves the float range."""
+    if x == 0.0:
+        return x
+    try:
+        return x * math.exp(shift)
+    except OverflowError:
+        return math.inf
+
+
 def _coef_upper(items, R: float) -> float:
-    """sum |c| e^(R(|p|+|q|)) over ((p, q), c) items, exactly rounded."""
-    return math.fsum(abs(c) * math.exp(R * (abs(p) + abs(q))) for (p, q), c in items)
+    """sum |c| e^(R(|p|+|q|)) over ((p, q), c) items; inf past the float range.
+
+    The terms are summed as |c| e^(R(|p|+|q|) - s) with s from _exp_shift
+    and multiplied by e^s once, so the sum is exactly rounded while s = 0.
+    """
+    items = list(items)
+    shift = _exp_shift(items, R)
+    try:
+        total = math.fsum(
+            abs(c) * math.exp(R * (abs(p) + abs(q)) - shift) for (p, q), c in items
+        )
+    except OverflowError:  # the shifted sum itself leaves the float range
+        return math.inf
+    return _times_exp(total, shift)
 
 
 def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
@@ -169,6 +229,8 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
     Sampling is boundary-dominated: imaginary parts fixed at the four
     sign choices of (+-R, +-R) where basis magnitudes peak, real parts
     uniform over [0, 2pi).  For a single mode the sampled value is exact.
+    Past the float range ``upper`` is inf and the sampled value saturates
+    to the largest float, which is still a lower bound.
     """
     if R <= 0:
         raise ValueError("R must be > 0")
@@ -178,6 +240,7 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
         return StripNormEstimate(R=R, upper=0.0, sampled_lower=0.0, grid_n=grid_n)
     items = sorted(modes.entries.items())
     upper = _coef_upper(items, R)
+    shift = _exp_shift(items, R)
     P = np.array([p for (p, q), _ in items], dtype=np.float64)
     Q = np.array([q for (p, q), _ in items], dtype=np.float64)
     C = np.array([c for _, c in items], dtype=np.complex128)
@@ -187,9 +250,10 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
     lower = 0.0
     for sx in (-1.0, 1.0):
         for sy in (-1.0, 1.0):
-            w = C * np.exp(R * (-P * sx + Q * sy))
+            w = C * np.exp(R * (-P * sx + Q * sy) - shift)
             F = np.einsum("m,mj,ml->jl", w, Ex, Ey)
             lower = max(lower, float(np.max(np.abs(F))))
+    lower = min(_times_exp(lower, shift), sys.float_info.max)
     return StripNormEstimate(R=R, upper=upper, sampled_lower=lower, grid_n=grid_n)
 
 

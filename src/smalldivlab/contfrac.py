@@ -18,6 +18,7 @@ k = 0, while the weighted series over denominators start at n = 1.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -28,7 +29,7 @@ import mpmath
 DEFAULT_DEPTH_CAP = 10_000
 DEFAULT_BIT_CAP = 1_000_000
 
-_RULE_NAMES = ("omega-star", "exp-liouville")
+_RULE_KEYS = {"omega-star": ("a1", "alpha"), "exp-liouville": ("a1", "c")}
 
 
 class ExpansionError(ValueError):
@@ -47,72 +48,46 @@ class RuleDefect(ExpansionError):
 class FrequencySpec:
     """Recipe producing the partial quotients of a frequency in (0, 1).
 
-    ``kind`` is one of ``literal`` (explicit finite quotient list),
-    ``periodic`` (eventually periodic quotients, i.e. a quadratic surd),
-    ``rule`` (quotients produced by a pure function of the index and the
-    denominators so far) or ``rational`` (exact Euclidean expansion of
-    numerator/denominator).  ``bit_cap`` bounds the bit size of any
-    denominator q_n before the expansion is truncated; truncation is
-    reported, never silent.
+    The quotients are ``head``, then ``period`` repeated (a quadratic
+    surd) or ``rule`` applied (a pure function of the index and the
+    denominators so far), or nothing (a finite list).  A rational's
+    ``head`` is its Euclidean expansion and ``exact`` its value; a rule's
+    a_1 is ``head[0]`` and ``c`` is the exp-liouville rate.  ``bit_cap``
+    bounds the bit size of any denominator q_n before the expansion is
+    truncated; truncation is reported, never silent.
     """
 
-    kind: str
-    quotients: tuple = ()
-    preperiod: tuple = ()
+    head: tuple = ()
     period: tuple = ()
     rule: str = ""
-    params: tuple = ()  # sorted (name, value-string) pairs
-    numerator: int = 0
-    denominator: int = 0
+    c: Optional[Fraction] = None
+    exact: Optional[Fraction] = None
     depth_cap: int = DEFAULT_DEPTH_CAP
     bit_cap: int = DEFAULT_BIT_CAP
 
     def __post_init__(self):
-        if self.kind not in ("literal", "periodic", "rule", "rational"):
-            raise ExpansionError(f"unknown spec kind {self.kind!r}")
         if self.depth_cap < 1 or self.bit_cap < 8:
             raise ExpansionError("depth_cap/bit_cap too small")
-        for a in (*self.quotients, *self.preperiod, *self.period):
+        for a in (*self.head, *self.period):
             if not isinstance(a, int) or a < 1:
                 raise ExpansionError(f"partial quotients must be integers >= 1, got {a!r}")
-        if self.kind == "literal" and not self.quotients:
-            raise ExpansionError("literal spec needs at least one quotient")
-        if self.kind == "periodic" and not self.period:
-            raise ExpansionError("periodic spec needs a nonempty period")
-        if self.kind == "rule":
-            if self.rule not in _RULE_NAMES:
-                raise ExpansionError(f"unknown rule {self.rule!r}; known: {_RULE_NAMES}")
-            alpha = self.param("alpha")
-            if self.rule == "omega-star" and alpha not in (None, "1/n"):
-                raise ExpansionError("omega-star supports only alpha=1/n")
-            if self.rule == "exp-liouville":
-                try:
-                    c = Fraction(self.param("c", "0.5"))
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ExpansionError(f"bad exp-liouville rate c: {exc}")
-                if c <= 0:
-                    raise ExpansionError("exp-liouville needs c > 0")
-            try:
-                a1 = int(self.param("a1", "1"))
-            except ValueError as exc:
-                raise ExpansionError(f"bad rule parameter a1: {exc}")
-            if a1 < 1:
-                raise ExpansionError("rule parameter a1 must be >= 1")
-        if self.kind == "rational":
-            if not (0 < self.numerator < self.denominator):
-                raise ExpansionError("rational spec needs 0 < numerator < denominator")
+        if not (self.head or self.period):
+            raise ExpansionError("a frequency needs at least one partial quotient")
+        if self.rule not in ("", *_RULE_KEYS) or (self.rule and self.period):
+            raise ExpansionError(f"bad rule {self.rule!r}; known: {tuple(_RULE_KEYS)}")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def literal(cls, quotients, **caps) -> "FrequencySpec":
-        return cls(kind="literal", quotients=tuple(int(a) for a in quotients), **caps)
+        return cls(head=tuple(int(a) for a in quotients), **caps)
 
     @classmethod
     def periodic(cls, preperiod, period, **caps) -> "FrequencySpec":
+        if not period:
+            raise ExpansionError("periodic spec needs a nonempty period")
         return cls(
-            kind="periodic",
-            preperiod=tuple(int(a) for a in preperiod),
+            head=tuple(int(a) for a in preperiod),
             period=tuple(int(a) for a in period),
             **caps,
         )
@@ -124,39 +99,108 @@ class FrequencySpec:
 
     @classmethod
     def make_rule(cls, name, **params) -> "FrequencySpec":
+        """a_1 = ``a1`` (default 1), then the rule ``name``.
+
+        omega-star also takes ``alpha`` (only 1/n), exp-liouville the rate
+        ``c`` > 0 (default 0.5); any other key is an error.
+        """
         caps = {k: params.pop(k) for k in ("depth_cap", "bit_cap") if k in params}
-        items = tuple(sorted((k, str(v)) for k, v in params.items()))
-        return cls(kind="rule", rule=name, params=items, **caps)
+        keys = _RULE_KEYS.get(name)
+        if keys is None:
+            raise ExpansionError(f"unknown rule {name!r}; known: {tuple(_RULE_KEYS)}")
+        for key in params:
+            if key not in keys:
+                raise ExpansionError(f"rule {name} has no parameter {key!r}; it takes {keys}")
+        if params.get("alpha", "1/n") != "1/n":
+            raise ExpansionError("omega-star supports only alpha=1/n")
+        try:
+            a1 = int(params.get("a1", 1))
+            c = Fraction(str(params.get("c", "0.5"))) if name == "exp-liouville" else None
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ExpansionError(f"bad parameter of rule {name}: {exc}")
+        if c is not None and c <= 0:
+            raise ExpansionError("exp-liouville needs c > 0")
+        return cls(head=(a1,), rule=name, c=c, **caps)
 
     @classmethod
     def rational(cls, numerator, denominator, **caps) -> "FrequencySpec":
-        g = math.gcd(numerator, denominator)
-        return cls(
-            kind="rational", numerator=numerator // g, denominator=denominator // g, **caps
-        )
-
-    # -- helpers -----------------------------------------------------------
-
-    def param(self, name: str, default: Optional[str] = None) -> Optional[str]:
-        for key, value in self.params:
-            if key == name:
-                return value
-        return default
+        if not 0 < numerator < denominator:
+            raise ExpansionError("rational spec needs 0 < numerator < denominator")
+        exact = Fraction(numerator, denominator)
+        head, num, den = [], exact.numerator, exact.denominator
+        while num:
+            head.append(den // num)
+            num, den = den % num, num
+        return cls(head=tuple(head), exact=exact, **caps)
 
     def describe(self) -> str:
-        """Render the spec back in the frequency mini-language."""
-        if self.kind == "literal":
-            return "quotients:[" + ",".join(map(str, self.quotients)) + "]"
-        if self.kind == "periodic":
-            if not self.preperiod and self.period == (1,):
-                return "golden"
-            pre = ",".join(map(str, self.preperiod))
-            per = ",".join(map(str, self.period))
-            return f"surd:[{pre};{per}]"
-        if self.kind == "rational":
-            return f"rational:{self.numerator}/{self.denominator}"
-        args = ",".join(f"{k}={v}" for k, v in self.params)
-        return f"rule:{self.rule}({args})"
+        """Render the spec in the frequency mini-language; parse_frequency inverts it."""
+        if self.exact is not None:
+            return f"rational:{self.exact}"
+        if self.rule:
+            rate = "" if self.c is None else f",c={self.c}"
+            return f"rule:{self.rule}(a1={self.head[0]}{rate})"
+        head = ",".join(map(str, self.head))
+        if not self.period:
+            return f"quotients:[{head}]"
+        if not self.head and self.period == (1,):
+            return "golden"
+        return f"surd:[{head};" + ",".join(map(str, self.period)) + "]"
+
+
+_GRAMMAR_HINT = (
+    "expected one of: golden | surd:[pre;per] | quotients:[a1,a2,...] | "
+    "rational:P/Q | rule:name(k=v,...)"
+)
+
+
+def _parse_int_list(body: str):
+    body = body.strip()
+    if not body:
+        return ()
+    try:
+        return tuple(int(tok) for tok in body.split(","))
+    except ValueError as exc:
+        raise ExpansionError(f"bad integer list {body!r}: {exc}; {_GRAMMAR_HINT}")
+
+
+def parse_frequency(text: str, depth_cap=None, bit_cap=None) -> FrequencySpec:
+    """Parse the frequency mini-language; ``FrequencySpec.describe`` inverts it.
+
+    ``golden``, ``surd:[pre;per]`` (e.g. ``surd:[;2]``),
+    ``quotients:[a1,a2,...]``, ``rational:P/Q``,
+    ``rule:omega-star(alpha=1/n,a1=2)``, ``rule:exp-liouville(c=0.5,a1=1)``.
+    """
+    caps = {"depth_cap": depth_cap, "bit_cap": bit_cap}
+    caps = {k: v for k, v in caps.items() if v is not None}
+    text = text.strip()
+    if text == "golden":
+        return FrequencySpec.golden(**caps)
+    if text.startswith("surd:[") and text.endswith("]"):
+        pre, semicolon, per = text[len("surd:[") : -1].partition(";")
+        if not semicolon:
+            raise ExpansionError(f"surd needs 'pre;per': {text!r}; {_GRAMMAR_HINT}")
+        return FrequencySpec.periodic(_parse_int_list(pre), _parse_int_list(per), **caps)
+    if text.startswith("quotients:[") and text.endswith("]"):
+        return FrequencySpec.literal(_parse_int_list(text[len("quotients:[") : -1]), **caps)
+    if text.startswith("rational:"):
+        m = re.fullmatch(r"(\d+)/(\d+)", text[len("rational:") :])
+        if not m:
+            raise ExpansionError(f"bad rational {text!r}; {_GRAMMAR_HINT}")
+        return FrequencySpec.rational(int(m.group(1)), int(m.group(2)), **caps)
+    if text.startswith("rule:"):
+        m = re.fullmatch(r"rule:([a-z-]+)\(([^)]*)\)", text)
+        if not m:
+            raise ExpansionError(f"bad rule syntax {text!r}; {_GRAMMAR_HINT}")
+        name, body = m.groups()
+        params = {}
+        for item in body.split(",") if body.strip() else ():
+            key, equals, value = item.partition("=")
+            if not equals or key.strip() in ("depth_cap", "bit_cap"):
+                raise ExpansionError(f"bad rule parameter {item!r}; {_GRAMMAR_HINT}")
+            params[key.strip()] = value.strip()
+        return FrequencySpec.make_rule(name, **params, **caps)
+    raise ExpansionError(f"cannot parse frequency {text!r}; {_GRAMMAR_HINT}")
 
 
 @dataclass(frozen=True)
@@ -177,9 +221,6 @@ class RationalInterval:
     @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def contains(self, x) -> bool:
-        return self.lo < x < self.hi
 
     def strictly_inside(self, other: "RationalInterval") -> bool:
         """Proper subset as open intervals; consecutive sandwiches share one endpoint."""
@@ -324,8 +365,8 @@ def _exact_exp_ratio(x: Fraction, divisor: int, mode: str) -> int:
     raise RuleDefect("interval floor of exp() failed to settle")  # pragma: no cover
 
 
-def _rule_next(spec: FrequencySpec, n: int, q_n: int, bit_cap: int):
-    """Quotient a_{n+1} for a rule spec, or None when it would blow bit_cap.
+def _rule_next(spec: FrequencySpec, n: int, q_n: int):
+    """Quotient a_{n+1} of a rule spec, or None when it would blow the bit cap.
 
     ``n`` is the index of the last computed quotient (n >= 1), ``q_n`` the
     matching denominator.
@@ -334,14 +375,14 @@ def _rule_next(spec: FrequencySpec, n: int, q_n: int, bit_cap: int):
         # a_{n+1} = max(1, floor(exp(q_n / n) / q_n) - 1)
         x = Fraction(q_n, n)
     else:  # exp-liouville: a_{n+1} = ceil(exp(c * q_n) / q_n)
-        x = Fraction(spec.param("c", "0.5")) * q_n
+        x = spec.c * q_n
     # cheap overshoot test before any big evaluation
     try:
         x_float = x.numerator / x.denominator
     except OverflowError:
         return None
     est_bits = x_float / math.log(2) - math.log2(q_n) + q_n.bit_length()
-    if est_bits > bit_cap + 64:
+    if est_bits > spec.bit_cap + 64:
         return None
     if spec.rule == "omega-star":
         a = _exact_exp_ratio(x, q_n, "floor") - 1
@@ -352,7 +393,8 @@ def _rule_next(spec: FrequencySpec, n: int, q_n: int, bit_cap: int):
 def expand(spec: FrequencySpec, depth: int) -> ContinuedFraction:
     """Expand a frequency spec to ``depth`` partial quotients.
 
-    All invariant lists are filled to min(depth, cap-limited length); the
+    Quotients come from the head, then the period or the rule.  All
+    invariant lists are filled to min(depth, cap-limited length); the
     ``truncated`` flag is set whenever a cap fired.  A rule producing a
     quotient < 1 after clamping raises RuleDefect; exceeding ``bit_cap``
     truncates gracefully.
@@ -366,42 +408,22 @@ def expand(spec: FrequencySpec, depth: int) -> ContinuedFraction:
     p_list, q_list = [0], [1]
     p_prev, q_prev = 1, 0  # index -1
     m_list, mp_list = [1], [1]
-    exact = None
-    rat_state = None
-    if spec.kind == "rational":
-        rat_state = (spec.denominator, spec.numerator)
-
-    def next_quotient():
-        nonlocal rat_state
-        n = len(a_list)
-        if spec.kind == "literal":
-            return spec.quotients[n] if n < len(spec.quotients) else None
-        if spec.kind == "periodic":
-            if n < len(spec.preperiod):
-                return spec.preperiod[n]
-            return spec.period[(n - len(spec.preperiod)) % len(spec.period)]
-        if spec.kind == "rational":
-            den, num = rat_state
-            if num == 0:
-                return None
-            a = den // num
-            rat_state = (num, den - a * num)
-            return a
-        # rule specs: a_1 comes from the parameter, later terms from the rule
-        if n == 0:
-            return int(spec.param("a1", "1"))
-        return _rule_next(spec, n, q_list[-1], spec.bit_cap)
-
     while len(a_list) < target:
-        a = next_quotient()
-        if a is None:
-            if spec.kind == "rational" and rat_state[1] == 0:
-                exact = Fraction(spec.numerator, spec.denominator)
-            else:
-                hit_cap = True  # literal list exhausted or rule over bit_cap
+        n = len(a_list)
+        if n < len(spec.head):
+            a = spec.head[n]
+        elif spec.period:
+            a = spec.period[(n - len(spec.head)) % len(spec.period)]
+        elif spec.rule:
+            a = _rule_next(spec, n, q_list[-1])
+        else:  # a finite list is used up; a rational one is exact
+            hit_cap = hit_cap or spec.exact is None
+            break
+        if a is None:  # the rule's next quotient would blow bit_cap
+            hit_cap = True
             break
         if a < 1:
-            raise RuleDefect(f"rule produced quotient {a} < 1 at index {len(a_list) + 1}")
+            raise RuleDefect(f"rule produced quotient {a} < 1 at index {n + 1}")
         q_next = a * q_list[-1] + q_prev
         if q_next.bit_length() > spec.bit_cap:
             hit_cap = True
@@ -425,7 +447,7 @@ def expand(spec: FrequencySpec, depth: int) -> ContinuedFraction:
         Mprime=tuple(mp_list),
         astar=tuple(legendre_astar(a) for a in a_list),
         truncated=hit_cap,
-        exact=exact,
+        exact=spec.exact if len(a_list) == len(spec.head) else None,
     )
 
 

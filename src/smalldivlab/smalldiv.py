@@ -38,6 +38,7 @@ from .contfrac import (
     ContinuedFraction,
     DepthExhausted,
     ExpansionError,
+    divisor_interval,
     floor_mult,
     mul_big_float,
     resolve_depth_for_box,
@@ -171,8 +172,6 @@ def L_value(
     if q == 0:
         d_mid = float(abs(p))
     else:
-        from .contfrac import divisor_interval
-
         d_lo, d_hi = divisor_interval(cf, q, p)
         if d_lo <= 0 <= d_hi:
             raise DepthExhausted(
@@ -402,8 +401,6 @@ def verify_legendre(cf: ContinuedFraction, Q: int) -> BoundReport:
     for q in range(1, Q + 1):
         fl = floors[q]
         for p in (fl, fl + 1):
-            if p == 0 and q == 0:
-                continue
             if (q, p) in table.pairs:
                 continue
             checked += 1

@@ -4,20 +4,21 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import smalldivlab
+from smalldivlab import cli
 from smalldivlab.cli import (
     EXIT_CRASH,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VERDICT,
     main,
-    parse_frequency,
 )
-from smalldivlab.contfrac import ExpansionError
+from smalldivlab.contfrac import ExpansionError, parse_frequency
 
 SRC = Path(smalldivlab.__file__).resolve().parents[1]
 
@@ -42,28 +43,28 @@ def run_cli(*argv, timeout):
 
 def test_parse_golden():
     spec = parse_frequency("golden")
-    assert spec.kind == "periodic" and spec.period == (1,)
+    assert spec.head == () and spec.period == (1,) and not spec.rule
 
 
 def test_parse_quotients():
     spec = parse_frequency("quotients:[7,15,1,292]")
-    assert spec.kind == "literal"
-    assert spec.quotients == (7, 15, 1, 292)
+    assert spec.head == (7, 15, 1, 292)
+    assert spec.period == () and not spec.rule and spec.exact is None
 
 
 def test_parse_rule():
     spec = parse_frequency("rule:exp-liouville(c=0.5,a1=1)")
-    assert spec.kind == "rule" and spec.rule == "exp-liouville"
-    assert spec.param("c") == "0.5" and spec.param("a1") == "1"
+    assert spec.rule == "exp-liouville"
+    assert spec.c == Fraction(1, 2) and spec.head == (1,)
 
 
 def test_parse_surd_and_rational():
     spec = parse_frequency("surd:[;2]")
-    assert spec.preperiod == () and spec.period == (2,)
+    assert spec.head == () and spec.period == (2,)
     spec = parse_frequency("surd:[1,2;3]")
-    assert spec.preperiod == (1, 2) and spec.period == (3,)
+    assert spec.head == (1, 2) and spec.period == (3,)
     spec = parse_frequency("rational:355/113000")
-    assert (spec.numerator, spec.denominator) == (71, 22600)
+    assert spec.exact == Fraction(71, 22600)
 
 
 @pytest.mark.parametrize(
@@ -85,6 +86,23 @@ def test_parse_surd_and_rational():
 def test_parse_rejects_with_hint(bad):
     with pytest.raises(ExpansionError):
         parse_frequency(bad)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("rule:exp-liouville(C=0.7)", "C"),
+        ("rule:omega-star(a1=2,typo=1)", "typo"),
+        ("rule:omega-star(c=1)", "c"),
+        ("rule:exp-liouville(alpha=1/n)", "alpha"),
+    ],
+)
+def test_rule_rejects_a_key_it_does_not_take(text, key):
+    with pytest.raises(ExpansionError, match=f"no parameter '{key}'"):
+        parse_frequency(text)
+    proc = run_cli("classify", "--freq", text, timeout=60)
+    assert proc.returncode == EXIT_INPUT
+    assert f"'{key}'" in proc.stderr and proc.stdout == ""
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +372,50 @@ def test_report_is_strict_json_with_non_finite_values(capsys):
     assert data["results"]["brj_combined"]["value"] == "inf"
 
 
-def test_crash_exits_with_its_own_code(tmp_path, capsys):
-    # exp(R (|p| + |q|)) overflows in strip_norm: a defect, not a failed verdict
+def test_crash_exits_with_its_own_code(monkeypatch, capsys):
+    # an unexpected exception in a handler is a defect, not a failed verdict
+    def crash(args):
+        raise RuntimeError("handler defect")
+
+    monkeypatch.setitem(cli._HANDLERS, "gamma", crash)
+    code = main(["gamma", "--freq", "golden", "--delta", "0.1"])
+    assert code == EXIT_CRASH
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError")
+    assert "Traceback" in err
+
+
+def test_solve_past_the_float_range_saturates(tmp_path, capsys):
+    # e^(R (|p| + |q|)) = e^801 is beyond the float range
     modes = tmp_path / "modes.json"
     _write_modes(modes, 800)
     code = main(["solve", "--freq", "golden", "--modes", str(modes), "--R", "1"])
-    assert code == EXIT_CRASH
-    err = capsys.readouterr().err
-    assert err.startswith("internal error: OverflowError")
-    assert "Traceback" in err
+    assert code == EXIT_OK
+    results = json.loads(capsys.readouterr().out)["results"]
+    for norm in (results["data_norm"], results["solution_norm"]):
+        assert norm["upper"] == "inf"
+        assert norm["sampled_lower"] == sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([{"p": 1, "q": 1, "re": 1.0, "im": 0.0}, {"p": -1, "q": -1, "re": 1.0}], "record 1 "),
+        ({"p": 1, "q": 1, "re": 1.0, "im": 0.0}, "JSON list"),
+        ([{"p": 1.5, "q": 1, "re": 1.0, "im": 0.0}], "record 0 "),
+        ([{"p": 1, "q": 1, "re": float("nan"), "im": 0.0}], "record 0 "),
+        ([{"p": 1, "q": 1, "re": 1.0, "im": 0.0}, {"p": 1, "q": 1, "re": 2.0, "im": 0.0}],
+         "record 1 repeats mode (1, 1)"),
+    ],
+    ids=["missing-im", "top-level-object", "fractional-p", "nan-coefficient", "duplicate-mode"],
+)
+def test_solve_rejects_malformed_mode_file(tmp_path, capsys, rows, message):
+    modes = tmp_path / "modes.json"
+    modes.write_text(json.dumps(rows))  # float nan is written as NaN
+    code = main(["solve", "--freq", "golden", "--modes", str(modes), "--R", "0.5"])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -113,6 +113,15 @@ def test_strip_norm_single_mode_exact():
     assert est.sampled_lower <= est.upper * (1 + 1e-12)
 
 
+def test_strip_norm_shift_keeps_in_range_values():
+    # e^705 is a float, but the sums run shifted down by e^5 and scale back once
+    m = ModeMap.build({(705, 0): 1.0}, hermitian=False)
+    est = strip_norm(m, 1.0, 16)
+    assert est.upper == pytest.approx(math.exp(705), rel=1e-14)
+    assert est.sampled_lower == pytest.approx(math.exp(705), rel=1e-2)
+    assert est.sampled_lower <= est.upper * (1 + 1e-12)
+
+
 def test_strip_norm_zero():
     est = strip_norm(ModeMap.build({}), 1.0)
     assert (est.upper, est.sampled_lower) == (0.0, 0.0)

@@ -26,6 +26,7 @@ from smalldivlab.contfrac import (
     expand,
     floor_mult,
     legendre_astar,
+    parse_frequency,
     resolve_depth_for_box,
     verify_nint_lemma,
 )
@@ -88,6 +89,15 @@ def test_rational_exact_termination():
     assert cf.exact == Fraction(2, 5)
     assert not cf.truncated
     assert cf.convergent(cf.depth) == Fraction(2, 5)
+
+
+def test_rational_exact_at_its_own_length():
+    # asking for exactly the Euclidean length reads the whole expansion:
+    # omega is 2/5 itself, not inside a sandwich ending at 2/5
+    cf = expand(FrequencySpec.rational(2, 5), 2)
+    assert cf.exact == Fraction(2, 5) and not cf.truncated
+    assert cmp_omega(cf, Fraction(2, 5)) == 0
+    assert expand(FrequencySpec.rational(2, 5), 1).exact is None
 
 
 def test_depth_cap_truncates():
@@ -358,8 +368,6 @@ def test_require_depth_names_caller_and_depth(what):
 
 
 def test_describe_round_trip():
-    from smalldivlab.cli import parse_frequency
-
     for text in (
         "golden",
         "surd:[;2]",
@@ -367,6 +375,7 @@ def test_describe_round_trip():
         "quotients:[7,15,1,292]",
         "rational:355/113000",
         "rule:omega-star(a1=2)",
+        "rule:omega-star(alpha=1/n,a1=2)",
         "rule:exp-liouville(a1=1,c=0.5)",
     ):
         spec = parse_frequency(text)
