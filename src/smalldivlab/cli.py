@@ -284,9 +284,9 @@ def _cmd_legendre(args) -> dict:
 def _cmd_solve(args) -> dict:
     cf = _expand_freq(args)
     a = load_modes(args.modes)
+    a_norm = strip_norm(a, args.R, args.grid_n)  # checks R and grid_n before the solve
     solved = solve_modes(a, cf)
     g_norm = strip_norm(solved.modes, args.R, args.grid_n)
-    a_norm = strip_norm(a, args.R, args.grid_n)
     if args.out_modes:
         save_modes(solved.modes, args.out_modes)
     return _report(

@@ -8,7 +8,11 @@ formal solution is g_{p,q} = a_{p,q} / (i(p - q omega)).  Zero-mean data
 Sup norms on complex strips are certified two-sided: an upper bound from
 the weighted coefficient sum (|e_{p,q}| peaks at e^((|p|+|q|)R) on the
 strip boundary) and a sampled lower bound from evaluating the finite
-Fourier sum on boundary grids.  Inequality checks always compare the
+Fourier sum on boundary grids.  On an n x n grid that sum is a 2-D
+inverse DFT of the coefficients folded onto the n x n residues
+(p mod n, -q mod n), so each of the four boundary grids costs
+O(m + n^2 log n) for m modes, and the grid values stay exact when
+several modes fold onto one cell.  Inequality checks always compare the
 sampled lower bound of the solution against the bound times the
 coefficient-sum upper bound of the data, so a true inequality can only
 be confirmed, never falsified spuriously.
@@ -86,8 +90,10 @@ def load_modes(path) -> ModeMap:
     """Read a save_modes file, checking every record before any solve.
 
     The top level must be a list of objects with integer ``p`` and ``q``
-    and finite ``re`` and ``im``, and no (p, q) may repeat; otherwise a
-    ValueError names the first bad record's index.
+    of under 1020 bits and finite ``re`` and ``im``, and no (p, q) may
+    repeat; otherwise a ValueError names the first bad record's index.
+    The bit limit keeps every divisor q omega - p (omega in (0, 1))
+    inside the float range.
     """
     with open(path) as fh:
         rows = json.load(fh)
@@ -99,10 +105,14 @@ def load_modes(path) -> ModeMap:
             isinstance(r, dict)
             and type(r.get("p")) is int
             and type(r.get("q")) is int
+            and r["p"].bit_length() < 1020
+            and r["q"].bit_length() < 1020
             and _finite_real(r.get("re"))
             and _finite_real(r.get("im"))
         ):
-            raise ValueError(f"{path}: record {i} needs integer p, q and finite re, im")
+            raise ValueError(
+                f"{path}: record {i} needs integer p, q of under 1020 bits and finite re, im"
+            )
         mode = (r["p"], r["q"])
         if mode in entries:
             raise ValueError(f"{path}: record {i} repeats mode {mode}")
@@ -228,12 +238,17 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
 
     Sampling is boundary-dominated: imaginary parts fixed at the four
     sign choices of (+-R, +-R) where basis magnitudes peak, real parts
-    uniform over [0, 2pi).  For a single mode the sampled value is exact.
-    Past the float range ``upper`` is inf and the sampled value saturates
-    to the largest float, which is still a lower bound.
+    on the grid 2 pi (j, l) / n with n = grid_n.  There e^(i(p x - q y))
+    depends only on the residues (p mod n, -q mod n), so the grid values
+    are the inverse 2-D DFT of the weighted coefficients folded onto the
+    n x n residues: O(m + n^2 log n) per sign choice for m modes, and
+    exact however many modes fold onto one cell.  For a single mode the
+    sampled value is exact.  Past the float range ``upper`` is inf and
+    the sampled value saturates to the largest float, which is still a
+    lower bound.
     """
-    if R <= 0:
-        raise ValueError("R must be > 0")
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError("R must be a finite number > 0")
     if grid_n < 8:
         raise ValueError("grid_n must be >= 8")
     if not modes.entries:
@@ -241,18 +256,20 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
     items = sorted(modes.entries.items())
     upper = _coef_upper(items, R)
     shift = _exp_shift(items, R)
+    n = grid_n
+    # residues from the Python ints: indices may be far beyond int64
+    cell = np.array([(p % n) * n + (-q) % n for (p, q), _ in items], dtype=np.intp)
     P = np.array([p for (p, q), _ in items], dtype=np.float64)
     Q = np.array([q for (p, q), _ in items], dtype=np.float64)
     C = np.array([c for _, c in items], dtype=np.complex128)
-    u = 2.0 * np.pi * np.arange(grid_n) / grid_n
-    Ex = np.exp(1j * np.outer(P, u))
-    Ey = np.exp(-1j * np.outer(Q, u))
     lower = 0.0
     for sx in (-1.0, 1.0):
         for sy in (-1.0, 1.0):
             w = C * np.exp(R * (-P * sx + Q * sy) - shift)
-            F = np.einsum("m,mj,ml->jl", w, Ex, Ey)
-            lower = max(lower, float(np.max(np.abs(F))))
+            folded = np.zeros((n, n), dtype=np.complex128)
+            np.add.at(folded.reshape(-1), cell, w)
+            # norm="forward" leaves the inverse transform unscaled: its values are the sums
+            lower = max(lower, float(np.abs(np.fft.ifft2(folded, norm="forward")).max()))
     lower = min(_times_exp(lower, shift), sys.float_info.max)
     return StripNormEstimate(R=R, upper=upper, sampled_lower=lower, grid_n=grid_n)
 

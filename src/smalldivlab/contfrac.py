@@ -21,6 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from typing import Optional
 
@@ -288,12 +289,13 @@ class ContinuedFraction:
     def finest_sandwich(self) -> RationalInterval:
         return self.sandwich(self._levels - 1)
 
-    @property
+    @cached_property
     def bracket(self) -> tuple:
         """Fractions lo <= omega <= hi.
 
         (exact, exact) for a terminated rational, else the finest sandwich;
-        every floor, divisor and float value of omega reads it.
+        every floor, divisor and float value of omega reads it.  Computed
+        once per expansion: the fields it reads are frozen.
         """
         if self.exact is not None:
             return self.exact, self.exact

@@ -397,6 +397,16 @@ def test_solve_past_the_float_range_saturates(tmp_path, capsys):
         assert norm["sampled_lower"] == sys.float_info.max
 
 
+@pytest.mark.parametrize("p", [2**60 + 1, 2**63], ids=["2^60+1", "2^63"])
+def test_solve_index_past_int64(tmp_path, capsys, p):
+    modes = tmp_path / "modes.json"
+    modes.write_text(json.dumps([{"p": s * p, "q": 0, "re": 1.0, "im": 0.0} for s in (1, -1)]))
+    code = main(["solve", "--freq", "golden", "--modes", str(modes), "--R", "0.5"])
+    assert code == EXIT_OK
+    norm = json.loads(capsys.readouterr().out)["results"]["solution_norm"]
+    assert norm["upper"] == "inf" and norm["sampled_lower"] == sys.float_info.max
+
+
 @pytest.mark.parametrize(
     "rows, message",
     [
@@ -406,8 +416,11 @@ def test_solve_past_the_float_range_saturates(tmp_path, capsys):
         ([{"p": 1, "q": 1, "re": float("nan"), "im": 0.0}], "record 0 "),
         ([{"p": 1, "q": 1, "re": 1.0, "im": 0.0}, {"p": 1, "q": 1, "re": 2.0, "im": 0.0}],
          "record 1 repeats mode (1, 1)"),
+        ([{"p": 10**400, "q": 0, "re": 1.0, "im": 0.0}, {"p": -(10**400), "q": 0, "re": 1.0, "im": 0.0}],
+         "record 0 "),
     ],
-    ids=["missing-im", "top-level-object", "fractional-p", "nan-coefficient", "duplicate-mode"],
+    ids=["missing-im", "top-level-object", "fractional-p", "nan-coefficient", "duplicate-mode",
+         "huge-p"],
 )
 def test_solve_rejects_malformed_mode_file(tmp_path, capsys, rows, message):
     modes = tmp_path / "modes.json"
@@ -416,6 +429,16 @@ def test_solve_rejects_malformed_mode_file(tmp_path, capsys, rows, message):
     assert code == EXIT_INPUT
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("R", ["nan", "inf"])
+def test_solve_rejects_non_finite_R(tmp_path, capsys, R):
+    modes = tmp_path / "modes.json"
+    _write_modes(modes, 1)
+    code = main(["solve", "--freq", "golden", "--modes", str(modes), "--R", R])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "R must be a finite number > 0" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize(

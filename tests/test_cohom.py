@@ -1,9 +1,13 @@
 """Mode-wise solver, strip norms, blow-up construction."""
 
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smalldivlab import cohom
 from smalldivlab.cohom import (
@@ -57,6 +61,20 @@ def test_mode_map_json_round_trip(tmp_path):
     save_modes(m, path)
     again = load_modes(path)
     assert again.entries == m.entries
+
+
+@pytest.mark.parametrize("key", ["p", "q"])
+@pytest.mark.parametrize("index", [2**1019, -(2**1019), 10**400])
+def test_load_modes_rejects_indices_past_1019_bits(tmp_path, key, index):
+    rows = [{"p": 1, "q": 1, "re": 1.0, "im": 0.0}, {"p": 1, "q": 2, "re": 1.0, "im": 0.0}]
+    rows[1][key] = index
+    path = tmp_path / "modes.json"
+    path.write_text(json.dumps(rows))
+    with pytest.raises(ValueError, match="record 1 needs integer p, q of under 1020 bits"):
+        load_modes(path)
+    rows[1][key] = 2**1019 - 1  # 1019 bits still load
+    path.write_text(json.dumps(rows))
+    assert len(load_modes(path)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +138,91 @@ def test_strip_norm_shift_keeps_in_range_values():
     assert est.upper == pytest.approx(math.exp(705), rel=1e-14)
     assert est.sampled_lower == pytest.approx(math.exp(705), rel=1e-2)
     assert est.sampled_lower <= est.upper * (1 + 1e-12)
+
+
+def _direct_sampled_lower(modes, R, n):
+    """Oracle: max over the four boundary grids of |sum w e^(i(p x - q y))|.
+
+    The plain m x n x n sum, with the weights shifted down by e^s and the
+    maximum scaled back once, where s = max(0, R max(|p|+|q|) - 700).
+    """
+    items = list(modes.entries.items())
+    P = np.array([p for (p, q), _ in items], dtype=np.float64)
+    Q = np.array([q for (p, q), _ in items], dtype=np.float64)
+    C = np.array([c for _, c in items], dtype=np.complex128)
+    s = max(0.0, R * max(abs(p) + abs(q) for (p, q), _ in items) - 700.0)
+    x = 2.0 * np.pi * np.arange(n) / n
+    phase = np.exp(1j * (P[:, None, None] * x[None, :, None] - Q[:, None, None] * x[None, None, :]))
+    lower = 0.0
+    for sx in (-1.0, 1.0):
+        for sy in (-1.0, 1.0):
+            w = C * np.exp(R * (-sx * P + sy * Q) - s)
+            lower = max(lower, float(np.abs(np.tensordot(w, phase, axes=1)).max()))
+    return lower * math.exp(s)
+
+
+def _assert_matches_direct_sum(modes, R, n):
+    got = strip_norm(modes, R, n).sampled_lower
+    want = _direct_sampled_lower(modes, R, n)
+    assert abs(got - want) <= 1e-13 * want, (got, want)
+
+
+@pytest.mark.parametrize("grid_n", [8, 16, 64])
+@pytest.mark.parametrize("span_per_grid", [0.5, 1, 3])  # modes fold onto one cell past 1
+def test_strip_norm_fft_matches_direct_sum(grid_n, span_per_grid):
+    rng = np.random.default_rng(grid_n)
+    span = int(span_per_grid * grid_n)
+    for R in (0.1, 0.5, 1.7):
+        modes = _random_hermitian(rng, R, 20, span=span)
+        _assert_matches_direct_sum(modes, R, grid_n)
+
+
+def test_strip_norm_fft_matches_direct_sum_on_the_shifted_path():
+    # R (|p| + |q|) = 705 and 703 exceed the 700 room, so both sums run shifted
+    m = ModeMap.build({(705, 0): 1.0, (700, 3): 0.5j, (-2, 1): 0.25}, hermitian=False)
+    _assert_matches_direct_sum(m, 1.0, 16)
+
+
+@st.composite
+def _sparse_maps(draw):
+    grid_n = draw(st.sampled_from([8, 16, 64]))
+    span = draw(st.integers(min_value=1, max_value=3 * grid_n))
+    index = st.integers(min_value=-span, max_value=span)
+    coefficient = st.builds(
+        lambda r, t: r * complex(math.cos(t), math.sin(t)),
+        st.floats(min_value=0.5, max_value=2.0),
+        st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    )
+    entries = draw(
+        st.dictionaries(
+            st.tuples(index, index).filter(lambda k: k != (0, 0)),
+            coefficient,
+            min_size=1,
+            max_size=30,
+        )
+    )
+    return ModeMap.build(entries, hermitian=False), grid_n
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_maps(), st.floats(min_value=0.05, max_value=2.0))
+def test_strip_norm_fft_matches_direct_sum_random(map_and_grid, R):
+    modes, grid_n = map_and_grid
+    _assert_matches_direct_sum(modes, R, grid_n)
+
+
+def test_strip_norm_index_beyond_int64():
+    # 2**63 is past int64, so the residues must come from the Python ints
+    m = ModeMap.build({(2**63, 0): 1.0, (-(2**63), 0): 1.0, (1, 1): 0.5}, hermitian=False)
+    est = strip_norm(m, 0.5, 16)
+    assert est.upper == math.inf
+    assert est.sampled_lower == sys.float_info.max
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+def test_strip_norm_rejects_bad_R(R):
+    with pytest.raises(ValueError, match="R must be a finite number > 0"):
+        strip_norm(ModeMap.build({(1, 0): 1.0}), R)
 
 
 def test_strip_norm_zero():
