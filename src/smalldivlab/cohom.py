@@ -201,9 +201,23 @@ class StripNormEstimate:
 _EXP_ROOM = 700.0
 
 
-def _exp_shift(items, R: float) -> float:
-    """s >= 0 with R(|p|+|q|) - s <= _EXP_ROOM for every item; 0 while none exceeds it."""
-    return max(0.0, R * max((abs(p) + abs(q) for (p, q), _ in items), default=0) - _EXP_ROOM)
+def _exp_shift(items, R: float):
+    """(s, k_max): k_max is the largest |p|+|q| of a nonzero coefficient and
+    s = max(0, R k_max - _EXP_ROOM), inf once R k_max leaves the float range."""
+    k_max = max((abs(p) + abs(q) for (p, q), c in items if c), default=0)
+    return max(0.0, R * k_max - _EXP_ROOM), k_max
+
+
+def _shifted_exponent(R: float, k: int, k_max: int, shift: float) -> float:
+    """R k - s for an integer k <= k_max, at most _EXP_ROOM.
+
+    While s > 0 it is _EXP_ROOM - R (k_max - k) with k_max - k taken exactly
+    in integers: R k - s would round at the size of R k (by up to 2048 at
+    2^63) or be inf - inf past the float range.
+    """
+    if shift == 0.0:
+        return R * k
+    return _EXP_ROOM - R * (k_max - k)
 
 
 def _times_exp(x: float, shift: float) -> float:
@@ -221,12 +235,15 @@ def _coef_upper(items, R: float) -> float:
 
     The terms are summed as |c| e^(R(|p|+|q|) - s) with s from _exp_shift
     and multiplied by e^s once, so the sum is exactly rounded while s = 0.
+    Zero coefficients are skipped: they neither add nor set the shift.
     """
     items = list(items)
-    shift = _exp_shift(items, R)
+    shift, k_max = _exp_shift(items, R)
     try:
         total = math.fsum(
-            abs(c) * math.exp(R * (abs(p) + abs(q)) - shift) for (p, q), c in items
+            abs(c) * math.exp(_shifted_exponent(R, abs(p) + abs(q), k_max, shift))
+            for (p, q), c in items
+            if c
         )
     except OverflowError:  # the shifted sum itself leaves the float range
         return math.inf
@@ -238,24 +255,25 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
 
     Sampling is boundary-dominated: imaginary parts fixed at the four
     sign choices of (+-R, +-R) where basis magnitudes peak, real parts
-    on the grid 2 pi (j, l) / n with n = grid_n.  There e^(i(p x - q y))
-    depends only on the residues (p mod n, -q mod n), so the grid values
-    are the inverse 2-D DFT of the weighted coefficients folded onto the
-    n x n residues: O(m + n^2 log n) per sign choice for m modes, and
-    exact however many modes fold onto one cell.  For a single mode the
-    sampled value is exact.  Past the float range ``upper`` is inf and
-    the sampled value saturates to the largest float, which is still a
-    lower bound.
+    on the grid 2 pi (j, l) / n with n = grid_n, from 8 to 4096.  There
+    e^(i(p x - q y)) depends only on the residues (p mod n, -q mod n), so
+    the grid values are the inverse 2-D DFT of the weighted coefficients
+    folded onto the n x n residues: O(m + n^2 log n) per sign choice for
+    m modes, and exact however many modes fold onto one cell.  For a
+    single mode the sampled value is exact.  Past the float range
+    ``upper`` is inf and the sampled value saturates to the largest
+    float, which is still a lower bound.
     """
     if not (math.isfinite(R) and R > 0):
         raise ValueError("R must be a finite number > 0")
-    if grid_n < 8:
-        raise ValueError("grid_n must be >= 8")
-    if not modes.entries:
+    if not 8 <= grid_n <= 4096:
+        raise ValueError("grid_n must be between 8 and 4096")
+    # zero coefficients add nothing to either bound
+    items = [(pq, c) for pq, c in sorted(modes.entries.items()) if c]
+    if not items:
         return StripNormEstimate(R=R, upper=0.0, sampled_lower=0.0, grid_n=grid_n)
-    items = sorted(modes.entries.items())
     upper = _coef_upper(items, R)
-    shift = _exp_shift(items, R)
+    shift, k_max = _exp_shift(items, R)
     n = grid_n
     # residues from the Python ints: indices may be far beyond int64
     cell = np.array([(p % n) * n + (-q) % n for (p, q), _ in items], dtype=np.intp)
@@ -263,9 +281,18 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
     Q = np.array([q for (p, q), _ in items], dtype=np.float64)
     C = np.array([c for _, c in items], dtype=np.complex128)
     lower = 0.0
-    for sx in (-1.0, 1.0):
-        for sy in (-1.0, 1.0):
-            w = C * np.exp(R * (-P * sx + Q * sy) - shift)
+    for sx in (-1, 1):
+        for sy in (-1, 1):
+            if shift == 0.0:
+                expo = R * (-P * sx + Q * sy)
+            else:
+                expo = np.array(
+                    [
+                        _shifted_exponent(R, q * sy - p * sx, k_max, shift)
+                        for (p, q), _ in items
+                    ]
+                )
+            w = C * np.exp(expo)
             folded = np.zeros((n, n), dtype=np.complex128)
             np.add.at(folded.reshape(-1), cell, w)
             # norm="forward" leaves the inverse transform unscaled: its values are the sums

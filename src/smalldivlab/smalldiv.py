@@ -20,8 +20,12 @@ class(-q, -p) with Away(n) <-> Away(-n-1)).
 Summand: L(q, p) = e^(-(|p|+|q|) delta) / |q omega - p|, evaluated at the
 midpoint of the divisor interval, whose relative width must be below
 1e-12.  Box scans evaluate the canonical half q >= 1 (plus q = 0, p < 0)
-once and count its mirror through the symmetry.  Sums use exact float
-summation, so identical inputs give bit-identical results in any grouping.
+once and count its mirror through the symmetry.  They run over blocks of
+about 2^16 cells (a few rows), so memory stays flat in Q, and sum each
+block exactly into integer buckets per class and binary exponent.  Each
+sum is rounded once at the end, so it is the correctly rounded exact sum,
+bit-identical to ``math.fsum`` of the same values in any grouping and for
+any block size.
 """
 
 from __future__ import annotations
@@ -193,9 +197,84 @@ def L_value(
 # box scans
 # ---------------------------------------------------------------------------
 
-# class labels of the half-box scan; _MIRROR marks row-0 cells outside the half
-_AWAY, _CONST, _BRJUNO, _MIRROR = 0, 1, 2, -1
+# class labels of the half-box scan, which also index its exact sums;
+# _MIRROR marks row-0 cells outside the half
+_AWAY, _CONST, _BRJUNO, _MIRROR = 0, 1, 2, 3
 _KINDS = ("away", "const_type", "brjuno_pos", "brjuno_neg")
+
+# box cells per block of rows: a block's arrays take a few MB at any Q
+_BLOCK_CELLS = 2**16
+
+# np.frexp exponents e of nonzero floats run from -1073 to 1024; a value is
+# M 2^(e - 53) with an integer |M| < 2^53, so 2^1126 times it is an integer
+_EXP_BIAS = 1073
+_EXP_SPAN = 2098
+_SCALE = 1 << 1126
+# values held in the float buckets between moves into Python ints; the
+# bucket sums stay exact below 2^26 values
+_HELD_MAX = 2**25
+
+
+class _ExactSums:
+    """Exact sums of finite floats per label 0..labels-1, rounded once when read.
+
+    ``np.frexp`` splits each value into M 2^(e - 53) with an integer
+    |M| < 2^53.  The high 27 and low 26 bits of M are summed per
+    (label, e) bucket by ``np.bincount``: each bucket sum is an integer
+    below 2^53, hence exact in float64, while the buckets hold fewer than
+    2^26 values.  Before that they move into one Python int per label,
+    the label's sum times 2^1126.  Reading divides that int by 2^1126,
+    which is correctly rounded, as ``math.fsum`` is, so a read equals
+    ``math.fsum`` of the same values in any order and any split into
+    ``add`` calls.  A non-finite value raises instead of spoiling a sum.
+    """
+
+    def __init__(self, labels: int):
+        self._hi = np.zeros(labels * _EXP_SPAN)
+        self._lo = np.zeros(labels * _EXP_SPAN)
+        self._held = 0
+        self._exact = [0] * labels
+
+    def add(self, labels, values) -> None:
+        """Add each value to its label's sum.
+
+        ``labels`` is one int for every value or an array shaped like ``values``.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if not np.isfinite(values).all():
+            raise FloatingPointError("exact sum of a non-finite value")
+        labels = np.broadcast_to(np.asarray(labels, dtype=np.intp), values.shape).ravel()
+        values = values.ravel()
+        for i in range(0, values.size, _HELD_MAX):
+            m, e = np.frexp(values[i : i + _HELD_MAX])
+            if self._held + m.size > _HELD_MAX:
+                self._flush()
+            m *= 2.0**27  # exact: now |m| < 2^27 with 26 bits after the point
+            hi = np.floor(m)
+            lo = (m - hi) * 2.0**26
+            index = labels[i : i + _HELD_MAX] * _EXP_SPAN + (e + _EXP_BIAS)
+            self._hi += np.bincount(index, weights=hi, minlength=self._hi.size)
+            self._lo += np.bincount(index, weights=lo, minlength=self._lo.size)
+            self._held += m.size
+
+    def _flush(self) -> None:
+        """Move the float bucket sums into the Python ints and empty them."""
+        full = np.flatnonzero((self._hi != 0.0) | (self._lo != 0.0))
+        for bucket, hi, lo in zip(
+            full.tolist(),
+            self._hi[full].astype(np.int64).tolist(),
+            self._lo[full].astype(np.int64).tolist(),
+        ):
+            label, shift = divmod(bucket, _EXP_SPAN)
+            self._exact[label] += ((hi << 26) + lo) << shift
+        self._hi.fill(0.0)
+        self._lo.fill(0.0)
+        self._held = 0
+
+    def value(self, *labels: int) -> float:
+        """The correctly rounded sum of every value added under ``labels``."""
+        self._flush()
+        return sum(self._exact[label] for label in labels) / _SCALE
 
 
 def _box_rows(cf: ContinuedFraction, Q: int):
@@ -230,33 +309,41 @@ def _divisor_midpoint(lo: float, hi: float, q: int, p: int) -> float:
 
 
 @dataclass(frozen=True)
-class _HalfBox:
-    """Classes, strips and L values of the canonical half of a box.
+class _Block:
+    """Classes, strips and L values of some rows of the canonical half of a box.
 
-    Arrays are indexed [q, p + Q] for q = 0..Q and p = -Q..Q.  The
-    canonical half is q >= 1 with every p plus q = 0 with p < 0; the other
-    row-0 cells are (0, 0) and mirrors, labelled _MIRROR.  ``n`` is the
-    strip floor(q omega - p).  The mirror (-q, -p) of a canonical pair has
-    the same L, class brjuno_neg in place of brjuno_pos and strip -n - 1.
-    ``brjuno`` holds one (q, p, k, a) row per Brjuno-table pair.
+    Arrays are indexed [q - q0, p + Q] for the block's rows q0 <= q and
+    p = -Q..Q.  The canonical half is q >= 1 with every p plus q = 0 with
+    p < 0; the other row-0 cells are (0, 0) and mirrors, labelled _MIRROR.
+    ``n`` is the strip floor(q omega - p).  The mirror (-q, -p) of a
+    canonical pair has the same L, class brjuno_neg in place of brjuno_pos
+    and strip -n - 1.  ``brjuno`` holds one (q, p, k, a) row per
+    Brjuno-table pair in the block's rows.
     """
 
+    q0: int
     label: np.ndarray
     n: np.ndarray
     L: np.ndarray
     brjuno: np.ndarray
 
 
-def _half_box(cf: ContinuedFraction, delta: float, Q: int) -> _HalfBox:
-    """The box kernel: classify and evaluate every pair of the canonical half.
+def _half_box(
+    cf: ContinuedFraction, delta: float, Q: int, block_cells: Optional[int] = None
+):
+    """The box kernel: classify and evaluate the canonical half, yielding _Blocks.
 
-    Per row, in exact integers, f = q omega - floor(q omega) and 1 - f come
-    from the sandwich endpoints, each rounded once.  They are the divisors
-    at p = floor and p = floor + 1, the smallest in the row (whose interval
+    The exact per-row work runs once, before the first block.  Per row, in
+    exact integers, f = q omega - floor(q omega) and 1 - f come from the
+    sandwich endpoints, each rounded once.  They are the divisors at
+    p = floor and p = floor + 1, the smallest in the row (whose interval
     width is the same for every p), so checking their sign and relative
-    width checks the whole row.  Over the box, as arrays, |q omega - p| is
-    n + f for n >= 0 and (-n - 1) + (1 - f) for n <= -1, free of
-    cancellation; numerators come from one table of e^(-k delta).
+    width checks the whole row.  Then, as arrays over blocks of
+    max(1, block_cells // (2Q + 1)) rows (``block_cells`` defaults to
+    _BLOCK_CELLS, so memory stays flat in Q), |q omega - p| is n + f for
+    n >= 0 and (-n - 1) + (1 - f) for n <= -1, free of cancellation;
+    numerators come from one table of e^(-k delta).  A cell's values do not
+    depend on the block it falls in.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
@@ -273,53 +360,75 @@ def _half_box(cf: ContinuedFraction, delta: float, Q: int) -> _HalfBox:
         g[q] = _divisor_midpoint(
             ((fl + 1) * hid - q * hin) / hid, ((fl + 1) * lod - q * lon) / lod, q, fl + 1
         )
-
-    p = np.arange(-Q, Q + 1)
-    n = np.array(floors)[:, None] - p
-    neg = n < 0
-    d = np.where(neg, np.array(g)[:, None], np.array(f)[:, None])
-    d += np.where(neg, ~n, n)  # ~n == -n - 1
-    d[0, Q] = math.inf  # (0, 0) has no divisor
+    floors, f, g = (np.array(v)[:, None] for v in (floors, f, g))
     weights = np.array([math.exp(-k * delta) for k in range(2 * Q + 1)])
-    L = weights[np.arange(Q + 1)[:, None] + np.abs(p)]
-    L /= d
-
-    label = np.full(n.shape, _AWAY, dtype=np.int8)
-    label[(n == 0) | (n == -1)] = _CONST
     brjuno = np.array(
         [pair + ka for pair, ka in table.pairs.items()], dtype=np.int64
     ).reshape(-1, 4)
-    label[brjuno[:, 0], brjuno[:, 1] + Q] = _BRJUNO
-    label[0, Q:] = _MIRROR
-    return _HalfBox(label=label, n=n, L=L, brjuno=brjuno)
+
+    p = np.arange(-Q, Q + 1)
+    rows = max(1, (block_cells or _BLOCK_CELLS) // (2 * Q + 1))
+    for q0 in range(0, Q + 1, rows):
+        q1 = min(q0 + rows, Q + 1)
+        n = floors[q0:q1] - p
+        neg = n < 0
+        d = np.where(neg, g[q0:q1], f[q0:q1])
+        d += np.where(neg, ~n, n)  # ~n == -n - 1
+        label = np.full(n.shape, _AWAY, dtype=np.int8)
+        label[(n == 0) | (n == -1)] = _CONST
+        brj = brjuno[(q0 <= brjuno[:, 0]) & (brjuno[:, 0] < q1)]
+        label[brj[:, 0] - q0, brj[:, 1] + Q] = _BRJUNO
+        if q0 == 0:
+            d[0, Q] = math.inf  # (0, 0) has no divisor
+            label[0, Q:] = _MIRROR
+        L = weights[np.arange(q0, q1)[:, None] + np.abs(p)]
+        L /= d
+        yield _Block(q0=q0, label=label, n=n, L=L, brjuno=brj)
+
+
+def _class_scan(cf: ContinuedFraction, delta: float, Q: int):
+    """One pass over the half box.
+
+    Returns the exact L sums per label, the cell counts of the three classes
+    and the L values of the level-0 Brjuno pairs.
+    """
+    sums = _ExactSums(4)
+    counts = [0, 0, 0]  # _AWAY, _CONST, _BRJUNO
+    level0 = []
+    for block in _half_box(cf, delta, Q):
+        sums.add(block.label, block.L)
+        for label in (_AWAY, _CONST, _BRJUNO):
+            counts[label] += int(np.count_nonzero(block.label == label))
+        k0 = block.brjuno[block.brjuno[:, 2] == 0]
+        level0 += block.L[k0[:, 0] - block.q0, k0[:, 1] + Q].tolist()
+    return sums, counts, level0
 
 
 def partition_sums(cf: ContinuedFraction, delta: float, Q: int) -> PartitionSums:
     """Classify and sum L over all 0 < max(|q|, |p|) <= Q, one sum per class.
 
-    Each class sum is twice the exact sum over the canonical half, and
-    doubling a float is exact.
+    One pass over the row blocks of the canonical half adds each L to the
+    exact bucket sum of its class (``_ExactSums``), and each class sum is
+    rounded once at the end.  So it equals ``math.fsum`` of the class's
+    values bit for bit, whatever the block size, and memory stays flat in
+    Q.  Each class sum is twice the sum over the half, and doubling a float
+    is exact.
     """
-    half = _half_box(cf, delta, Q)
-    away = half.label == _AWAY
-    const = half.label == _CONST
-    brj = half.label == _BRJUNO
-    k0 = half.brjuno[half.brjuno[:, 2] == 0]
-    away_sum = 2.0 * math.fsum(half.L[away])
-    const_sum = 2.0 * math.fsum(half.L[const])
-    brj_sum = 2.0 * math.fsum(half.L[brj])
-    n_brj = int(np.count_nonzero(brj))
+    sums, counts, level0 = _class_scan(cf, delta, Q)
+    away_sum = 2.0 * sums.value(_AWAY)
+    const_sum = 2.0 * sums.value(_CONST)
+    brj_sum = 2.0 * sums.value(_BRJUNO)
     return PartitionSums(
         away=away_sum,
         const_type=const_sum,
         brjuno=brj_sum,
-        brjuno_k0=2.0 * math.fsum(half.L[k0[:, 0], k0[:, 1] + Q]),
+        brjuno_k0=2.0 * math.fsum(level0),
         total=away_sum + const_sum + brj_sum,
         counts={
-            "away": 2 * int(np.count_nonzero(away)),
-            "const_type": 2 * int(np.count_nonzero(const)),
-            "brjuno_pos": n_brj,
-            "brjuno_neg": n_brj,
+            "away": 2 * counts[_AWAY],
+            "const_type": 2 * counts[_CONST],
+            "brjuno_pos": counts[_BRJUNO],
+            "brjuno_neg": counts[_BRJUNO],
         },
         delta=delta,
         Q=Q,
@@ -330,17 +439,20 @@ def partition_sums(cf: ContinuedFraction, delta: float, Q: int) -> PartitionSums
 def box_sum(cf: ContinuedFraction, delta: float, Q: int) -> float:
     """Unclassified sum of L over the same box.
 
-    It shares the kernel with :func:`partition_sums`, so agreement shows
-    that the classes tile the box; ``classify_index`` and ``L_value`` are
-    the independent scalar oracle.
+    The exact bucket sum of every cell of the half, rounded once: like the
+    class sums, it equals ``math.fsum`` of its values bit for bit.  It
+    shares the kernel with :func:`partition_sums`, so agreement shows that
+    the classes tile the box; ``classify_index`` and ``L_value`` are the
+    independent scalar oracle.
     """
-    half = _half_box(cf, delta, Q)
-    return 2.0 * math.fsum(half.L[half.label != _MIRROR])
+    sums, _, _ = _class_scan(cf, delta, Q)
+    return 2.0 * sums.value(_AWAY, _CONST, _BRJUNO)
 
 
 def partition_dump(cf: ContinuedFraction, delta: float, Q: int, path) -> None:
     """Audit CSV with one row per box pair: q,p,class,k,a,strip_n,L."""
-    half = _half_box(cf, delta, Q)
+    # one block of every row: the box rows below read the half in both directions
+    half = next(_half_box(cf, delta, Q, block_cells=(Q + 1) * (2 * Q + 1)))
     k = np.zeros(half.label.shape, dtype=np.int64)
     a = np.zeros(half.label.shape, dtype=np.int64)
     bq, bp, bk, ba = half.brjuno.T
@@ -450,13 +562,14 @@ def away_bound_check(
     if n_max is None:
         computed = partition_sums(cf, delta, Q).away
     else:
-        half = _half_box(cf, delta, Q)
-        away = half.label == _AWAY
-        L, n = half.L[away], half.n[away]
-        # the mirror of a pair in strip n lies in strip -n - 1
-        computed = math.fsum(
-            np.concatenate((L[np.abs(n) <= n_max], L[np.abs(n + 1) <= n_max]))
-        )
+        sums = _ExactSums(1)
+        for block in _half_box(cf, delta, Q):
+            away = block.label == _AWAY
+            L, n = block.L[away], block.n[away]
+            # the mirror of a pair in strip n lies in strip -n - 1
+            sums.add(0, L[np.abs(n) <= n_max])
+            sums.add(0, L[np.abs(n + 1) <= n_max])
+        computed = sums.value(0)
     leading = _away_leading(cf.omega_float())
     bound = mu * leading * math.log(1.0 / delta) / delta
     return BoundReport(

@@ -407,6 +407,32 @@ def test_solve_index_past_int64(tmp_path, capsys, p):
     assert norm["upper"] == "inf" and norm["sampled_lower"] == sys.float_info.max
 
 
+@pytest.mark.parametrize("p", [2**63, -(2**63)], ids=["2^63", "-2^63"])
+@pytest.mark.parametrize("R", ["1", "1e300"])
+def test_solve_shift_past_2_53_and_the_float_range(tmp_path, capsys, p, R):
+    # exit 0 with no overflow RuntimeWarning (an error in this suite) and no nan
+    modes = tmp_path / "modes.json"
+    _write_modes(modes, p)
+    code = main(["solve", "--freq", "golden", "--modes", str(modes), "--R", R])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert "nan" not in out
+    results = json.loads(out)["results"]
+    for norm in (results["data_norm"], results["solution_norm"]):
+        assert norm["upper"] == "inf"
+        assert norm["sampled_lower"] == sys.float_info.max
+
+
+def test_solve_rejects_huge_grid_before_solving(tmp_path, capsys):
+    modes = tmp_path / "modes.json"
+    _write_modes(modes, 1)
+    argv = ["solve", "--freq", "golden", "--modes", str(modes), "--R", "0.5"]
+    code = main(argv + ["--grid-n", "100000000"])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "grid_n must be between 8 and 4096" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize(
     "rows, message",
     [

@@ -219,6 +219,32 @@ def test_strip_norm_index_beyond_int64():
     assert est.sampled_lower == sys.float_info.max
 
 
+@pytest.mark.parametrize("p", [2**63, -(2**63)])
+@pytest.mark.parametrize("R", [1.0, 1e300])
+def test_strip_norm_shift_past_2_53_and_the_float_range(p, R):
+    # R (|p| + |q|) - s is formed from exact integers, so the largest mode's
+    # exponent is 700, neither e^1024 (an overflow warning, an error in this
+    # suite) nor inf - inf (a nan upper bound)
+    m = ModeMap.build({(p, 1): 1.0, (-p, -1): 1.0}, hermitian=False)
+    est = strip_norm(m, R, 16)
+    assert est.upper == math.inf
+    assert est.sampled_lower == sys.float_info.max
+
+
+def test_strip_norm_zero_coefficient_sets_no_shift():
+    # a zero mode far out once shifted e^(1 - 1300) to 0 and gave upper 0
+    m = ModeMap.build({(2000, 0): 0.0, (1, 0): 1.0}, hermitian=False)
+    est = strip_norm(m, 1.0, 16)
+    assert est.upper == math.exp(1.0)
+    assert est.sampled_lower == pytest.approx(math.exp(1.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("grid_n", [7, 4097, 100_000_000])
+def test_strip_norm_rejects_grid_n_out_of_range(grid_n):
+    with pytest.raises(ValueError, match="grid_n must be between 8 and 4096"):
+        strip_norm(ModeMap.build({(1, 0): 1.0}), 0.5, grid_n)
+
+
 @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, 0.0, -0.5])
 def test_strip_norm_rejects_bad_R(R):
     with pytest.raises(ValueError, match="R must be a finite number > 0"):

@@ -2,13 +2,16 @@
 
 import csv
 import math
+import tracemalloc
 from collections import Counter
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smalldivlab import smalldiv
 from smalldivlab.bounds import brj1, brj2
 from smalldivlab.contfrac import ExpansionError, FrequencySpec, expand, floor_mult
 from smalldivlab.smalldiv import (
@@ -17,6 +20,7 @@ from smalldivlab.smalldiv import (
     _CONST,
     _MIRROR,
     L_value,
+    _ExactSums,
     _half_box,
     away_bound_check,
     box_sum,
@@ -228,29 +232,40 @@ def test_partition_k0_subset(golden):
 
 
 @settings(max_examples=40, deadline=None)
-@given(frequencies, st.integers(min_value=1, max_value=25), st.floats(0.05, 0.5))
-def test_half_box_matches_scalar_oracle(spec, Q, delta):
+@given(
+    frequencies,
+    st.integers(min_value=1, max_value=25),
+    st.floats(0.05, 0.5),
+    st.integers(min_value=1, max_value=4),
+)
+def test_half_box_matches_scalar_oracle(spec, Q, delta, rows):
     cf = expand(spec, 60)
     table = brjuno_pairs_up_to(cf, Q)
-    half = _half_box(cf, delta, Q)
-    brjuno = {(q, p): (k, a) for q, p, k, a in half.brjuno.tolist()}
+    # blocks of a few rows, so the scan crosses block edges
+    blocks = list(_half_box(cf, delta, Q, block_cells=rows * (2 * Q + 1)))
+    assert [block.q0 for block in blocks] == list(range(0, Q + 1, rows))
+    assert sum(block.label.shape[0] for block in blocks) == Q + 1
+    assert sum(len(block.brjuno) for block in blocks) == len(table.pairs)
+    brjuno = {(q, p): (k, a) for b in blocks for q, p, k, a in b.brjuno.tolist()}
     labels = {"away": _AWAY, "const_type": _CONST, "brjuno_pos": _BRJUNO}
     mirrors = {"away": "away", "const_type": "const_type", "brjuno_pos": "brjuno_neg"}
     kinds = Counter()
     terms = {"away": [], "const_type": [], "brjuno": []}
     for q in range(Q + 1):
+        half = blocks[q // rows]
+        i = q - half.q0  # the row of q in its block
         for p in range(-Q, Q + 1):
             if q == 0 and p >= 0:
                 assert half.label[0, p + Q] == _MIRROR
                 continue
             cls = classify_index(q, p, cf, table)
-            assert half.label[q, p + Q] == labels[cls.kind], (q, p)
+            assert half.label[i, p + Q] == labels[cls.kind], (q, p)
             if cls.kind == "away":
-                assert half.n[q, p + Q] == cls.strip
+                assert half.n[i, p + Q] == cls.strip
             if cls.kind == "brjuno_pos":
                 assert brjuno[(q, p)] == (cls.k, cls.a)
             L = L_value(q, p, delta, cf)
-            assert abs(half.L[q, p + Q] - L) <= 1e-15 * L, (q, p)
+            assert abs(half.L[i, p + Q] - L) <= 1e-15 * L, (q, p)
             # central symmetry: the mirror has the same L, Away(n) <-> Away(-n-1)
             mirror = classify_index(-q, -p, cf, table)
             assert mirror.kind == mirrors[cls.kind]
@@ -268,6 +283,90 @@ def test_half_box_matches_scalar_oracle(spec, Q, delta):
         assert abs(getattr(sums, name) - oracle) <= 1e-15 * oracle
     oracle = math.fsum(sum(terms.values(), []))
     assert abs(box_sum(cf, delta, Q) - oracle) <= 1e-15 * oracle
+
+
+# zeros, subnormals and exponents from 2^-1074 up to 2^1000, of either sign
+_magnitudes = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=2.0**-1022),
+    st.builds(math.ldexp, st.integers(1, 2**53 - 1), st.integers(-1074, 947)),
+)
+_summands = st.tuples(_magnitudes, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 2), _summands), max_size=60),
+    st.lists(st.integers(0, 60), max_size=5),
+)
+def test_exact_sums_equal_fsum(cells, cuts):
+    labels = np.array([label for label, _ in cells], dtype=np.int8)
+    values = np.array([x for _, x in cells], dtype=np.float64)
+    sums = _ExactSums(3)
+    # arbitrary split points; repeated ones give empty blocks
+    edges = [0, *sorted(min(cut, len(cells)) for cut in cuts), len(cells)]
+    for lo, hi in zip(edges, edges[1:]):
+        sums.add(labels[lo:hi], values[lo:hi])
+    for label in range(3):
+        assert sums.value(label) == math.fsum(values[labels == label]), label
+    assert sums.value(0, 1, 2) == math.fsum(values)
+    # one label for a whole block, and reads in between
+    sums.add(1, values)
+    assert sums.value(1) == math.fsum([*values[labels == 1], *values])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_exact_sums_reject_non_finite(bad):
+    sums = _ExactSums(2)
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        sums.add(np.array([0, 1]), np.array([1.0, bad]))
+
+
+def test_partition_sums_are_fsum_of_the_kernel_cells(golden):
+    # bit for bit, across the default blocks
+    Q, delta = 300, 0.1
+    blocks = list(_half_box(golden, delta, Q))
+    assert len(blocks) > 1
+    label = np.concatenate([block.label for block in blocks])
+    L = np.concatenate([block.L for block in blocks])
+    sums = partition_sums(golden, delta, Q)
+    assert sums.away == 2.0 * math.fsum(L[label == _AWAY])
+    assert sums.const_type == 2.0 * math.fsum(L[label == _CONST])
+    assert sums.brjuno == 2.0 * math.fsum(L[label == _BRJUNO])
+    assert box_sum(golden, delta, Q) == 2.0 * math.fsum(L[label != _MIRROR])
+
+
+def test_box_scans_do_not_depend_on_the_block_size(golden, large_quot, monkeypatch):
+    Q, delta = 60, 0.1
+
+    def scans():
+        return [
+            (
+                partition_sums(cf, delta, Q),
+                box_sum(cf, delta, Q),
+                away_bound_check(cf, delta, Q, n_max=2).computed,
+            )
+            for cf in (golden, large_quot)
+        ]
+
+    whole = scans()
+    monkeypatch.setattr(smalldiv, "_BLOCK_CELLS", 1)  # one row per block
+    assert scans() == whole
+    # every add call of a whole-box block splits and moves its buckets to ints
+    monkeypatch.setattr(smalldiv, "_BLOCK_CELLS", (Q + 1) * (2 * Q + 1))
+    monkeypatch.setattr(smalldiv, "_HELD_MAX", 1000)
+    assert scans() == whole
+
+
+def test_partition_sums_memory_stays_flat(golden):
+    # whole-box arrays of the Q = 1600 half box take about 160 MB
+    tracemalloc.start()
+    try:
+        partition_sums(golden, 0.1, 1600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
 
 
 def test_partition_dump_matches_scalar_oracle(tmp_path, large_quot):
