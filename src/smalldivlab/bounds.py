@@ -43,6 +43,14 @@ def _exp_sat(lt: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _require_rate(name: str, value: float) -> None:
+    """Reject a decay rate (delta or Delta) that is not a finite number > 0."""
+    if value <= 0:
+        raise ValueError(f"{name} must be > 0")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _digamma(x: float) -> float:
     """Digamma via upward recurrence and the asymptotic expansion.
 
@@ -241,8 +249,7 @@ def _brj_eval(
     growth: GrowthCert,
     weighted: bool,
 ) -> BrjunoValue:
-    if Delta <= 0:
-        raise ValueError("Delta must be > 0")
+    _require_rate("Delta", Delta)
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if depth == 0:
@@ -518,8 +525,7 @@ def kl_bound_rhs(params: KLParams, Delta: float) -> KLBound:
     The finite-part corrections (which may be negative) are handled
     separately by :func:`brj_fin_diff`.
     """
-    if Delta <= 0:
-        raise ValueError("Delta must be > 0")
+    _require_rate("Delta", Delta)
     G1, G21, G22 = kl_bound_constants(params)
     g = params.gamma
     scale = Delta ** (-g)
@@ -630,8 +636,7 @@ def eval_majorant_series(
     e^(beta n) Delta), "Sigma2" adds an n weight (both need ``beta`` and
     ``beta_prime``).
     """
-    if Delta <= 0:
-        raise ValueError("Delta must be > 0")
+    _require_rate("Delta", Delta)
     if kind in ("Dph1", "Dph2"):
         if cf is None or tau is None:
             raise ValueError(f"{kind} needs cf and tau")

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .contfrac import ContinuedFraction, DepthExhausted, divisor_interval
 
 LN2 = math.log(2.0)
@@ -81,6 +79,8 @@ def khintchine_constants(tolerance: float = 1e-8) -> KhintchineConstants:
         raise ValueError("tolerance must be >= 1e-10")
     if tolerance in _CONSTANTS_MEMO:
         return _CONSTANTS_MEMO[tolerance]
+
+    import numpy as np
 
     K = 64
     while True:

@@ -21,8 +21,9 @@ import math
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
+# numpy and mpmath are imported by the functions that call them, so a command
+# loads only what it runs.  Every layer module is imported here all the same:
+# perfbench/tracer.py wraps their public functions through sys.modules.
 from . import __version__
 from .bounds import (
     BoundReport,
@@ -55,7 +56,14 @@ from .cohom import (
     strip_norm,
 )
 from .contfrac import ContinuedFraction, ExpansionError, expand, parse_frequency, verify_nint_lemma
-from .smalldiv import away_bound_check, box_sum, partition_dump, partition_sums, verify_legendre
+from .smalldiv import (
+    _check_delta,
+    away_bound_check,
+    box_sum,
+    partition_dump,
+    partition_sums,
+    verify_legendre,
+)
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -107,7 +115,8 @@ def _plain(value):
         return {key: _plain(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, np.generic):
+    np = sys.modules.get("numpy")  # without numpy loaded there are no numpy scalars
+    if np is not None and isinstance(value, np.generic):
         value = value.item()
     if isinstance(value, float) and not math.isfinite(value):
         return str(value)
@@ -325,6 +334,8 @@ def _cmd_thm1(args) -> dict:
             f"--modes-per-map {args.modes_per_map} needs {2 * args.modes_per_map} "
             f"distinct modes, but --span {args.span} has only {cells} nonzero cells"
         )
+    import numpy as np
+
     cf = _expand_freq(args)
     rng = np.random.default_rng(args.seed)
     failures = 0
@@ -392,6 +403,8 @@ def _cmd_sweep(args) -> tuple:
     deltas = [float(tok) for tok in args.deltas.split(",") if tok]
     if not deltas:
         raise ExpansionError("sweep needs a nonempty delta list")
+    for delta in deltas:
+        _check_delta(delta)
     rows = []
     for delta in deltas:
         if args.check == "away":

@@ -26,8 +26,6 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .bounds import BoundReport, GrowthCert, gamma_delta
 from .contfrac import ContinuedFraction, DepthExhausted, divisor_interval, mul_big_float
 
@@ -272,6 +270,8 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
     items = [(pq, c) for pq, c in sorted(modes.entries.items()) if c]
     if not items:
         return StripNormEstimate(R=R, upper=0.0, sampled_lower=0.0, grid_n=grid_n)
+    import numpy as np
+
     upper = _coef_upper(items, R)
     shift, k_max = _exp_shift(items, R)
     n = grid_n

@@ -25,8 +25,6 @@ from functools import cached_property
 from math import isqrt
 from typing import Optional
 
-import mpmath
-
 DEFAULT_DEPTH_CAP = 10_000
 DEFAULT_BIT_CAP = 1_000_000
 
@@ -346,6 +344,8 @@ def _exact_exp_ratio(x: Fraction, divisor: int, mode: str) -> int:
     multiple of ``divisor``; interval evaluation at growing precision
     always settles the floor/ceil.
     """
+    import mpmath
+
     # enough bits for the result plus the argument
     est_bits = int(float(x) / math.log(2)) + x.denominator.bit_length() + 64
     prec = max(est_bits, x.numerator.bit_length() + 64)

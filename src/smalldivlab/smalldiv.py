@@ -30,14 +30,11 @@ any block size.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from .bounds import BoundReport, _away_leading
+from .bounds import BoundReport, _away_leading, _require_rate
 from .contfrac import (
     ContinuedFraction,
     DepthExhausted,
@@ -47,6 +44,9 @@ from .contfrac import (
     mul_big_float,
     resolve_depth_for_box,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _REL_WIDTH_TOL = 1e-12
 
@@ -89,8 +89,17 @@ class PartitionSums:
     away_tail_bound: float = 0.0
 
 
+def _check_delta(delta: float) -> None:
+    """Reject a delta that no box scan or tail majorant can use."""
+    _require_rate("delta", delta)
+    # below about 1.1e-16 the majorant's ratio r = e^(-delta) is 1.0
+    if math.exp(-delta) == 1.0:
+        raise ValueError(f"delta = {delta!r} is too small: e^(-delta) rounds to 1")
+
+
 def away_tail_majorant(delta: float, Q: int) -> float:
     """Geometric bound on sum of e^(-(|q|+|p|) delta) over max(|q|,|p|) > Q."""
+    _check_delta(delta)
     r = math.exp(-delta)
     s_inf = (1.0 + r) / (1.0 - r)
     s_Q = 1.0 + 2.0 * r * (1.0 - r**Q) / (1.0 - r)
@@ -168,8 +177,7 @@ def L_value(
     """
     if q == 0 and p == 0:
         raise ExpansionError("(0, 0) carries no small divisor")
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    _check_delta(delta)
     # canonical representative fixes the rounding path, so L(q,p) == L(-q,-p)
     if q < 0 or (q == 0 and p < 0):
         q, p = -q, -p
@@ -200,7 +208,6 @@ def L_value(
 # class labels of the half-box scan, which also index its exact sums;
 # _MIRROR marks row-0 cells outside the half
 _AWAY, _CONST, _BRJUNO, _MIRROR = 0, 1, 2, 3
-_KINDS = ("away", "const_type", "brjuno_pos", "brjuno_neg")
 
 # box cells per block of rows: a block's arrays take a few MB at any Q
 _BLOCK_CELLS = 2**16
@@ -230,6 +237,8 @@ class _ExactSums:
     """
 
     def __init__(self, labels: int):
+        import numpy as np
+
         self._hi = np.zeros(labels * _EXP_SPAN)
         self._lo = np.zeros(labels * _EXP_SPAN)
         self._held = 0
@@ -240,6 +249,8 @@ class _ExactSums:
 
         ``labels`` is one int for every value or an array shaped like ``values``.
         """
+        import numpy as np
+
         values = np.asarray(values, dtype=np.float64)
         if not np.isfinite(values).all():
             raise FloatingPointError("exact sum of a non-finite value")
@@ -259,6 +270,8 @@ class _ExactSums:
 
     def _flush(self) -> None:
         """Move the float bucket sums into the Python ints and empty them."""
+        import numpy as np
+
         full = np.flatnonzero((self._hi != 0.0) | (self._lo != 0.0))
         for bucket, hi, lo in zip(
             full.tolist(),
@@ -345,10 +358,11 @@ def _half_box(
     numerators come from one table of e^(-k delta).  A cell's values do not
     depend on the block it falls in.
     """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    _check_delta(delta)
     if Q < 1:
         raise ExpansionError("box radius must be >= 1")
+    import numpy as np
+
     table, floors, (lon, lod, hin, hid) = _box_rows(cf, Q)
     f = [0.0] * (Q + 1)  # row q = 0: floor 0, so the divisors are |p| exactly
     g = [1.0] * (Q + 1)
@@ -398,7 +412,7 @@ def _class_scan(cf: ContinuedFraction, delta: float, Q: int):
     for block in _half_box(cf, delta, Q):
         sums.add(block.label, block.L)
         for label in (_AWAY, _CONST, _BRJUNO):
-            counts[label] += int(np.count_nonzero(block.label == label))
+            counts[label] += int((block.label == label).sum())
         k0 = block.brjuno[block.brjuno[:, 2] == 0]
         level0 += block.L[k0[:, 0] - block.q0, k0[:, 1] + Q].tolist()
     return sums, counts, level0
@@ -450,42 +464,47 @@ def box_sum(cf: ContinuedFraction, delta: float, Q: int) -> float:
 
 
 def partition_dump(cf: ContinuedFraction, delta: float, Q: int, path) -> None:
-    """Audit CSV with one row per box pair: q,p,class,k,a,strip_n,L."""
+    """Audit CSV with one row per box pair: q,p,class,k,a,strip_n,L.
+
+    Written as ``csv.writer`` writes it: comma-separated, ``\\r\\n`` line
+    ends, an empty field for a missing value and ``repr`` of each float.
+    """
     # one block of every row: the box rows below read the half in both directions
     half = next(_half_box(cf, delta, Q, block_cells=(Q + 1) * (2 * Q + 1)))
-    k = np.zeros(half.label.shape, dtype=np.int64)
-    a = np.zeros(half.label.shape, dtype=np.int64)
-    bq, bp, bk, ba = half.brjuno.T
-    k[bq, bp + Q] = bk
-    a[bq, bp + Q] = ba
-    kinds = np.array(_KINDS, dtype=object)
-    side = np.arange(-Q, Q + 1)
+    ka = {(q, p + Q): f"{k},{a}" for q, p, k, a in half.brjuno.tolist()}
 
-    def cells(mask, values):
-        return np.where(mask, values.astype(object), "").tolist()
+    def tails(cq: int, mirror: bool) -> list:
+        """The class,k,a,strip_n,L fields of every cell of half row ``cq``, read
+        as the cell itself or as its mirror (-q, -p)."""
+        out = []
+        cells = zip(half.label[cq].tolist(), half.n[cq].tolist(), half.L[cq].tolist())
+        for j, (label, n, L) in enumerate(cells):
+            if label == _AWAY:
+                out.append(f"away,,,{~n if mirror else n},{L!r}")
+            elif label == _CONST:
+                out.append(f"const_type,,,,{L!r}")
+            elif label == _BRJUNO:
+                kind = "brjuno_neg" if mirror else "brjuno_pos"
+                out.append(f"{kind},{ka[cq, j]},,{L!r}")
+            else:  # (0, 0) and the mirrors in row 0 are never read
+                out.append("")
+        return out
 
+    side = [str(p) for p in range(-Q, Q + 1)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["q", "p", "class", "k", "a", "strip_n", "L"])
-        # one box row at a time; each cell reads its canonical pair, which
-        # is (q, p) itself or the mirror (-q, -p)
+        fh.write("q,p,class,k,a,strip_n,L\r\n")
+        # each cell reads its canonical pair, which is (q, p) itself for
+        # q >= 1 and the mirror (-q, -p), in reversed column order, for q <= -1
         for q in range(-Q, Q + 1):
-            p = side[side != 0] if q == 0 else side
-            mirror = p > 0 if q == 0 else np.full(p.size, q < 0)
-            cq, cp = abs(q), np.where(mirror, -p, p) + Q
-            label, n = half.label[cq, cp], half.n[cq, cp]
-            is_brj = label == _BRJUNO
-            writer.writerows(
-                zip(
-                    [q] * p.size,
-                    p.tolist(),
-                    kinds[label + (is_brj & mirror)].tolist(),
-                    cells(is_brj, k[cq, cp]),
-                    cells(is_brj, a[cq, cp]),
-                    cells(label == _AWAY, np.where(mirror, ~n, n)),
-                    half.L[cq, cp].tolist(),
-                )
-            )
+            if q == 0:  # canonical for p < 0, mirrored for p > 0
+                row = tails(0, False)[:Q] + tails(0, True)[Q - 1 :: -1]
+                ps = side[:Q] + side[Q + 1 :]
+            else:
+                row = tails(abs(q), q < 0)
+                if q < 0:
+                    row.reverse()
+                ps = side
+            fh.write("".join([f"{q},{p},{tail}\r\n" for p, tail in zip(ps, row)]))
 
 
 # ---------------------------------------------------------------------------
@@ -506,36 +525,40 @@ def verify_legendre(cf: ContinuedFraction, Q: int) -> BoundReport:
     if cf.exact is not None:
         raise ExpansionError("verify_legendre needs an irrational frequency")
     table, floors, (lon, lod, hin, hid) = _box_rows(cf, Q)
+    table_rows = {q for q, _ in table.pairs}
 
     worst = 0.0
     checked = 0
     violations = []
     for q in range(1, Q + 1):
         fl = floors[q]
-        for p in (fl, fl + 1):
-            if (q, p) in table.pairs:
-                continue
-            checked += 1
-            # sign of 2q(q*omega - p) -+ 1 through both sandwich endpoints
-            s = 1 if p == fl else -1  # sign of q*omega - p
-            lo_num = s * (2 * q * (q * lon - p * lod)) - lod
-            hi_num = s * (2 * q * (q * hin - p * hid)) - hid
-            if s < 0:
-                lo_num, hi_num = hi_num, lo_num
-            if lo_num >= 0 and hi_num >= 0:
-                ok = True
-            elif lo_num <= 0 and hi_num <= 0:
-                ok = False
-            else:
-                raise DepthExhausted(
-                    f"legendre comparison unresolved at (q={q}, p={p}); expand deeper"
-                )
-            d_lo = abs(q * lon - p * lod) / lod
-            d_hi = abs(q * hin - p * hid) / hid
-            ratio = 1.0 / (2.0 * q * min(d_lo, d_hi))
-            worst = max(worst, ratio)
-            if not ok:
+        # q omega - fl through both sandwich endpoints, times their
+        # denominators: 0 <= r_lo < lod and 0 <= r_hi < hid, since both give
+        # the floor.  So |q omega - p| is r / den at p = fl and
+        # (den - r) / den at p = fl + 1.
+        r_lo = q * lon - fl * lod
+        r_hi = q * hin - fl * hid
+        pairs = ((fl, r_lo, r_hi), (fl + 1, lod - r_lo, hid - r_hi))
+        if q in table_rows:
+            pairs = [pair for pair in pairs if (q, pair[0]) not in table.pairs]
+        checked += len(pairs)
+        q2, f2 = 2 * q, 2.0 * q
+        for p, x_lo, x_hi in pairs:
+            # 2q |q omega - p| >= 1 must hold at both sandwich endpoints; at
+            # neither it is a violation, at one only the sandwich is too coarse
+            t_lo, t_hi = q2 * x_lo, q2 * x_hi
+            if t_lo < lod or t_hi < hid:
+                if t_lo > lod or t_hi > hid:
+                    raise DepthExhausted(
+                        f"legendre comparison unresolved at (q={q}, p={p}); expand deeper"
+                    )
                 violations.append((q, p))
+            d_lo, d_hi = x_lo / lod, x_hi / hid
+            # min and max spelled out: the builtin calls cost about as much
+            # as the rest of the loop
+            ratio = 1.0 / (f2 * (d_hi if d_hi < d_lo else d_lo))
+            if ratio > worst:
+                worst = ratio
     return BoundReport(
         quantity="max of 1/(2 q |q omega - p|) over non-convergent critical pairs",
         computed=worst,
@@ -567,8 +590,8 @@ def away_bound_check(
             away = block.label == _AWAY
             L, n = block.L[away], block.n[away]
             # the mirror of a pair in strip n lies in strip -n - 1
-            sums.add(0, L[np.abs(n) <= n_max])
-            sums.add(0, L[np.abs(n + 1) <= n_max])
+            sums.add(0, L[abs(n) <= n_max])
+            sums.add(0, L[abs(n + 1) <= n_max])
         computed = sums.value(0)
     leading = _away_leading(cf.omega_float())
     bound = mu * leading * math.log(1.0 / delta) / delta

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import smalldivlab
-from smalldivlab import cli
+from smalldivlab import bounds, cli, smalldiv
 from smalldivlab.cli import (
     EXIT_CRASH,
     EXIT_INPUT,
@@ -481,6 +481,66 @@ def test_thm1_rejects_impossible_inputs_before_computing(extra, flag):
     assert proc.returncode == EXIT_INPUT
     assert flag in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["partition", "--delta", "nan", "--Q", "5"], "delta must be finite, got nan"),
+        (["partition", "--delta", "inf", "--Q", "5"], "delta must be finite, got inf"),
+        (["partition", "--delta", "1e-17", "--Q", "5"], "e^(-delta) rounds to 1"),
+        (["partition", "--delta", "0", "--Q", "5"], "delta must be > 0"),
+        (["sweep", "--check", "away", "--deltas", "0.1,nan", "--Q", "5"], "finite, got nan"),
+        (["sweep", "--check", "brjuno", "--deltas", "0.1,inf", "--Q", "5"], "finite, got inf"),
+        (["sweep", "--check", "const_type", "--deltas", "0.2,1e-17", "--Q", "5"], "rounds to 1"),
+        (["sweep", "--check", "away", "--deltas", "0.1,-1", "--Q", "5"], "delta must be > 0"),
+        (["brj", "--Delta", "nan"], "Delta must be finite, got nan"),
+        (["brj", "--Delta", "inf", "--C", "0.5"], "Delta must be finite, got inf"),
+        (["brj", "--Delta", "0"], "Delta must be > 0"),
+    ],
+)
+def test_unusable_delta_is_an_input_error_before_any_scan(monkeypatch, capsys, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a scan or series ran")
+
+    # the first exact work of every box scan and of every series
+    monkeypatch.setattr(smalldiv, "_box_rows", no_work)
+    monkeypatch.setattr(bounds, "_brj_terms", no_work)
+    command, *rest = argv
+    assert main([command, "--freq", "golden", *rest]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_commands_import_numpy_and_mpmath_only_where_used(tmp_path):
+    # a fresh interpreter per command; the five layer modules stay imported
+    # at the top of the CLI, where perfbench/tracer.py reads them
+    script = (
+        "import json, sys\n"
+        "from smalldivlab import cli\n"
+        "code = cli.main(sys.argv[2:] + ['--out', sys.argv[1]])\n"
+        "layers = ('contfrac', 'classify', 'bounds', 'smalldiv', 'cohom')\n"
+        "print(json.dumps([code, 'numpy' in sys.modules, 'mpmath' in sys.modules,\n"
+        "                  all('smalldivlab.' + m in sys.modules for m in layers)]))\n"
+    )
+    cases = [
+        (["brj", "--freq", "golden", "--Delta", "0.3"], False, False),
+        (["gamma", "--freq", "golden", "--delta", "0.1"], False, False),
+        (["legendre", "--freq", "golden", "--Q", "1000"], False, False),
+        (["partition", "--freq", "golden", "--delta", "0.1", "--Q", "20"], True, False),
+        (["brj", "--freq", "rule:omega-star(a1=2)", "--Delta", "0.3"], False, True),
+    ]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    for argv, numpy, mpmath in cases:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "report"), *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [EXIT_OK, numpy, mpmath, True], argv
 
 
 def test_truncation_reported_on_stderr(capsys):

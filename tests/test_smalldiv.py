@@ -1,7 +1,9 @@
 """Index classification, partitioned sums, exact critical-strip checks."""
 
 import csv
+import dataclasses
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -13,7 +15,15 @@ from hypothesis import strategies as st
 
 from smalldivlab import smalldiv
 from smalldivlab.bounds import brj1, brj2
-from smalldivlab.contfrac import ExpansionError, FrequencySpec, expand, floor_mult
+from smalldivlab.contfrac import (
+    DepthExhausted,
+    ExpansionError,
+    FrequencySpec,
+    expand,
+    floor_mult,
+    parse_frequency,
+    resolve_depth_for_box,
+)
 from smalldivlab.smalldiv import (
     _AWAY,
     _BRJUNO,
@@ -23,6 +33,7 @@ from smalldivlab.smalldiv import (
     _ExactSums,
     _half_box,
     away_bound_check,
+    away_tail_majorant,
     box_sum,
     brjuno_pairs_up_to,
     classify_index,
@@ -219,9 +230,31 @@ def test_away_tail_majorant_contains_growth(golden):
         for p in range(-60, 61)
         if max(abs(q), abs(p)) > 30
     )
-    from smalldivlab.smalldiv import away_tail_majorant
-
     assert direct <= away_tail_majorant(0.25, 30) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "delta, message",
+    [
+        (math.nan, "finite, got nan"),
+        (math.inf, "finite, got inf"),
+        (1e-17, "rounds to 1"),
+        (0.0, "must be > 0"),
+        (-0.5, "must be > 0"),
+    ],
+)
+def test_unusable_delta_is_rejected_before_the_scan(golden, delta, message):
+    # 1e-17 used to fail with ZeroDivisionError in the tail majorant after
+    # the scan, nan and inf with FloatingPointError in the exact sums
+    for call in (
+        lambda: partition_sums(golden, delta, 5),
+        lambda: box_sum(golden, delta, 5),
+        lambda: partition_dump(golden, delta, 5, "unused.csv"),
+        lambda: away_tail_majorant(delta, 5),
+        lambda: L_value(1, 0, delta, golden),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 def test_partition_k0_subset(golden):
@@ -404,9 +437,145 @@ def test_partition_dump_schema(tmp_path, golden):
         assert r["L"] == m["L"]
 
 
+def _csv_writer_dump(cf, delta, Q, path):
+    """The array and ``csv.writer`` dump writer that ``partition_dump``
+    replaced, kept as its byte-level oracle."""
+    half = next(_half_box(cf, delta, Q, block_cells=(Q + 1) * (2 * Q + 1)))
+    k = np.zeros(half.label.shape, dtype=np.int64)
+    a = np.zeros(half.label.shape, dtype=np.int64)
+    bq, bp, bk, ba = half.brjuno.T
+    k[bq, bp + Q] = bk
+    a[bq, bp + Q] = ba
+    kinds = np.array(_KIND_NAMES, dtype=object)
+    side = np.arange(-Q, Q + 1)
+
+    def cells(mask, values):
+        return np.where(mask, values.astype(object), "").tolist()
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["q", "p", "class", "k", "a", "strip_n", "L"])
+        for q in range(-Q, Q + 1):
+            p = side[side != 0] if q == 0 else side
+            mirror = p > 0 if q == 0 else np.full(p.size, q < 0)
+            cq, cp = abs(q), np.where(mirror, -p, p) + Q
+            label, n = half.label[cq, cp], half.n[cq, cp]
+            is_brj = label == _BRJUNO
+            writer.writerows(
+                zip(
+                    [q] * p.size,
+                    p.tolist(),
+                    kinds[label + (is_brj & mirror)].tolist(),
+                    cells(is_brj, k[cq, cp]),
+                    cells(is_brj, a[cq, cp]),
+                    cells(label == _AWAY, np.where(mirror, ~n, n)),
+                    half.L[cq, cp].tolist(),
+                )
+            )
+
+
+@pytest.mark.parametrize(
+    "freq, Q, delta",
+    [("golden", 6, 0.3), ("surd:[;1,40]", 12, 0.2), ("rational:355/113000", 7, 0.1),
+     ("golden", 1, 0.2)],
+)
+def test_partition_dump_bytes_match_the_csv_writer(tmp_path, freq, Q, delta):
+    cf = expand(parse_frequency(freq), 64)
+    partition_dump(cf, delta, Q, tmp_path / "dump.csv")
+    _csv_writer_dump(cf, delta, Q, tmp_path / "oracle.csv")
+    dump = (tmp_path / "dump.csv").read_bytes()
+    assert dump == (tmp_path / "oracle.csv").read_bytes()
+    assert dump.count(b"\r\n") == (2 * Q + 1) ** 2
+
+
 # ---------------------------------------------------------------------------
 # exact critical-strip check
 # ---------------------------------------------------------------------------
+
+
+def _legendre_loop(cf, Q):
+    """The per-pair loop that ``verify_legendre`` replaced, kept as its oracle:
+    (computed, checked, violations)."""
+    table, floors, (lon, lod, hin, hid) = smalldiv._box_rows(cf, Q)
+    worst = 0.0
+    checked = 0
+    violations = []
+    for q in range(1, Q + 1):
+        fl = floors[q]
+        for p in (fl, fl + 1):
+            if (q, p) in table.pairs:
+                continue
+            checked += 1
+            s = 1 if p == fl else -1  # sign of q*omega - p
+            lo_num = s * (2 * q * (q * lon - p * lod)) - lod
+            hi_num = s * (2 * q * (q * hin - p * hid)) - hid
+            if s < 0:
+                lo_num, hi_num = hi_num, lo_num
+            if lo_num >= 0 and hi_num >= 0:
+                ok = True
+            elif lo_num <= 0 and hi_num <= 0:
+                ok = False
+            else:
+                raise DepthExhausted(
+                    f"legendre comparison unresolved at (q={q}, p={p}); expand deeper"
+                )
+            d_lo = abs(q * lon - p * lod) / lod
+            d_hi = abs(q * hin - p * hid) / hid
+            worst = max(worst, 1.0 / (2.0 * q * min(d_lo, d_hi)))
+            if not ok:
+                violations.append((q, p))
+    return worst, checked, violations
+
+
+def _legendre_outcome(fn, cf, Q):
+    try:
+        rep = fn(cf, Q)
+    except DepthExhausted as exc:
+        return "raised", str(exc)
+    if isinstance(rep, tuple):
+        return rep
+    return rep.computed, rep.params["checked"], rep.params["violations"]
+
+
+def test_legendre_matches_the_per_pair_loop(corpus):
+    for cf in corpus.values():
+        assert _legendre_outcome(verify_legendre, cf, 2000) == _legendre_loop(cf, 2000)
+
+
+def test_legendre_reports_a_pair_missing_from_the_table(golden, monkeypatch):
+    # a convergent dropped from the table is checked, and golden convergents
+    # have |q omega - p| ~ 1/(sqrt(5) q) < 1/(2q): the violations path runs
+    dropped = (golden.q[8], golden.p[8])
+    full = brjuno_pairs_up_to
+
+    def without_one(cf, Q):
+        table = full(cf, Q)
+        return dataclasses.replace(
+            table, pairs={pair: ka for pair, ka in table.pairs.items() if pair != dropped}
+        )
+
+    monkeypatch.setattr(smalldiv, "brjuno_pairs_up_to", without_one)
+    rep = verify_legendre(golden, 2000)
+    assert rep.params["violations"] == [dropped]
+    assert not rep.verdict and rep.computed > 1.0
+    assert _legendre_outcome(verify_legendre, golden, 2000) == _legendre_loop(golden, 2000)
+
+
+def test_legendre_raises_where_the_per_pair_loop_raises(corpus):
+    # coarser sandwiches than the finest leave floors or sign tests unresolved:
+    # both loops must give the same result or the same first error
+    raised = set()
+    for cf in corpus.values():
+        for Q in range(1, 40):
+            for m in range(resolve_depth_for_box(cf, Q) + 1):
+                coarse = dataclasses.replace(cf)
+                box = cf.sandwich(m)
+                coarse.__dict__["bracket"] = (box.lo, box.hi)  # the cached property
+                got = _legendre_outcome(verify_legendre, coarse, Q)
+                assert got == _legendre_outcome(_legendre_loop, coarse, Q), (Q, m)
+                if got[0] == "raised":
+                    raised.add(got[1].split(" at ")[0].split("(")[0])
+    assert raised == {"floor", "legendre comparison unresolved"}
 
 
 def test_legendre_golden(golden):
