@@ -13,7 +13,7 @@ import sys
 
 from smalldivlab.bounds import _away_leading, _brjuno_box_bound, _const_type_leading
 from smalldivlab.contfrac import expand, parse_frequency
-from smalldivlab.smalldiv import box_sum, partition_sums
+from smalldivlab.smalldiv import partition_sums
 
 MU = 1.25
 
@@ -31,8 +31,7 @@ def main():
     print(header)
     for delta in (0.05, 0.1, 0.2, 0.3):
         sums = partition_sums(cf, delta, Q)
-        oracle = box_sum(cf, delta, Q)
-        rel = abs(sums.total - oracle) / oracle
+        rel = abs(sums.total - sums.box_total) / sums.box_total
         away_bound = (
             MU * _away_leading(omega) * math.log(1 / delta) / delta
             if delta * math.e < 1

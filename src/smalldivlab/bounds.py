@@ -383,6 +383,19 @@ class GammaDelta:
         return self.brj_term + self.const_type_term + self.away_term
 
 
+def _check_gamma_inputs(rho: float, delta: float, mu: float) -> None:
+    """Reject a rho, delta or mu that ``gamma_delta`` cannot use."""
+    if not 0.0 < delta < rho:
+        raise ValueError(f"delta must lie in (0, rho) = (0, {rho}); got {delta}")
+    if delta * math.e >= 1.0:
+        raise ValueError("delta must satisfy log(1/delta) > 1, i.e. delta < 1/e")
+    # the const-type term divides by delta^2
+    if delta * delta == 0.0:
+        raise ValueError(f"delta = {delta!r} is too small: delta**2 underflows to 0")
+    if mu < 1.0:
+        raise ValueError("mu must be >= 1")
+
+
 def gamma_delta(
     cf: ContinuedFraction,
     rho: float,
@@ -392,12 +405,7 @@ def gamma_delta(
     growth: GrowthCert = None,
 ) -> GammaDelta:
     """Assemble Gamma0(delta) for a strip shrink of delta inside radius rho."""
-    if not 0.0 < delta < rho:
-        raise ValueError(f"delta must lie in (0, rho) = (0, {rho}); got {delta}")
-    if delta * math.e >= 1.0:
-        raise ValueError("delta must satisfy log(1/delta) > 1, i.e. delta < 1/e")
-    if mu < 1.0:
-        raise ValueError("mu must be >= 1")
+    _check_gamma_inputs(rho, delta, mu)
     if depth is None:
         depth = cf.depth - 1
     omega = cf.omega_float()

@@ -12,7 +12,9 @@ finitely many quotients.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -80,8 +82,6 @@ def khintchine_constants(tolerance: float = 1e-8) -> KhintchineConstants:
     if tolerance in _CONSTANTS_MEMO:
         return _CONSTANTS_MEMO[tolerance]
 
-    import numpy as np
-
     K = 64
     while True:
         lo0, hi0 = _gauss_tail_enclosure(K + 1, shifted=False)
@@ -91,20 +91,15 @@ def khintchine_constants(tolerance: float = 1e-8) -> KhintchineConstants:
             break
         K *= 2
 
-    kappa = 0.0
-    kappa_prime = 0.0
-    chunk = 1 << 20
-    start = 1
-    while start <= K:
-        stop = min(K, start + chunk - 1)
-        k = np.arange(start, stop + 1, dtype=np.float64)
-        w = np.log1p(1.0 / (k * (k + 2.0))) / LN2
-        kappa += float(np.sum(np.log(k) * w))
-        kappa_prime += float(np.sum(np.log(k + 1.0) * w))
-        start = stop + 1
+    # log(k) for k = 1 .. K + 1 and the weights for k = 1 .. K; map stops at
+    # the shorter list, so the second sum pairs log(k + 1) with weight k
+    logs = list(map(math.log, range(1, K + 2)))
+    weights = [math.log1p(1.0 / (k * (k + 2.0))) / LN2 for k in range(1, K + 1)]
+    kappa = math.fsum(map(operator.mul, logs, weights))
+    kappa_prime = math.fsum(map(operator.mul, itertools.islice(logs, 1, None), weights))
     kappa += (lo0 + hi0) / 2.0
     kappa_prime += (lo1 + hi1) / 2.0
-    # half-width of the tail enclosure plus pairwise-summation rounding slop
+    # half-width of the tail enclosure plus rounding slop of the terms
     bound = half_width + 1e-13
 
     result = KhintchineConstants(

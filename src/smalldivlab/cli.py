@@ -21,14 +21,15 @@ import math
 import sys
 from dataclasses import asdict
 
-# numpy and mpmath are imported by the functions that call them, so a command
-# loads only what it runs.  Every layer module is imported here all the same:
+# numpy is imported by the functions that call it, so a command loads only
+# what it runs.  Every layer module is imported here all the same:
 # perfbench/tracer.py wraps their public functions through sys.modules.
 from . import __version__
 from .bounds import (
     BoundReport,
     DiophGrowth,
     _brjuno_box_bound,
+    _check_gamma_inputs,
     _const_type_leading,
     brj1,
     brj2,
@@ -59,7 +60,7 @@ from .contfrac import ContinuedFraction, ExpansionError, expand, parse_frequency
 from .smalldiv import (
     _check_delta,
     away_bound_check,
-    box_sum,
+    oracle_mismatches,
     partition_dump,
     partition_sums,
     verify_legendre,
@@ -207,6 +208,7 @@ def _cmd_brj(args) -> dict:
 
 
 def _cmd_gamma(args) -> dict:
+    _check_gamma_inputs(args.rho, args.delta, args.mu)
     cf = _expand_freq(args)
     gd = gamma_delta(cf, args.rho, args.delta, mu=args.mu)
     return _report(
@@ -254,11 +256,11 @@ def _cmd_constants(args) -> dict:
 def _cmd_partition(args) -> dict:
     cf = _expand_freq(args)
     sums = partition_sums(cf, args.delta, args.Q)
-    oracle = box_sum(cf, args.delta, args.Q)
+    oracle = sums.box_total
     count_total = sum(sums.counts.values())
     box_cells = (2 * args.Q + 1) ** 2 - 1
     rel = abs(sums.total - oracle) / oracle if oracle else 0.0
-    ok = rel <= 1e-12 and count_total == box_cells
+    ok = rel <= 1e-12 and count_total == box_cells and not oracle_mismatches(cf, sums)
     if args.dump:
         partition_dump(cf, args.delta, args.Q, args.dump)
     return _report(
@@ -334,6 +336,7 @@ def _cmd_thm1(args) -> dict:
             f"--modes-per-map {args.modes_per_map} needs {2 * args.modes_per_map} "
             f"distinct modes, but --span {args.span} has only {cells} nonzero cells"
         )
+    _check_gamma_inputs(args.rho, args.delta, args.mu)
     import numpy as np
 
     cf = _expand_freq(args)

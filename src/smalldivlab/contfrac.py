@@ -338,29 +338,39 @@ def legendre_astar(a_next: int) -> int:
 
 
 def _exact_exp_ratio(x: Fraction, divisor: int, mode: str) -> int:
-    """Exact floor/ceil of exp(x)/divisor for rational x > 0.
+    """Exact floor/ceil of exp(x)/divisor for rational x > 0, in Python ints.
 
-    exp of a nonzero rational is transcendental, hence never an integer
-    multiple of ``divisor``; interval evaluation at growing precision
-    always settles the floor/ceil.
+    With y = x / 2^s <= 1/16 and P working bits, the Taylor terms
+    t_0 = 2^P, t_k = floor(t_{k-1} y / k) each fall short of y^k/k! 2^P by
+    less than 16/15 (the shortfall of t_{k-1}, times y/k, plus one
+    rounding), and once t_k = 0 the rest of the series is below 1/10.  So
+    with K terms summed (the zero one included), lo = sum t_k and
+    hi = lo + 2K + 1 enclose e^y 2^P.  Squaring s times, lo rounded down
+    and hi up, encloses e^x 2^P.  exp of a nonzero rational is
+    transcendental, hence never an integer multiple of ``divisor``, so
+    doubling P until both ends give the same floor/ceil always ends.
     """
-    import mpmath
-
-    # enough bits for the result plus the argument
-    est_bits = int(float(x) / math.log(2)) + x.denominator.bit_length() + 64
-    prec = max(est_bits, x.numerator.bit_length() + 64)
+    n, m = x.numerator, x.denominator
+    s = max(0, (16 * n).bit_length() - m.bit_length() + 1)
+    den = m << s  # y = n / den <= 1/16
+    # bits of the result, plus the squarings' doubling of the relative error
+    prec = max(0, math.ceil(n / m / math.log(2)) - divisor.bit_length()) + s + 64
     for _ in range(8):
-        old = mpmath.iv.prec
-        try:
-            mpmath.iv.prec = prec
-            val = mpmath.iv.exp(
-                mpmath.iv.mpf(x.numerator) / mpmath.iv.mpf(x.denominator)
-            ) / mpmath.iv.mpf(divisor)
-            f = mpmath.floor if mode == "floor" else mpmath.ceil
-            lo = int(f(val.a))
-            hi = int(f(val.b))
-        finally:
-            mpmath.iv.prec = old
+        term = lo = 1 << prec
+        k = 1
+        while term:
+            term = term * n // (k * den)
+            lo += term
+            k += 1
+        hi = lo + 2 * k + 1
+        for _ in range(s):
+            lo = (lo * lo) >> prec
+            hi = -((-hi * hi) >> prec)
+        scale = divisor << prec
+        if mode == "floor":
+            lo, hi = lo // scale, hi // scale
+        else:
+            lo, hi = -(-lo // scale), -(-hi // scale)
         if lo == hi:
             return lo
         prec *= 2
@@ -523,7 +533,10 @@ def resolve_depth_for_box(cf: ContinuedFraction, box_radius: int) -> int:
 def verify_nint_lemma(cf: ContinuedFraction, k_max: int):
     """Check |a q_k omega - a p_k| < 1/2 for k <= k_max, 1 <= a <= astar[k].
 
-    Returns a list of (k, a, verdict) triples, all expected True.  When
+    The enclosure of a q_k omega - a p_k is a times that of q_k omega - p_k,
+    so each level is decided at its largest multiple a = astar[k]: the
+    check passes there exactly when it passes for every a.  Returns one
+    (k, astar[k], verdict) triple per level, all expected True.  When
     a_1 = 1 the frequency exceeds 1/2 and the level-0 primitive pair
     coincides with the level-1 convergent (q_0 = q_1 = 1, and the nearest
     integer to q_0*omega is p_1, not p_0); level 0 carries no separate
@@ -535,15 +548,12 @@ def verify_nint_lemma(cf: ContinuedFraction, k_max: int):
     for k in range(k_max + 1):
         if k == 0 and cf.quotients[0] == 1:
             continue
-        qk, pk = cf.q[k], cf.p[k]
-        for a in range(1, cf.astar[k] + 1):
-            lo, hi = divisor_interval(cf, a * qk, a * pk)
-            if -half < lo and hi < half:
-                results.append((k, a, True))
-            elif lo >= half or hi <= -half:
-                results.append((k, a, False))
-            else:
-                raise DepthExhausted(
-                    f"nint check unresolved at (k={k}, a={a}); expand deeper"
-                )
+        a = cf.astar[k]
+        lo, hi = divisor_interval(cf, a * cf.q[k], a * cf.p[k])
+        if -half < lo and hi < half:
+            results.append((k, a, True))
+        elif lo >= half or hi <= -half:
+            results.append((k, a, False))
+        else:
+            raise DepthExhausted(f"nint check unresolved at (k={k}, a={a}); expand deeper")
     return results

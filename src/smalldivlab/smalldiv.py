@@ -31,7 +31,7 @@ any block size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .bounds import BoundReport, _away_leading, _require_rate
@@ -72,10 +72,13 @@ class PartitionSums:
     ``brjuno_k0`` is the level-0 part of the brjuno sum (multiples of
     (q_0, p_0) = (1, 0)); it is included in ``brjuno`` but reported
     separately because the weighted series it is compared against start
-    at level 1.  ``total`` is exactly away + const_type + brjuno.
-    ``away_tail_bound`` majorizes the away mass outside the box (every
-    away summand is below e^(-(|q|+|p|) delta), whose lattice sum has a
-    closed geometric form).
+    at level 1.  ``total`` is exactly away + const_type + brjuno;
+    ``box_total`` is the unclassified sum of every cell from the same exact
+    buckets, rounded once.  ``kernel_sample`` holds the kernel's class and
+    L at the cells that ``oracle_mismatches`` checks against the scalar
+    oracle.  ``away_tail_bound`` majorizes the away mass outside the box
+    (every away summand is below e^(-(|q|+|p|) delta), whose lattice sum
+    has a closed geometric form).
     """
 
     away: float
@@ -86,6 +89,8 @@ class PartitionSums:
     counts: dict
     delta: float
     Q: int
+    box_total: float
+    kernel_sample: tuple = field(repr=False, compare=False)
     away_tail_bound: float = 0.0
 
 
@@ -211,6 +216,10 @@ _AWAY, _CONST, _BRJUNO, _MIRROR = 0, 1, 2, 3
 
 # box cells per block of rows: a block's arrays take a few MB at any Q
 _BLOCK_CELLS = 2**16
+
+# the kernel is checked against classify_index and L_value on the canonical
+# cells with max(|q|, |p|) <= this radius, plus every Brjuno pair
+_ORACLE_RADIUS = 12
 
 # np.frexp exponents e of nonzero floats run from -1073 to 1024; a value is
 # M 2^(e - 53) with an integer |M| < 2^53, so 2^1126 times it is an integer
@@ -400,22 +409,53 @@ def _half_box(
         yield _Block(q0=q0, label=label, n=n, L=L, brjuno=brj)
 
 
+def _kernel_sample(block: _Block, Q: int) -> list:
+    """(q, p, IndexClass, L) of the block's cells in the oracle sub-box.
+
+    The sub-box is the canonical cells with max(|q|, |p|) <= _ORACLE_RADIUS
+    (or Q), plus every Brjuno pair.
+    """
+    r = min(Q, _ORACLE_RADIUS)
+    rows = range(block.q0, min(r + 1, block.q0 + block.label.shape[0]))
+    cells = [(q, p) for q in rows for p in range(-r, r + 1) if q or p < 0]
+    ka = {}
+    for q, p, k, a in block.brjuno.tolist():
+        ka[q, p] = (k, a)
+        if q > r or abs(p) > r:
+            cells.append((q, p))
+    sample = []
+    for q, p in cells:
+        i, j = q - block.q0, p + Q
+        label = int(block.label[i, j])
+        if label == _AWAY:
+            cls = IndexClass(kind="away", strip=int(block.n[i, j]))
+        elif label == _CONST:
+            cls = IndexClass(kind="const_type")
+        else:
+            k, a = ka[q, p]
+            cls = IndexClass(kind="brjuno_pos", k=k, a=a)
+        sample.append((q, p, cls, float(block.L[i, j])))
+    return sample
+
+
 def _class_scan(cf: ContinuedFraction, delta: float, Q: int):
     """One pass over the half box.
 
-    Returns the exact L sums per label, the cell counts of the three classes
-    and the L values of the level-0 Brjuno pairs.
+    Returns the exact L sums per label, the cell counts of the three classes,
+    the L values of the level-0 Brjuno pairs and the kernel's oracle sample.
     """
     sums = _ExactSums(4)
     counts = [0, 0, 0]  # _AWAY, _CONST, _BRJUNO
     level0 = []
+    sample = []
     for block in _half_box(cf, delta, Q):
         sums.add(block.label, block.L)
         for label in (_AWAY, _CONST, _BRJUNO):
             counts[label] += int((block.label == label).sum())
         k0 = block.brjuno[block.brjuno[:, 2] == 0]
         level0 += block.L[k0[:, 0] - block.q0, k0[:, 1] + Q].tolist()
-    return sums, counts, level0
+        sample += _kernel_sample(block, Q)
+    return sums, counts, level0, sample
 
 
 def partition_sums(cf: ContinuedFraction, delta: float, Q: int) -> PartitionSums:
@@ -428,7 +468,7 @@ def partition_sums(cf: ContinuedFraction, delta: float, Q: int) -> PartitionSums
     Q.  Each class sum is twice the sum over the half, and doubling a float
     is exact.
     """
-    sums, counts, level0 = _class_scan(cf, delta, Q)
+    sums, counts, level0, sample = _class_scan(cf, delta, Q)
     away_sum = 2.0 * sums.value(_AWAY)
     const_sum = 2.0 * sums.value(_CONST)
     brj_sum = 2.0 * sums.value(_BRJUNO)
@@ -446,21 +486,37 @@ def partition_sums(cf: ContinuedFraction, delta: float, Q: int) -> PartitionSums
         },
         delta=delta,
         Q=Q,
+        box_total=2.0 * sums.value(_AWAY, _CONST, _BRJUNO),
+        kernel_sample=tuple(sample),
         away_tail_bound=away_tail_majorant(delta, Q),
     )
 
 
 def box_sum(cf: ContinuedFraction, delta: float, Q: int) -> float:
-    """Unclassified sum of L over the same box.
+    """Unclassified sum of L over the same box: ``partition_sums(...).box_total``.
 
     The exact bucket sum of every cell of the half, rounded once: like the
     class sums, it equals ``math.fsum`` of its values bit for bit.  It
-    shares the kernel with :func:`partition_sums`, so agreement shows that
-    the classes tile the box; ``classify_index`` and ``L_value`` are the
-    independent scalar oracle.
+    shares the kernel with :func:`partition_sums`, so agreement shows only
+    that the classes tile the box; :func:`oracle_mismatches` checks the
+    kernel against the independent scalar oracle.
     """
-    sums, _, _ = _class_scan(cf, delta, Q)
-    return 2.0 * sums.value(_AWAY, _CONST, _BRJUNO)
+    return partition_sums(cf, delta, Q).box_total
+
+
+def oracle_mismatches(cf: ContinuedFraction, sums: PartitionSums) -> list:
+    """The (q, p) of ``sums.kernel_sample`` where the kernel disagrees with
+    ``classify_index`` (class, strip, k and a) or with ``L_value`` (beyond
+    1e-12 relative).  These scalar functions take each floor and divisor
+    from the bracket per pair, not from the kernel's row tables and arrays.
+    """
+    table = brjuno_pairs_up_to(cf, sums.Q)
+    bad = []
+    for q, p, cls, L in sums.kernel_sample:
+        oracle = L_value(q, p, sums.delta, cf)
+        if classify_index(q, p, cf, table) != cls or abs(L - oracle) > _REL_WIDTH_TOL * oracle:
+            bad.append((q, p))
+    return bad
 
 
 def partition_dump(cf: ContinuedFraction, delta: float, Q: int, path) -> None:

@@ -357,6 +357,20 @@ def test_every_command_deterministic_and_exit_matches_verdicts(tmp_path, name):
     assert code == (EXIT_OK if all(verdicts) else EXIT_VERDICT)
 
 
+def test_partition_oracle_catches_a_kernel_defect(monkeypatch, capsys):
+    # a divisor off by 1e-9 relative in every row of the kernel: the class sums
+    # still add up to the all-cell sum, so only the scalar oracle sees it
+    midpoint = smalldiv._divisor_midpoint
+    monkeypatch.setattr(
+        smalldiv, "_divisor_midpoint", lambda *args: midpoint(*args) * (1.0 + 1e-9)
+    )
+    code = main(["partition", "--freq", "golden", "--delta", "0.2", "--Q", "20"])
+    assert code == EXIT_VERDICT
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"] == {"counts_tile_box": True, "oracle_match": False}
+    assert report["results"]["oracle_rel_diff"] <= 1e-15
+
+
 def test_report_is_strict_json_with_non_finite_values(capsys):
     # a 10^400 quotient overflows the brj series to +inf
     code = main(
@@ -512,9 +526,32 @@ def test_unusable_delta_is_an_input_error_before_any_scan(monkeypatch, capsys, a
     assert message in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "--delta", "1e-200"],
+        ["gamma", "--delta", "1e-162"],
+        ["thm1", "--delta", "1e-300", "--count", "1"],
+    ],
+)
+def test_delta_whose_square_underflows_is_an_input_error(monkeypatch, capsys, argv):
+    # the const-type term divides by delta^2; this used to crash with
+    # ZeroDivisionError (exit 3)
+    def no_work(*args, **kwargs):
+        raise AssertionError("the frequency was expanded")
+
+    monkeypatch.setattr(cli, "expand", no_work)
+    command, *rest = argv
+    assert main([command, "--freq", "golden", *rest]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "delta**2 underflows to 0" in captured.err and captured.out == ""
+
+
 def test_commands_import_numpy_and_mpmath_only_where_used(tmp_path):
     # a fresh interpreter per command; the five layer modules stay imported
-    # at the top of the CLI, where perfbench/tracer.py reads them
+    # at the top of the CLI, where perfbench/tracer.py reads them.  No command
+    # loads mpmath, and numpy is loaded only by the box kernel, the strip norm
+    # and thm1
     script = (
         "import json, sys\n"
         "from smalldivlab import cli\n"
@@ -523,15 +560,23 @@ def test_commands_import_numpy_and_mpmath_only_where_used(tmp_path):
         "print(json.dumps([code, 'numpy' in sys.modules, 'mpmath' in sys.modules,\n"
         "                  all('smalldivlab.' + m in sys.modules for m in layers)]))\n"
     )
+    omega_star, liouville = "rule:omega-star(a1=2)", "rule:exp-liouville(c=0.5,a1=1)"
     cases = [
-        (["brj", "--freq", "golden", "--Delta", "0.3"], False, False),
-        (["gamma", "--freq", "golden", "--delta", "0.1"], False, False),
-        (["legendre", "--freq", "golden", "--Q", "1000"], False, False),
-        (["partition", "--freq", "golden", "--delta", "0.1", "--Q", "20"], True, False),
-        (["brj", "--freq", "rule:omega-star(a1=2)", "--Delta", "0.3"], False, True),
+        (["brj", "--freq", "golden", "--Delta", "0.3"], False),
+        (["gamma", "--freq", "golden", "--delta", "0.1"], False),
+        (["legendre", "--freq", "golden", "--Q", "1000"], False),
+        (["partition", "--freq", "golden", "--delta", "0.1", "--Q", "20"], True),
+        (["classify", "--freq", omega_star], False),
+        (["classify", "--freq", liouville], False),
+        (["brj", "--freq", omega_star, "--Delta", "0.3"], False),
+        (["gamma", "--freq", liouville, "--delta", "0.2"], False),
+        (["counterexample", "--freq", liouville, "--delta-prime", "0.05"], False),
+        (["constants"], False),
+        (["table1"], False),
+        (["thm1", "--freq", "golden", "--delta", "0.2", "--count", "1"], True),
     ]
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    for argv, numpy, mpmath in cases:
+    for argv, numpy in cases:
         proc = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path / "report"), *argv],
             capture_output=True,
@@ -540,7 +585,36 @@ def test_commands_import_numpy_and_mpmath_only_where_used(tmp_path):
             env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [EXIT_OK, numpy, mpmath, True], argv
+        assert json.loads(proc.stdout) == [EXIT_OK, numpy, False, True], argv
+
+
+def test_every_command_runs_without_mpmath(tmp_path):
+    # one fresh interpreter in which "import mpmath" fails runs every command
+    _write_modes(tmp_path / "modes.json", 1)
+    script = (
+        "import json, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from smalldivlab import cli\n"
+        "print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    runs = []
+    for name, argv in sorted(COMMANDS.items()):
+        out = tmp_path / name
+        out.mkdir()
+        argv = [arg.replace("OUT", str(out)).replace("TMP", str(tmp_path)) for arg in argv]
+        runs.append(["--out", str(out / "report"), *argv])
+    runs.append(["--out", str(tmp_path / "rule"), "classify", "--freq", "rule:omega-star(a1=2)"])
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = [EXIT_VERDICT if name == "sweep-failing" else EXIT_OK for name in sorted(COMMANDS)]
+    assert json.loads(proc.stdout) == expected + [EXIT_OK], proc.stderr
 
 
 def test_truncation_reported_on_stderr(capsys):

@@ -1,13 +1,19 @@
 """Exact continued-fraction core: recurrences, sandwiches, Legendre bounds."""
 
+import os
+import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smalldivlab
 from smalldivlab.bounds import brj1, brj2, brj_fin_diff, eval_majorant_series, gamma_delta
 from smalldivlab.classify import (
     brjuno_partial_sum,
@@ -28,6 +34,7 @@ from smalldivlab.contfrac import (
     legendre_astar,
     parse_frequency,
     resolve_depth_for_box,
+    _exact_exp_ratio,
     verify_nint_lemma,
 )
 
@@ -124,6 +131,47 @@ def test_rule_expansion_reproducible(omega_star, exp_liouville):
     # shorter requests agree on the common prefix
     half = expand(FrequencySpec.make_rule("omega-star", a1=2), 4)
     assert half.quotients == omega_star.quotients[:4]
+
+
+def _mp_exp_floor(x: Fraction, divisor: int) -> int:
+    """floor(exp(x)/divisor) by mpmath at 20000 bits, far beyond the 4400
+    bits of the largest value below; the ceiling is one more, since
+    exp(x)/divisor is never an integer."""
+    with mp.workprec(20000):
+        return int(mp.floor(mp.exp(mp.mpf(x.numerator) / x.denominator) / divisor))
+
+
+def test_exact_exp_ratio_against_mpmath():
+    rng = random.Random(20260)
+    cases = [(Fraction(123), 500873452888432123752281)]
+    # arguments that need no halving
+    cases += [(x, 1) for x in (Fraction(1, 10**6), Fraction(1, 17), Fraction(1, 16))]
+    for _ in range(60):
+        den = rng.randint(1, 1000)
+        cases.append((Fraction(rng.randint(1, 3000 * den), den), rng.randint(1, 10**30)))
+    for x, divisor in cases:
+        floor = _mp_exp_floor(x, divisor)
+        assert _exact_exp_ratio(x, divisor, "floor") == floor, (x, divisor)
+        assert _exact_exp_ratio(x, divisor, "ceil") == floor + 1, (x, divisor)
+    assert _mp_exp_floor(*cases[0]) % 10**15 == 382011487374051
+
+
+@pytest.mark.parametrize(
+    "name, params, n, bits",
+    [
+        ("omega-star", {"a1": 3}, 4, 1414),
+        ("exp-liouville", {"c": "0.25", "a1": 2}, 8, 1771),
+    ],
+)
+def test_large_rule_quotients_are_exact(name, params, n, bits):
+    cf = expand(FrequencySpec.make_rule(name, **params), n)
+    a, q = cf.quotients[n - 1], cf.q[n - 1]
+    if name == "omega-star":  # a_n = max(1, floor(exp(q_{n-1} / (n-1)) / q_{n-1}) - 1)
+        expected = _mp_exp_floor(Fraction(q, n - 1), q) - 1
+    else:  # a_n = ceil(exp(c q_{n-1}) / q_{n-1})
+        expected = _mp_exp_floor(Fraction(params["c"]) * q, q) + 1
+    assert a.bit_length() == bits
+    assert a == expected
 
 
 def test_bad_specs_rejected():
@@ -292,6 +340,25 @@ def test_nint_small_frequency_level0():
     cf = expand(FrequencySpec.periodic((), (2,)), 30)
     results = verify_nint_lemma(cf, 0)
     assert results == [(0, 1, True)]
+
+
+def test_nint_decides_a_level_at_its_largest_multiple():
+    # astar[3] of omega-star(a1=3) has 707 bits; a loop over every multiple
+    # ran for minutes and grew to 900 MB
+    src = Path(smalldivlab.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "smalldivlab.cli", "classify", "--freq", "rule:omega-star(a1=3)"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    cf = expand(FrequencySpec.make_rule("omega-star", a1=3), 4)
+    results = verify_nint_lemma(cf, 3)
+    assert [(k, a) for k, a, _ in results] == [(k, cf.astar[k]) for k in range(4)]
+    assert all(ok for _, _, ok in results)
 
 
 def test_nint_depth_error(golden):

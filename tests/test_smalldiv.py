@@ -37,6 +37,7 @@ from smalldivlab.smalldiv import (
     box_sum,
     brjuno_pairs_up_to,
     classify_index,
+    oracle_mismatches,
     partition_dump,
     partition_sums,
     verify_legendre,
@@ -204,6 +205,33 @@ def test_partition_oracle(golden):
     oracle = box_sum(golden, 0.2, 200)
     assert abs(sums.total - oracle) <= 1e-12 * oracle
     assert sums.total == sums.away + sums.const_type + sums.brjuno
+
+
+@pytest.mark.parametrize("Q, cells", [(800, 321), (5, 60)])
+def test_kernel_sample_is_the_oracle_sub_box(golden, Q, cells):
+    # golden Q=800: 25 x 12 + 12 cells of the sub-box and the 9 Brjuno pairs
+    # outside it; Q=5: the 11 x 5 + 5 cells of the whole half box
+    sums = partition_sums(golden, 0.15, Q)
+    r = min(Q, 12)
+    expected = {(q, p) for q in range(r + 1) for p in range(-r, r + 1) if q or p < 0}
+    expected |= set(brjuno_pairs_up_to(golden, Q).pairs)
+    sample = [(q, p) for q, p, _, _ in sums.kernel_sample]
+    assert len(sample) == cells and set(sample) == expected
+    assert oracle_mismatches(golden, sums) == []
+
+
+def test_oracle_mismatches_catch_a_wrong_class_or_L(golden):
+    sums = partition_sums(golden, 0.2, 40)
+    sample = list(sums.kernel_sample)
+    i = next(i for i, cell in enumerate(sample) if cell[2].kind == "away")
+    q, p, cls, L = sample[i]
+    for wrong in (
+        (q, p, dataclasses.replace(cls, strip=cls.strip + 1), L),
+        (q, p, smalldiv.IndexClass(kind="const_type"), L),
+        (q, p, cls, L * (1.0 + 1e-11)),
+    ):
+        bad = dataclasses.replace(sums, kernel_sample=(*sample[:i], wrong, *sample[i + 1 :]))
+        assert oracle_mismatches(golden, bad) == [(q, p)]
 
 
 def test_partition_deterministic(golden):
