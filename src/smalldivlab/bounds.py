@@ -21,10 +21,10 @@ denominators is supplied; otherwise tails are labeled heuristic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from ._record import Record
 from .classify import PHI, KLParams
 from .contfrac import ContinuedFraction, mul_big_float
 
@@ -93,16 +93,14 @@ def gamma_eul_prime(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiophGrowth:
+class DiophGrowth(Record):
     """Certified recursion q_{n+1} <= C^-1 q_n^tau, a_{n+1} <= C^-1 q_n^(tau-1)."""
 
     C: float
     tau: float
 
 
-@dataclass(frozen=True)
-class KLGrowth:
+class KLGrowth(Record):
     """Certified upper band q_{n+1} <= e^(beta' (n+1))."""
 
     beta_prime: float
@@ -111,8 +109,7 @@ class KLGrowth:
 GrowthCert = Union[DiophGrowth, KLGrowth, None]
 
 
-@dataclass(frozen=True)
-class BrjunoValue:
+class BrjunoValue(Record):
     """Truncated series value with depth, last term and a tagged tail.
 
     ``tail_kind`` is "rigorous" when a growth certificate justified a hard
@@ -330,8 +327,7 @@ def _brjuno_box_bound(cf: ContinuedFraction, delta: float, mu: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Structured comparison of a computed quantity against a closed-form bound."""
 
     quantity: str
@@ -348,8 +344,7 @@ class BoundReport:
         return self.margin >= 0.0
 
 
-@dataclass(frozen=True)
-class GammaDelta:
+class GammaDelta(Record):
     """Leading-order loss-of-domain factor and its three components.
 
     Gamma0 = 2 brj((1+omega) delta) + (8/(1+omega)^2) delta^-2
@@ -434,8 +429,7 @@ def gamma_delta(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiophBound:
+class DiophBound(Record):
     """Right-hand sides of the Diophantine series estimates.
 
     rhs1 bounds brj1(Delta), rhs2 bounds brj2(Delta), both of the shape
@@ -498,8 +492,7 @@ def dioph_bound_rhs(C: float, tau: float, Delta: float) -> DiophBound:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KLBound:
+class KLBound(Record):
     G_KLB1: float
     G_KLB21: float
     G_KLB22: float

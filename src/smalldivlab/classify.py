@@ -15,10 +15,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._record import Record
 from .contfrac import ContinuedFraction, DepthExhausted, divisor_interval
 
 LN2 = math.log(2.0)
@@ -27,8 +27,7 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 _CONSTANTS_MEMO: dict = {}
 
 
-@dataclass(frozen=True)
-class KhintchineConstants:
+class KhintchineConstants(Record):
     """kappa, kappa' with a rigorous tail bound for the series evaluation."""
 
     kappa: float
@@ -114,8 +113,7 @@ def gauss_weight_partial_sum(K: int) -> float:
     return math.log2(2.0 * (K + 1) / (K + 2))
 
 
-@dataclass(frozen=True)
-class KLParams:
+class KLParams(Record):
     """Tolerance-band parameters for Khintchine-Levy membership.
 
     beta = kappa - T_minus, beta' = kappa' + T_plus, gamma = beta'/beta.
@@ -173,8 +171,7 @@ def certified_from_recursive(C_recursive: float) -> float:
     return C_recursive / (2.0 + C_recursive)
 
 
-@dataclass(frozen=True)
-class DiophantineCert:
+class DiophantineCert(Record):
     """Empirical and certified Diophantine constants for a fixed exponent.
 
     ``C_empirical_lo/hi`` enclose min_n q_n^tau |q_n omega - p_n| over the
@@ -251,8 +248,7 @@ def diophantine_constant(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BrjunoPartialSum:
+class BrjunoPartialSum(Record):
     value: float
     last_term: float
     depth: int
@@ -278,8 +274,7 @@ def brjuno_partial_sum(cf: ContinuedFraction, depth: int) -> BrjunoPartialSum:
     return BrjunoPartialSum(value=math.fsum(terms), last_term=terms[-1], depth=depth)
 
 
-@dataclass(frozen=True)
-class KLVerdicts:
+class KLVerdicts(Record):
     """Finite-depth band-membership diagnostics (not certificates)."""
 
     lower_KL: bool

@@ -19,12 +19,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 
 # numpy is imported by the functions that call it, so a command loads only
 # what it runs.  Every layer module is imported here all the same:
 # perfbench/tracer.py wraps their public functions through sys.modules.
 from . import __version__
+from ._record import Record
 from .bounds import (
     BoundReport,
     DiophGrowth,
@@ -107,11 +107,11 @@ def _render_text(value, indent=0) -> str:
 
 
 def _plain(value):
-    """``value`` as plain JSON data: dataclasses become dicts, tuples lists,
+    """``value`` as plain JSON data: records become dicts, tuples lists,
     numpy scalars Python scalars, and non-finite floats the strings "inf",
     "-inf" and "nan"."""
-    if hasattr(value, "__dataclass_fields__"):
-        value = asdict(value)
+    if isinstance(value, Record):
+        value = value._asdict()
     if isinstance(value, dict):
         return {key: _plain(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -153,7 +153,7 @@ def _expand_freq(args) -> ContinuedFraction:
 
 
 def _bound_report_dict(rep: BoundReport) -> dict:
-    return {**asdict(rep), "margin": rep.margin, "verdict": rep.verdict}
+    return {**rep._asdict(), "margin": rep.margin, "verdict": rep.verdict}
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,14 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import Record
 from .bounds import BoundReport, GrowthCert, gamma_delta
 from .contfrac import ContinuedFraction, DepthExhausted, divisor_interval, mul_big_float
 
 
-@dataclass(frozen=True)
-class ModeMap:
+class ModeMap(Record):
     """Sparse Fourier data: {(p, q): coefficient} with no (0, 0) entry.
 
     ``hermitian`` asserts c_{-p,-q} = conj(c_{p,q}) exactly for every
@@ -123,8 +122,7 @@ def load_modes(path) -> ModeMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
     modes: ModeMap
     mode_rel_err: dict
     max_rel_err: float
@@ -185,8 +183,7 @@ def solve_modes(a: ModeMap, cf: ContinuedFraction) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StripNormEstimate:
+class StripNormEstimate(Record):
     """Two-sided sup-norm certificate on the closed strip of half-width R."""
 
     R: float
@@ -345,8 +342,7 @@ def check_thm1(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlphaReport:
+class AlphaReport(Record):
     """Truncated normalization of the convergent-mode weights.
 
     alpha_n = 1 / (2 abar q_n) with abar an upper bound of sum 1/q_n:
@@ -362,8 +358,7 @@ class AlphaReport:
     deficit: float
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     modes: ModeMap
     alpha: AlphaReport
     epsilon: float
@@ -430,8 +425,7 @@ def counterexample_modes(
     )
 
 
-@dataclass(frozen=True)
-class WitnessPoint:
+class WitnessPoint(Record):
     """Log-magnitude interval of the analyticity witness at one level.
 
     w_n = epsilon e^(-delta'(p_n + q_n)) alpha_n / |q_n omega - p_n|, the

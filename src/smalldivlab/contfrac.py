@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 from typing import Optional
+
+from ._record import Record
 
 DEFAULT_DEPTH_CAP = 10_000
 DEFAULT_BIT_CAP = 1_000_000
@@ -43,8 +44,7 @@ class RuleDefect(ExpansionError):
     """A quotient rule produced an invalid partial quotient (internal defect)."""
 
 
-@dataclass(frozen=True)
-class FrequencySpec:
+class FrequencySpec(Record):
     """Recipe producing the partial quotients of a frequency in (0, 1).
 
     The quotients are ``head``, then ``period`` repeated (a quadratic
@@ -202,8 +202,7 @@ def parse_frequency(text: str, depth_cap=None, bit_cap=None) -> FrequencySpec:
     raise ExpansionError(f"cannot parse frequency {text!r}; {_GRAMMAR_HINT}")
 
 
-@dataclass(frozen=True)
-class RationalInterval:
+class RationalInterval(Record):
     """Open interval (lo, hi) with exact rational endpoints and lo < omega < hi."""
 
     lo: Fraction
@@ -230,8 +229,7 @@ class RationalInterval:
         )
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(Record):
     """Expanded frequency: quotients a_1..a_d with all derived exact data.
 
     ``exact`` is set only for rational specs whose expansion terminated;

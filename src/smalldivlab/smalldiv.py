@@ -31,15 +31,14 @@ any block size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from ._record import Record
 from .bounds import BoundReport, _away_leading, _require_rate
 from .contfrac import (
     ContinuedFraction,
     DepthExhausted,
     ExpansionError,
-    divisor_interval,
     floor_mult,
     mul_big_float,
     resolve_depth_for_box,
@@ -49,10 +48,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 _REL_WIDTH_TOL = 1e-12
+_TOL_NUM, _TOL_DEN = _REL_WIDTH_TOL.as_integer_ratio()
 
 
-@dataclass(frozen=True)
-class IndexClass:
+class IndexClass(Record):
     """Exactly one of away / const_type / brjuno_pos / brjuno_neg.
 
     ``strip`` is set for away indices; ``k`` and ``a`` for convergent
@@ -65,8 +64,7 @@ class IndexClass:
     a: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class PartitionSums:
+class PartitionSums(Record, hidden=("kernel_sample",)):
     """Per-class sums over a box 0 < max(|q|, |p|) <= Q, plus counts.
 
     ``brjuno_k0`` is the level-0 part of the brjuno sum (multiples of
@@ -76,9 +74,9 @@ class PartitionSums:
     ``box_total`` is the unclassified sum of every cell from the same exact
     buckets, rounded once.  ``kernel_sample`` holds the kernel's class and
     L at the cells that ``oracle_mismatches`` checks against the scalar
-    oracle.  ``away_tail_bound`` majorizes the away mass outside the box
-    (every away summand is below e^(-(|q|+|p|) delta), whose lattice sum
-    has a closed geometric form).
+    oracle; it is left out of ``repr`` and ``==``.  ``away_tail_bound``
+    majorizes the away mass outside the box (every away summand is below
+    e^(-(|q|+|p|) delta), whose lattice sum has a closed geometric form).
     """
 
     away: float
@@ -90,7 +88,7 @@ class PartitionSums:
     delta: float
     Q: int
     box_total: float
-    kernel_sample: tuple = field(repr=False, compare=False)
+    kernel_sample: tuple
     away_tail_bound: float = 0.0
 
 
@@ -111,8 +109,7 @@ def away_tail_majorant(delta: float, Q: int) -> float:
     return s_inf * s_inf - s_Q * s_Q
 
 
-@dataclass(frozen=True)
-class BrjunoTable:
+class BrjunoTable(Record):
     """Canonical convergent multiples with q <= Q: {(q, p): (k, a)}."""
 
     pairs: dict
@@ -175,7 +172,7 @@ def L_value(
 ) -> float:
     """L(q, p) = e^(-(|p|+|q|) delta) / |q omega - p| (midpoint evaluation).
 
-    The divisor interval comes from the finest sandwich; its relative
+    The divisor interval comes from the bracket of omega; its relative
     width must be below 1e-12 or the call asks for a deeper expansion.
     With ``log=True`` the natural log of L is returned (for huge boxes
     where the exponential underflows).
@@ -189,17 +186,24 @@ def L_value(
     if q == 0:
         d_mid = float(abs(p))
     else:
-        d_lo, d_hi = divisor_interval(cf, q, p)
-        if d_lo <= 0 <= d_hi:
+        # q omega - p lies between r_lo / lod and r_hi / hid, the bracket
+        # endpoints' residues over their denominators
+        lo, hi = cf.bracket
+        lod, hid = lo.denominator, hi.denominator
+        r_lo, r_hi = q * lo.numerator - p * lod, q * hi.numerator - p * hid
+        if r_lo <= 0 <= r_hi:
             raise DepthExhausted(
                 f"divisor sign unresolved at (q={q}, p={p}); expand deeper"
             )
-        a_lo, a_hi = (d_lo, d_hi) if d_lo > 0 else (-d_hi, -d_lo)
-        if a_hi - a_lo > _REL_WIDTH_TOL * a_lo:
+        # |q omega - p| lies between x_lo / d_lo and x_hi / d_hi
+        x_lo, d_lo, x_hi, d_hi = (r_lo, lod, r_hi, hid) if r_lo > 0 else (-r_hi, hid, -r_lo, lod)
+        # the relative width against the tolerance, cross-multiplied exactly
+        if (x_hi * d_lo - x_lo * d_hi) * _TOL_DEN > _TOL_NUM * x_lo * d_hi:
             raise DepthExhausted(
                 f"divisor interval too wide at (q={q}, p={p}); expand deeper"
             )
-        d_mid = (float(a_lo) + float(a_hi)) / 2.0
+        # int / int is correctly rounded, as float(Fraction) is
+        d_mid = (x_lo / d_lo + x_hi / d_hi) / 2.0
     exponent = -mul_big_float(abs(p) + abs(q), delta)
     if log:
         return exponent - math.log(d_mid)
@@ -330,8 +334,7 @@ def _divisor_midpoint(lo: float, hi: float, q: int, p: int) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(Record):
     """Classes, strips and L values of some rows of the canonical half of a box.
 
     Arrays are indexed [q - q0, p + Q] for the block's rows q0 <= q and

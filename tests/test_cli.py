@@ -550,14 +550,15 @@ def test_delta_whose_square_underflows_is_an_input_error(monkeypatch, capsys, ar
 def test_commands_import_numpy_and_mpmath_only_where_used(tmp_path):
     # a fresh interpreter per command; the five layer modules stay imported
     # at the top of the CLI, where perfbench/tracer.py reads them.  No command
-    # loads mpmath, and numpy is loaded only by the box kernel, the strip norm
-    # and thm1
+    # loads mpmath or dataclasses (the records share one base class), and
+    # numpy is loaded only by the box kernel, the strip norm and thm1
     script = (
         "import json, sys\n"
         "from smalldivlab import cli\n"
         "code = cli.main(sys.argv[2:] + ['--out', sys.argv[1]])\n"
         "layers = ('contfrac', 'classify', 'bounds', 'smalldiv', 'cohom')\n"
         "print(json.dumps([code, 'numpy' in sys.modules, 'mpmath' in sys.modules,\n"
+        "                  'dataclasses' in sys.modules,\n"
         "                  all('smalldivlab.' + m in sys.modules for m in layers)]))\n"
     )
     omega_star, liouville = "rule:omega-star(a1=2)", "rule:exp-liouville(c=0.5,a1=1)"
@@ -585,7 +586,7 @@ def test_commands_import_numpy_and_mpmath_only_where_used(tmp_path):
             env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [EXIT_OK, numpy, False, True], argv
+        assert json.loads(proc.stdout) == [EXIT_OK, numpy, False, False, True], argv
 
 
 def test_every_command_runs_without_mpmath(tmp_path):

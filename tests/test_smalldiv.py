@@ -1,11 +1,11 @@
 """Index classification, partitioned sums, exact critical-strip checks."""
 
 import csv
-import dataclasses
 import math
 import re
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -19,6 +19,7 @@ from smalldivlab.contfrac import (
     DepthExhausted,
     ExpansionError,
     FrequencySpec,
+    divisor_interval,
     expand,
     floor_mult,
     parse_frequency,
@@ -189,6 +190,51 @@ def test_L_log_mode(golden):
     )
 
 
+def _L_fraction(q, p, delta, cf):
+    """L_value on the Fractions of divisor_interval: the reference for its
+    integer residues, with the same errors and bit-identical values."""
+    if q < 0 or (q == 0 and p < 0):
+        q, p = -q, -p
+    if q == 0:
+        d_mid = float(abs(p))
+    else:
+        d_lo, d_hi = divisor_interval(cf, q, p)
+        if d_lo <= 0 <= d_hi:
+            raise DepthExhausted(f"divisor sign unresolved at (q={q}, p={p}); expand deeper")
+        a_lo, a_hi = (d_lo, d_hi) if d_lo > 0 else (-d_hi, -d_lo)
+        if a_hi - a_lo > Fraction(1e-12) * a_lo:
+            raise DepthExhausted(f"divisor interval too wide at (q={q}, p={p}); expand deeper")
+        d_mid = (float(a_lo) + float(a_hi)) / 2.0
+    return math.exp(-(abs(p) + abs(q)) * delta) / d_mid
+
+
+def test_L_matches_the_fraction_divisor_at_every_sandwich_level(corpus):
+    # coarse brackets leave signs unresolved (an endpoint p_m/q_m itself) or
+    # intervals too wide; a rational's exact bracket hits zero divisors
+    raised = Counter()
+    brackets = [(expand(FrequencySpec.rational(5, 13), 10), None)]
+    for cf in corpus.values():
+        brackets += [(cf, m) for m in range(0, cf._levels, 3)]
+    for cf, m in brackets:
+        if m is not None:
+            box = cf.sandwich(m)
+            cf = cf._replace()
+            cf.__dict__["bracket"] = (box.lo, box.hi)  # the cached property
+        for q in range(-15, 16):
+            for p in range(-15, 16):
+                if (q, p) == (0, 0):
+                    continue
+                outcomes = []
+                for fn in (L_value, _L_fraction):
+                    try:
+                        outcomes.append(fn(q, p, 0.15, cf).hex())
+                    except DepthExhausted as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], (m, q, p)
+                raised[outcomes[0].split(" at ")[0]] += 1
+    assert raised["divisor sign unresolved"] > 0 and raised["divisor interval too wide"] > 0
+
+
 # ---------------------------------------------------------------------------
 # partition sums
 # ---------------------------------------------------------------------------
@@ -226,11 +272,11 @@ def test_oracle_mismatches_catch_a_wrong_class_or_L(golden):
     i = next(i for i, cell in enumerate(sample) if cell[2].kind == "away")
     q, p, cls, L = sample[i]
     for wrong in (
-        (q, p, dataclasses.replace(cls, strip=cls.strip + 1), L),
+        (q, p, cls._replace(strip=cls.strip + 1), L),
         (q, p, smalldiv.IndexClass(kind="const_type"), L),
         (q, p, cls, L * (1.0 + 1e-11)),
     ):
-        bad = dataclasses.replace(sums, kernel_sample=(*sample[:i], wrong, *sample[i + 1 :]))
+        bad = sums._replace(kernel_sample=(*sample[:i], wrong, *sample[i + 1 :]))
         assert oracle_mismatches(golden, bad) == [(q, p)]
 
 
@@ -578,8 +624,8 @@ def test_legendre_reports_a_pair_missing_from_the_table(golden, monkeypatch):
 
     def without_one(cf, Q):
         table = full(cf, Q)
-        return dataclasses.replace(
-            table, pairs={pair: ka for pair, ka in table.pairs.items() if pair != dropped}
+        return table._replace(
+            pairs={pair: ka for pair, ka in table.pairs.items() if pair != dropped}
         )
 
     monkeypatch.setattr(smalldiv, "brjuno_pairs_up_to", without_one)
@@ -596,7 +642,7 @@ def test_legendre_raises_where_the_per_pair_loop_raises(corpus):
     for cf in corpus.values():
         for Q in range(1, 40):
             for m in range(resolve_depth_for_box(cf, Q) + 1):
-                coarse = dataclasses.replace(cf)
+                coarse = cf._replace()
                 box = cf.sandwich(m)
                 coarse.__dict__["bracket"] = (box.lo, box.hi)  # the cached property
                 got = _legendre_outcome(verify_legendre, coarse, Q)
