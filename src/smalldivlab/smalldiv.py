@@ -45,6 +45,8 @@ from .contfrac import (
 )
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 _REL_WIDTH_TOL = 1e-12
@@ -303,24 +305,55 @@ class _ExactSums:
         return sum(self._exact[label] for label in labels) / _SCALE
 
 
+def _residue_rows(lo: Fraction, hi: Fraction, Q: int):
+    """(q, floor(q lo), residue of q lo, floor(q hi), residue of q hi) for q = 1..Q.
+
+    The residue of q x, for x = num/den, is q num - floor(q x) den, in
+    [0, den).  Each step adds num to it and carries one den into the
+    floor when it reaches den; one carry is enough since 0 <= num <= den,
+    which holds for any endpoint of a bracket of omega in (0, 1).
+    """
+    lon, lod, hin, hid = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    f_lo = f_hi = r_lo = r_hi = 0
+    for q in range(1, Q + 1):
+        r_lo += lon
+        if r_lo >= lod:
+            r_lo -= lod
+            f_lo += 1
+        r_hi += hin
+        if r_hi >= hid:
+            r_hi -= hid
+            f_hi += 1
+        yield q, f_lo, r_lo, f_hi, r_hi
+
+
 def _box_rows(cf: ContinuedFraction, Q: int):
-    """Exact per-row data of a box: Brjuno table, floors, bracket integers.
+    """Exact per-row data of a box: the Brjuno table, then floor(q omega),
+    f = q omega - floor(q omega) and 1 - f for q = 0..Q.
 
     Both bracket endpoints give floor(q omega) for q <= Q once some sandwich
-    level has q_m > 2Q, which ``resolve_depth_for_box`` checks first.
+    level has q_m > 2Q, which ``resolve_depth_for_box`` checks first.  Every
+    floor is checked before any divisor.  f and 1 - f are the divisors at
+    p = floor and p = floor + 1, read from the endpoints' residues over their
+    denominators, each rounded once.
     """
     table = brjuno_pairs_up_to(cf, Q)
     resolve_depth_for_box(cf, Q)
     lo, hi = cf.bracket
-    lon, lod, hin, hid = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    floors = [0] * (Q + 1)
-    for q in range(1, Q + 1):
-        floors[q] = (q * lon) // lod
-        if (q * hin) // hid != floors[q]:
+    floors = [0]  # row q = 0: floor 0, so the divisors are |p| exactly
+    for q, fl, _, f_hi, _ in _residue_rows(lo, hi, Q):
+        if f_hi != fl:
             raise DepthExhausted(
                 f"floor({q}*omega) unresolved at depth {cf.depth}; expand deeper"
             )
-    return table, floors, (lon, lod, hin, hid)
+        floors.append(fl)
+    lod, hid = lo.denominator, hi.denominator
+    f = [0.0]
+    g = [1.0]
+    for q, fl, r_lo, _, r_hi in _residue_rows(lo, hi, Q):
+        f.append(_divisor_midpoint(r_lo / lod, r_hi / hid, q, fl))
+        g.append(_divisor_midpoint((hid - r_hi) / hid, (lod - r_lo) / lod, q, fl + 1))
+    return table, floors, f, g
 
 
 def _divisor_midpoint(lo: float, hi: float, q: int, p: int) -> float:
@@ -358,12 +391,11 @@ def _half_box(
 ):
     """The box kernel: classify and evaluate the canonical half, yielding _Blocks.
 
-    The exact per-row work runs once, before the first block.  Per row, in
-    exact integers, f = q omega - floor(q omega) and 1 - f come from the
-    sandwich endpoints, each rounded once.  They are the divisors at
-    p = floor and p = floor + 1, the smallest in the row (whose interval
-    width is the same for every p), so checking their sign and relative
-    width checks the whole row.  Then, as arrays over blocks of
+    The exact per-row work (``_box_rows``) runs once, before the first
+    block.  Per row, f = q omega - floor(q omega) and 1 - f are the
+    divisors at p = floor and p = floor + 1, the smallest in the row (whose
+    interval width is the same for every p), so checking their sign and
+    relative width checks the whole row.  Then, as arrays over blocks of
     max(1, block_cells // (2Q + 1)) rows (``block_cells`` defaults to
     _BLOCK_CELLS, so memory stays flat in Q), |q omega - p| is n + f for
     n >= 0 and (-n - 1) + (1 - f) for n <= -1, free of cancellation;
@@ -375,17 +407,7 @@ def _half_box(
         raise ExpansionError("box radius must be >= 1")
     import numpy as np
 
-    table, floors, (lon, lod, hin, hid) = _box_rows(cf, Q)
-    f = [0.0] * (Q + 1)  # row q = 0: floor 0, so the divisors are |p| exactly
-    g = [1.0] * (Q + 1)
-    for q in range(1, Q + 1):
-        fl = floors[q]
-        f[q] = _divisor_midpoint(
-            (q * lon - fl * lod) / lod, (q * hin - fl * hid) / hid, q, fl
-        )
-        g[q] = _divisor_midpoint(
-            ((fl + 1) * hid - q * hin) / hid, ((fl + 1) * lod - q * lon) / lod, q, fl + 1
-        )
+    table, floors, f, g = _box_rows(cf, Q)
     floors, f, g = (np.array(v)[:, None] for v in (floors, f, g))
     weights = np.array([math.exp(-k * delta) for k in range(2 * Q + 1)])
     brjuno = np.array(
@@ -532,43 +554,102 @@ def partition_dump(cf: ContinuedFraction, delta: float, Q: int, path) -> None:
     half = next(_half_box(cf, delta, Q, block_cells=(Q + 1) * (2 * Q + 1)))
     ka = {(q, p + Q): f"{k},{a}" for q, p, k, a in half.brjuno.tolist()}
 
-    def tails(cq: int, mirror: bool) -> list:
-        """The class,k,a,strip_n,L fields of every cell of half row ``cq``, read
-        as the cell itself or as its mirror (-q, -p)."""
-        out = []
-        cells = zip(half.label[cq].tolist(), half.n[cq].tolist(), half.L[cq].tolist())
-        for j, (label, n, L) in enumerate(cells):
-            if label == _AWAY:
-                out.append(f"away,,,{~n if mirror else n},{L!r}")
-            elif label == _CONST:
-                out.append(f"const_type,,,,{L!r}")
-            elif label == _BRJUNO:
-                kind = "brjuno_neg" if mirror else "brjuno_pos"
-                out.append(f"{kind},{ka[cq, j]},,{L!r}")
-            else:  # (0, 0) and the mirrors in row 0 are never read
-                out.append("")
-        return out
-
     side = [str(p) for p in range(-Q, Q + 1)]
+
+    def lines(cq: int):
+        """The lines of every cell of half row ``cq``, written as the cell
+        itself and as its mirror (-q, -p): ``repr`` runs once per L."""
+        own, mirror = [], []
+        q, mq = str(cq), str(-cq)
+        cells = zip(
+            side, side[::-1], half.label[cq].tolist(), half.n[cq].tolist(), half.L[cq].tolist()
+        )
+        for j, (p, mp, label, n, L) in enumerate(cells):
+            if label == _AWAY:
+                L = repr(L)
+                own.append(f"{q},{p},away,,,{n},{L}\r\n")
+                mirror.append(f"{mq},{mp},away,,,{~n},{L}\r\n")
+            elif label == _CONST:
+                L = repr(L)
+                own.append(f"{q},{p},const_type,,,,{L}\r\n")
+                mirror.append(f"{mq},{mp},const_type,,,,{L}\r\n")
+            elif label == _BRJUNO:
+                rest = f"{ka[cq, j]},,{L!r}\r\n"
+                own.append(f"{q},{p},brjuno_pos,{rest}")
+                mirror.append(f"{mq},{mp},brjuno_neg,{rest}")
+            else:  # (0, 0) and the mirrors in row 0 are never read
+                own.append("")
+                mirror.append("")
+        return own, mirror
+
     with open(path, "w", newline="") as fh:
         fh.write("q,p,class,k,a,strip_n,L\r\n")
-        # each cell reads its canonical pair, which is (q, p) itself for
-        # q >= 1 and the mirror (-q, -p), in reversed column order, for q <= -1
-        for q in range(-Q, Q + 1):
-            if q == 0:  # canonical for p < 0, mirrored for p > 0
-                row = tails(0, False)[:Q] + tails(0, True)[Q - 1 :: -1]
-                ps = side[:Q] + side[Q + 1 :]
-            else:
-                row = tails(abs(q), q < 0)
-                if q < 0:
-                    row.reverse()
-                ps = side
-            fh.write("".join([f"{q},{p},{tail}\r\n" for p, tail in zip(ps, row)]))
+        # row q <= -1 holds the mirrors of half row -q in reversed column
+        # order; row q >= 1 is half row q, written after row 0
+        kept = []
+        for cq in range(Q, 0, -1):
+            own, mirror = lines(cq)
+            fh.write("".join(reversed(mirror)))
+            kept.append("".join(own))
+        own, mirror = lines(0)  # canonical for p < 0, mirrored for p > 0
+        fh.write("".join(own[:Q] + mirror[Q - 1 :: -1]))
+        fh.writelines(reversed(kept))
 
 
 # ---------------------------------------------------------------------------
 # exact Legendre check and the away-bound report
 # ---------------------------------------------------------------------------
+
+
+# a pair's coarse lower end within this relative margin of the least coarse
+# upper end makes it a candidate for the Legendre maximum; see verify_legendre
+_LEGENDRE_MARGIN = 2.0**-40
+
+
+def _critical_pairs(q: int, fl: int, r_lo: int, r_hi: int, lod: int, hid: int, table):
+    """(p, x_lo, x_hi) of the critical-strip pairs (q, fl) and (q, fl + 1)
+    that are not in the Brjuno table: |q omega - p| is x_lo / lod and x_hi /
+    hid at the endpoints whose residues of q omega are r_lo and r_hi."""
+    pairs = ((fl, r_lo, r_hi), (fl + 1, lod - r_lo, hid - r_hi))
+    return [pair for pair in pairs if (q, pair[0]) not in table.pairs]
+
+
+def _legendre_ratio(cf: ContinuedFraction, q: int, p: int) -> float:
+    """1/(2q |q omega - p|) in floats at the bracket endpoint nearer to p/q."""
+    lo, hi = cf.bracket
+    d_lo = abs(q * lo.numerator - p * lo.denominator) / lo.denominator
+    d_hi = abs(q * hi.numerator - p * hi.denominator) / hi.denominator
+    return 1.0 / (2.0 * q * min(d_lo, d_hi))
+
+
+def _legendre_reread(cf: ContinuedFraction, rows: list, table) -> list:
+    """The rows' floors, then their pairs' Legendre comparisons, at the bracket.
+
+    Returns (q, p, short) per checked pair, ``short`` set on a violation.
+    """
+    lo, hi = cf.bracket
+    lon, lod, hin, hid = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    floors = []
+    for q in rows:
+        floors.append((q * lon) // lod)
+        if (q * hin) // hid != floors[-1]:
+            raise DepthExhausted(
+                f"floor({q}*omega) unresolved at depth {cf.depth}; expand deeper"
+            )
+    out = []
+    for q, fl in zip(rows, floors):
+        r_lo, r_hi = q * lon - fl * lod, q * hin - fl * hid
+        for p, x_lo, x_hi in _critical_pairs(q, fl, r_lo, r_hi, lod, hid, table):
+            # 2q |q omega - p| >= 1 must hold at both bracket endpoints; at
+            # neither it is a violation, at one only the bracket is too coarse
+            t_lo, t_hi = 2 * q * x_lo, 2 * q * x_hi
+            short = t_lo < lod or t_hi < hid
+            if short and (t_lo > lod or t_hi > hid):
+                raise DepthExhausted(
+                    f"legendre comparison unresolved at (q={q}, p={p}); expand deeper"
+                )
+            out.append((q, p, short))
+    return out
 
 
 def verify_legendre(cf: ContinuedFraction, Q: int) -> BoundReport:
@@ -578,51 +659,88 @@ def verify_legendre(cf: ContinuedFraction, Q: int) -> BoundReport:
     Reports max over checked pairs of 1/(2q |q omega - p|) against the
     bound 1; any violating pair (a classification defect, not a math
     failure) is listed in params["violations"].
+
+    Two reads give what one read of every pair at the bracket gives.  The
+    coarse read steps the small residues of sandwich level
+    ``resolve_depth_for_box(cf, Q)`` if that level contains the bracket, else
+    those of the bracket.  A floor that both of its endpoints give holds at
+    the bracket too, and so does a sign of 2q |q omega - p| - 1 that both
+    give, since that is affine in omega between them.  The bracket re-reads
+    the other rows (``_legendre_reread``), all floors first and then the
+    comparisons, so it raises the first error of a read of every row.  On an
+    expansion's own bracket no row is left: the level fixes every floor,
+    and Legendre's theorem with the astar bound fixes every sign.
+
+    ``computed`` is the bracket expression of ``_legendre_ratio``, whose
+    three roundings put it within 3.01 2^-53 relative of 1/(2v), with
+    v = q min(d_lo, d_hi) exact.  The coarse read encloses v in a <= v <= b
+    for each pair it decides; let b_min be the least b, at pair P0.  A pair
+    whose a exceeds b_min (1 + 2^-40) has a value below P0's: 2^-40 far
+    exceeds the 6.02 2^-53 that the two pairs' roundings can make up, plus
+    the 2^-53 of each float a, b and b_min (1 + 2^-40).  So the expression
+    is evaluated only on every re-read pair and on the other coarse pairs,
+    the candidates.
     """
     if Q < 1:
         raise ExpansionError("box radius must be >= 1")
     if cf.exact is not None:
         raise ExpansionError("verify_legendre needs an irrational frequency")
-    table, floors, (lon, lod, hin, hid) = _box_rows(cf, Q)
+    table = brjuno_pairs_up_to(cf, Q)
+    level = cf.sandwich(resolve_depth_for_box(cf, Q))
+    lo, hi = cf.bracket
+    if level.lo <= lo and hi <= level.hi:
+        lo, hi = level.lo, level.hi
+    lod, hid = lo.denominator, hi.denominator
     table_rows = {q for q, _ in table.pairs}
 
-    worst = 0.0
     checked = 0
     violations = []
-    for q in range(1, Q + 1):
-        fl = floors[q]
-        # q omega - fl through both sandwich endpoints, times their
-        # denominators: 0 <= r_lo < lod and 0 <= r_hi < hid, since both give
-        # the floor.  So |q omega - p| is r / den at p = fl and
-        # (den - r) / den at p = fl + 1.
-        r_lo = q * lon - fl * lod
-        r_hi = q * hin - fl * hid
-        pairs = ((fl, r_lo, r_hi), (fl + 1, lod - r_lo, hid - r_hi))
-        if q in table_rows:
-            pairs = [pair for pair in pairs if (q, pair[0]) not in table.pairs]
+    undecided = []
+    candidates = []  # (a, q, p)
+    least = math.inf  # b_min; a, b and b_min are doubled here
+    # a pair whose a exceeds the integer K >= max(1, least (1 + margin)) is
+    # decided and no candidate; these hold K lod and K hid
+    klod = khid = math.inf
+    for q, fl, r_lo, f_hi, r_hi in _residue_rows(lo, hi, Q):
+        q2 = q + q
+        if fl != f_hi:
+            undecided.append(q)
+            continue
+        # a lies at the low endpoint for p = fl, at the high one for fl + 1
+        if q2 * r_lo > klod and q2 * (hid - r_hi) > khid and q not in table_rows:
+            checked += 2
+            continue
+        pairs = _critical_pairs(q, fl, r_lo, r_hi, lod, hid, table)
+        # is 2q |q omega - p| below 1 at each coarse endpoint?
+        below = [(q2 * x_lo < lod, q2 * x_hi < hid) for _, x_lo, x_hi in pairs]
+        if any(lo_below != hi_below for lo_below, hi_below in below):
+            undecided.append(q)
+            continue
         checked += len(pairs)
-        q2, f2 = 2 * q, 2.0 * q
-        for p, x_lo, x_hi in pairs:
-            # 2q |q omega - p| >= 1 must hold at both sandwich endpoints; at
-            # neither it is a violation, at one only the sandwich is too coarse
-            t_lo, t_hi = q2 * x_lo, q2 * x_hi
-            if t_lo < lod or t_hi < hid:
-                if t_lo > lod or t_hi > hid:
-                    raise DepthExhausted(
-                        f"legendre comparison unresolved at (q={q}, p={p}); expand deeper"
-                    )
+        for (p, x_lo, x_hi), (short, _) in zip(pairs, below):
+            if short:
                 violations.append((q, p))
-            d_lo, d_hi = x_lo / lod, x_hi / hid
-            # min and max spelled out: the builtin calls cost about as much
-            # as the rest of the loop
-            ratio = 1.0 / (f2 * (d_hi if d_hi < d_lo else d_lo))
-            if ratio > worst:
-                worst = ratio
+            a, b = sorted((q2 * x_lo / lod, q2 * x_hi / hid))
+            if b < least:
+                least = b
+                K = max(1, math.ceil(least * (1.0 + _LEGENDRE_MARGIN)))
+                klod, khid = K * lod, K * hid
+            if a <= least * (1.0 + _LEGENDRE_MARGIN):
+                candidates.append((a, q, p))
+
+    cutoff = least * (1.0 + _LEGENDRE_MARGIN)
+    evaluated = [(q, p) for a, q, p in candidates if a <= cutoff]
+    for q, p, short in _legendre_reread(cf, undecided, table):
+        checked += 1
+        if short:
+            violations.append((q, p))
+        evaluated.append((q, p))
+    worst = max((_legendre_ratio(cf, q, p) for q, p in evaluated), default=0.0)
     return BoundReport(
         quantity="max of 1/(2 q |q omega - p|) over non-convergent critical pairs",
         computed=worst,
         bound=1.0,
-        params={"Q": Q, "checked": checked, "violations": violations},
+        params={"Q": Q, "checked": checked, "violations": sorted(violations)},
     )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -21,6 +22,7 @@ from smalldivlab.cohom import (
     solve_modes,
     strip_norm,
 )
+from smalldivlab.contfrac import DepthExhausted, FrequencySpec, divisor_interval, expand
 
 
 def _random_hermitian(rng, rho, count, span=10):
@@ -114,6 +116,39 @@ def test_solve_reality_preserved_exactly(golden):
 def test_solve_empty_and_mean_errors(golden):
     empty = ModeMap.build({})
     assert len(solve_modes(empty, golden).modes) == 0
+
+
+def test_solver_divisors_match_the_fraction_divisor_interval(corpus):
+    # every canonical mode (q, p) > (0, 0) of a small box, q = 0 included,
+    # and a few of over 60 bits
+    modes = [(p, q) for q in range(16) for p in range(-16, 17) if (q, p) > (0, 0)]
+    modes += [(3**40, 2**62), (-(5**30), 7**25), (2**70, 0)]
+    for cf in corpus.values():
+        for p, q in modes:
+            ends = [float(d).hex() for d in divisor_interval(cf, q, p)]
+            assert [x.hex() for x in cohom._divisor_ends(cf, p, q)] == ends, (p, q)
+        # through the solver: the mirror mode takes the negated divisor
+        a = ModeMap.build({**{m: 1.0 for m in modes}, **{(-p, -q): 1j for p, q in modes}})
+        res = solve_modes(a, cf)
+        for (p, q), c in a.entries.items():
+            sign = 1 if (q, p) > (0, 0) else -1
+            lo, hi = (float(d) for d in divisor_interval(cf, sign * q, sign * p))
+            mid = -(lo + hi) / 2.0
+            g, want = res.modes.entries[(p, q)], c / complex(0.0, sign * mid)
+            assert (g.real.hex(), g.imag.hex()) == (want.real.hex(), want.imag.hex()), (p, q)
+
+
+def test_solver_unresolved_divisor_sign_message(golden):
+    # the bracket of a depth-5 expansion ends at p_5 / q_5, so q_5 omega - p_5
+    # may be zero there
+    cf = expand(FrequencySpec.golden(), 5)
+    p, q = cf.p[5], cf.q[5]
+    for mode in ((p, q), (-p, -q)):
+        with pytest.raises(
+            DepthExhausted,
+            match=re.escape(f"divisor sign unresolved at mode (p={p}, q={q}); expand deeper"),
+        ):
+            solve_modes(ModeMap.build({mode: 1.0}), cf)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smalldivlab import smalldiv
@@ -43,6 +43,8 @@ from smalldivlab.smalldiv import (
     partition_sums,
     verify_legendre,
 )
+
+from conftest import PI_MINUS_3_QUOTIENTS
 
 # quotients:[...] prefixes long enough to resolve Q <= 25 boxes, and surds
 _quotient = st.integers(min_value=1, max_value=30)
@@ -476,6 +478,19 @@ def test_partition_sums_memory_stays_flat(golden):
     assert peak < 16e6, peak
 
 
+def test_partition_dump_memory_stays_bounded(tmp_path, golden):
+    # measured on 64-bit CPython 3.11: a 4.9 MB peak at Q = 200, the half
+    # box and the rows q >= 1 held as one joined string each until row 0 is
+    # written; held as lists of lines, those rows raise it to 9.5 MB
+    tracemalloc.start()
+    try:
+        partition_dump(golden, 0.1, 200, tmp_path / "dump.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7e6, peak
+
+
 def test_partition_dump_matches_scalar_oracle(tmp_path, large_quot):
     Q, delta = 12, 0.2
     path = tmp_path / "dump.csv"
@@ -551,7 +566,8 @@ def _csv_writer_dump(cf, delta, Q, path):
 @pytest.mark.parametrize(
     "freq, Q, delta",
     [("golden", 6, 0.3), ("surd:[;1,40]", 12, 0.2), ("rational:355/113000", 7, 0.1),
-     ("golden", 1, 0.2)],
+     ("golden", 1, 0.2), ("surd:[;1,40]", 60, 0.15),
+     ("quotients:[" + ",".join(map(str, PI_MINUS_3_QUOTIENTS)) + "]", 50, 0.1)],
 )
 def test_partition_dump_bytes_match_the_csv_writer(tmp_path, freq, Q, delta):
     cf = expand(parse_frequency(freq), 64)
@@ -569,8 +585,19 @@ def test_partition_dump_bytes_match_the_csv_writer(tmp_path, freq, Q, delta):
 
 def _legendre_loop(cf, Q):
     """The per-pair loop that ``verify_legendre`` replaced, kept as its oracle:
-    (computed, checked, violations)."""
-    table, floors, (lon, lod, hin, hid) = smalldiv._box_rows(cf, Q)
+    (computed, checked, violations).  Every floor and residue is read at the
+    bracket by multiplication and floor division."""
+    table = smalldiv.brjuno_pairs_up_to(cf, Q)  # as patched by a test
+    resolve_depth_for_box(cf, Q)
+    lo, hi = cf.bracket
+    lon, lod, hin, hid = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    floors = [0] * (Q + 1)
+    for q in range(1, Q + 1):
+        floors[q] = (q * lon) // lod
+        if (q * hin) // hid != floors[q]:
+            raise DepthExhausted(
+                f"floor({q}*omega) unresolved at depth {cf.depth}; expand deeper"
+            )
     worst = 0.0
     checked = 0
     violations = []
@@ -650,6 +677,97 @@ def test_legendre_raises_where_the_per_pair_loop_raises(corpus):
                 if got[0] == "raised":
                     raised.add(got[1].split(" at ")[0].split("(")[0])
     assert raised == {"floor", "legendre comparison unresolved"}
+
+
+def _with_bracket(cf, level):
+    """``cf`` with its bracket replaced by the sandwich at ``level``."""
+    coarse = cf._replace()
+    box = cf.sandwich(level)
+    coarse.__dict__["bracket"] = (box.lo, box.hi)  # the cached property
+    return coarse
+
+
+def _legendre_argmax(cf, lo, hi, Q):
+    """The checked pair whose 1/(2q |q omega - p|), read between lo and hi
+    as ``verify_legendre`` reads it at the bracket, is largest."""
+    table = brjuno_pairs_up_to(cf, Q)
+    best, argmax = 0.0, None
+    for q in range(1, Q + 1):
+        fl = q * lo.numerator // lo.denominator
+        for p in (fl, fl + 1):
+            if (q, p) not in table.pairs:
+                d = min(abs(q * lo - p), abs(q * hi - p))
+                ratio = 1.0 / (2.0 * q * (d.numerator / d.denominator))
+                if ratio > best:
+                    best, argmax = ratio, (q, p)
+    return argmax
+
+
+@st.composite
+def _legendre_cases(draw):
+    """(quotients, Q, bracket level) with a level deep enough to resolve Q."""
+    quotients = draw(
+        st.lists(st.sampled_from((1, 1, 2, 3, 5, 10, 30, 100)), min_size=4, max_size=12)
+    )
+    cf = expand(FrequencySpec.literal(quotients), len(quotients))
+    Q = draw(st.integers(1, min(1500, max(1, cf.q[-2] // 2))))
+    return tuple(quotients), Q, draw(st.integers(0, cf.depth - 1))
+
+
+def test_legendre_matches_the_loop_on_random_quotients(monkeypatch):
+    # brackets at every sandwich level: a level below the resolving one
+    # leaves rows undecided for the bracket re-read, the expansion's own
+    # bracket none; the coarse level's own maximum often sits at another pair
+    # than the bracket's
+    reread_rows = []
+    reread = smalldiv._legendre_reread
+
+    def spy(cf, rows, table):
+        reread_rows.extend(rows)
+        return reread(cf, rows, table)
+
+    monkeypatch.setattr(smalldiv, "_legendre_reread", spy)
+    argmax_moved = []
+
+    @given(case=_legendre_cases())
+    @example(case=((1,) * 8, 5, 0)).via("floors undecided at level 0")
+    @example(case=((10, 10, 5, 1, 3, 100), 134, 5)).via("the maximum moves")
+    @settings(max_examples=80, deadline=None)
+    def check(case):
+        quotients, Q, level = case
+        cf = expand(FrequencySpec.literal(quotients), len(quotients))
+        bracket = _with_bracket(cf, level)
+        reread_before = len(reread_rows)
+        got = _legendre_outcome(verify_legendre, bracket, Q)
+        assert got == _legendre_outcome(_legendre_loop, bracket, Q)
+        if level == cf.depth - 1:  # the expansion's own bracket
+            assert len(reread_rows) == reread_before
+            if got[0] != "raised":
+                coarse = cf.sandwich(resolve_depth_for_box(cf, Q))
+                argmax_moved.append(
+                    _legendre_argmax(cf, coarse.lo, coarse.hi, Q)
+                    != _legendre_argmax(cf, *cf.bracket, Q)
+                )
+
+    check()
+    assert reread_rows and any(argmax_moved)
+
+
+def test_legendre_evaluates_every_pair_within_the_margin(monkeypatch):
+    # omega just above 2/5 = [2, 2]: q |q omega - p| is 3/5 - eps at (1, 1)
+    # and 3/5 + 9 eps at (3, 1), about 1e-14 relative apart, well inside the
+    # 2^-40 margin; the pairs (2, 0) and (3, 2) lie far above it
+    cf = expand(FrequencySpec.literal((2, 2, 67 * 10**12, 1, 1, 1, 1)), 7)
+    evaluated = []
+    ratio = smalldiv._legendre_ratio
+
+    def spy(cf, q, p):
+        evaluated.append((q, p))
+        return ratio(cf, q, p)
+
+    monkeypatch.setattr(smalldiv, "_legendre_ratio", spy)
+    assert _legendre_outcome(verify_legendre, cf, 3) == _legendre_loop(cf, 3)
+    assert sorted(evaluated) == [(1, 1), (3, 1)]
 
 
 def test_legendre_golden(golden):
