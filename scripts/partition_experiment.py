@@ -11,7 +11,7 @@ Usage: python3 scripts/partition_experiment.py [freq] [Q]
 import math
 import sys
 
-from smalldivlab.bounds import _away_leading, _brjuno_box_bound, _const_type_leading
+from smalldivlab.bounds import _away_box_bound, _brjuno_box_bound, _const_type_box_bound
 from smalldivlab.contfrac import expand, parse_frequency
 from smalldivlab.smalldiv import partition_sums
 
@@ -32,12 +32,8 @@ def main():
     for delta in (0.05, 0.1, 0.2, 0.3):
         sums = partition_sums(cf, delta, Q)
         rel = abs(sums.total - sums.box_total) / sums.box_total
-        away_bound = (
-            MU * _away_leading(omega) * math.log(1 / delta) / delta
-            if delta * math.e < 1
-            else float("nan")
-        )
-        const_bound = _const_type_leading(omega, MU) / delta**2
+        away_bound = _away_box_bound(cf, delta, MU) if delta * math.e < 1 else float("nan")
+        const_bound = _const_type_box_bound(cf, delta, MU)
         brj_bound = _brjuno_box_bound(cf, delta, MU)
         print(
             f"{delta:>7} {sums.away:>12.4f} {sums.const_type:>12.4f} "

@@ -13,7 +13,6 @@ from .contfrac import (
     DepthExhausted,
     ExpansionError,
     FrequencySpec,
-    RationalInterval,
     expand,
     legendre_astar,
     verify_nint_lemma,
@@ -24,7 +23,6 @@ __all__ = [
     "DepthExhausted",
     "ExpansionError",
     "FrequencySpec",
-    "RationalInterval",
     "expand",
     "legendre_astar",
     "verify_nint_lemma",

@@ -313,6 +313,16 @@ def _const_type_leading(omega: float, mu: float = 1.0) -> float:
     return mu * 8.0 / (1.0 + omega) ** 2
 
 
+def _away_box_bound(cf: ContinuedFraction, delta: float, mu: float) -> float:
+    """Away-class bound mu (4/(1+omega) + 2/(1-omega)) delta^-1 log(1/delta)."""
+    return mu * _away_leading(cf.omega_float()) * math.log(1.0 / delta) / delta
+
+
+def _const_type_box_bound(cf: ContinuedFraction, delta: float, mu: float) -> float:
+    """Const-type class bound mu 8/(1+omega)^2 delta^-2."""
+    return _const_type_leading(cf.omega_float(), mu) / delta**2
+
+
 def _brjuno_box_bound(cf: ContinuedFraction, delta: float, mu: float) -> float:
     """Brjuno-class bound 2((2+eps) brj1(Delta) + (1+eps) brj2(2 Delta)).
 

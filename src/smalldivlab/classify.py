@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ._record import Record
-from .contfrac import ContinuedFraction, DepthExhausted, divisor_interval
+from .contfrac import ContinuedFraction, DepthExhausted, _divisor_ends
 
 LN2 = math.log(2.0)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -212,8 +212,8 @@ def diophantine_constant(
     emp_lo = None
     emp_hi = None
     for n in range(0, depth + 1):
-        d_lo, d_hi = divisor_interval(cf, cf.q[n], cf.p[n])
-        a_lo, a_hi = (abs(d_lo), abs(d_hi)) if d_lo >= 0 else (abs(d_hi), abs(d_lo))
+        _, x_lo, d_lo, x_hi, d_hi = _divisor_ends(cf, cf.q[n], cf.p[n])
+        a_lo, a_hi = Fraction(x_lo, d_lo), Fraction(x_hi, d_hi)
         if tau_int is not None:
             scale = Fraction(cf.q[n]) ** tau_int
             v_lo, v_hi = scale * a_lo, scale * a_hi

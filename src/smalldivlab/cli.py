@@ -30,7 +30,7 @@ from .bounds import (
     DiophGrowth,
     _brjuno_box_bound,
     _check_gamma_inputs,
-    _const_type_leading,
+    _const_type_box_bound,
     brj1,
     brj2,
     brj_combined,
@@ -416,7 +416,7 @@ def _cmd_sweep(args) -> tuple:
             rep = BoundReport(
                 quantity="const_type box sum",
                 computed=partition_sums(cf, delta, args.Q).const_type,
-                bound=_const_type_leading(cf.omega_float(), args.mu) / delta**2,
+                bound=_const_type_box_bound(cf, delta, args.mu),
                 params={"delta": delta, "Q": args.Q, "mu": args.mu},
             )
         else:  # brjuno; argparse choices admit nothing else

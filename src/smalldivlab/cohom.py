@@ -27,7 +27,7 @@ from typing import Optional
 
 from ._record import Record
 from .bounds import BoundReport, GrowthCert, gamma_delta
-from .contfrac import ContinuedFraction, DepthExhausted, mul_big_float
+from .contfrac import ContinuedFraction, _divisor_ends, mul_big_float
 
 
 class ModeMap(Record):
@@ -128,21 +128,6 @@ class SolveResult(Record):
     max_rel_err: float
 
 
-def _divisor_ends(cf: ContinuedFraction, p: int, q: int) -> tuple:
-    """q omega - p at the low and the high bracket endpoint, each correctly
-    rounded, for a mode with (q, p) >= (0, 0); raises if they straddle 0.
-
-    The residues q num - p den of the endpoints num/den carry the sign, and
-    int / int rounds as ``float(divisor_interval(...))`` does.
-    """
-    lo, hi = cf.bracket
-    r_lo = q * lo.numerator - p * lo.denominator
-    r_hi = q * hi.numerator - p * hi.denominator
-    if r_lo <= 0 <= r_hi:
-        raise DepthExhausted(f"divisor sign unresolved at mode (p={p}, q={q}); expand deeper")
-    return r_lo / lo.denominator, r_hi / hi.denominator
-
-
 def solve_modes(a: ModeMap, cf: ContinuedFraction) -> SolveResult:
     """g_{p,q} = a_{p,q} / (i(p - q omega)), divisors from exact sandwiches.
 
@@ -160,12 +145,12 @@ def solve_modes(a: ModeMap, cf: ContinuedFraction) -> SolveResult:
         key = (cp, cq)
         if key in divisors:
             continue
-        # p - q*omega = -(q*omega - p)
-        lo_f, hi_f = _divisor_ends(cf, cp, cq)
-        mid = -(lo_f + hi_f) / 2.0
-        divisors[key] = mid
-        width = abs(hi_f - lo_f)
-        rel_err[key] = width / abs(mid) + 4.0 * 2.3e-16
+        # p - q*omega = -(q*omega - p); int / int is correctly rounded
+        sign, x_lo, d_lo, x_hi, d_hi = _divisor_ends(cf, cq, cp)
+        lo_f, hi_f = x_lo / d_lo, x_hi / d_hi
+        mid = (lo_f + hi_f) / 2.0
+        divisors[key] = -sign * mid
+        rel_err[key] = (hi_f - lo_f) / mid + 4.0 * 2.3e-16
 
     g = {}
     errs = {}

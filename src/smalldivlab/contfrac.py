@@ -202,33 +202,6 @@ def parse_frequency(text: str, depth_cap=None, bit_cap=None) -> FrequencySpec:
     raise ExpansionError(f"cannot parse frequency {text!r}; {_GRAMMAR_HINT}")
 
 
-class RationalInterval(Record):
-    """Open interval (lo, hi) with exact rational endpoints and lo < omega < hi."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ExpansionError("degenerate sandwich")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def strictly_inside(self, other: "RationalInterval") -> bool:
-        """Proper subset as open intervals; consecutive sandwiches share one endpoint."""
-        return (
-            other.lo <= self.lo
-            and self.hi <= other.hi
-            and (self.lo, self.hi) != (other.lo, other.hi)
-        )
-
-
 class ContinuedFraction(Record):
     """Expanded frequency: quotients a_1..a_d with all derived exact data.
 
@@ -266,11 +239,11 @@ class ContinuedFraction(Record):
     def convergent(self, n: int) -> Fraction:
         return Fraction(self.p[n], self.q[n])
 
-    def sandwich(self, m: int) -> RationalInterval:
-        """Interval with endpoints p_m/q_m, p_{m+1}/q_{m+1} containing omega.
+    def sandwich(self, m: int) -> tuple:
+        """Fractions lo < omega < hi: the convergents p_m/q_m, p_{m+1}/q_{m+1}.
 
-        The width is exactly 1/(q_m q_{m+1}).  Even-index convergents lie
-        below omega, odd-index ones above.
+        The width hi - lo is exactly 1/(q_m q_{m+1}).  Even-index
+        convergents lie below omega, odd-index ones above.
         """
         if m < 0 or m + 1 > self._levels:
             raise DepthExhausted(
@@ -280,10 +253,7 @@ class ContinuedFraction(Record):
             )
         a = self.convergent(m)
         b = self.convergent(m + 1)
-        return RationalInterval(a, b) if m % 2 == 0 else RationalInterval(b, a)
-
-    def finest_sandwich(self) -> RationalInterval:
-        return self.sandwich(self._levels - 1)
+        return (a, b) if m % 2 == 0 else (b, a)
 
     @cached_property
     def bracket(self) -> tuple:
@@ -295,8 +265,7 @@ class ContinuedFraction(Record):
         """
         if self.exact is not None:
             return self.exact, self.exact
-        box = self.finest_sandwich()
-        return box.lo, box.hi
+        return self.sandwich(self._levels - 1)
 
     def omega_float(self) -> float:
         """Float midpoint of the bracket (the exact value when rational)."""
@@ -466,21 +435,6 @@ def expand(spec: FrequencySpec, depth: int) -> ContinuedFraction:
 # ---------------------------------------------------------------------------
 
 
-def cmp_omega(cf: ContinuedFraction, target: Fraction) -> int:
-    """Exact sign of omega - target (-1, 0, +1); 0 only for rational specs."""
-    if cf.exact is not None:
-        d = cf.exact - target
-        return (d > 0) - (d < 0)
-    box = cf.finest_sandwich()
-    if target <= box.lo:
-        return 1
-    if target >= box.hi:
-        return -1
-    raise DepthExhausted(
-        f"cannot separate omega from {target}; expand beyond depth {cf.depth}"
-    )
-
-
 def floor_mult(cf: ContinuedFraction, n: int) -> int:
     """Exact floor(n * omega) for an integer n >= 1."""
     if n < 1:
@@ -495,15 +449,24 @@ def floor_mult(cf: ContinuedFraction, n: int) -> int:
     )
 
 
-def divisor_interval(cf: ContinuedFraction, q: int, p: int):
-    """Exact rational enclosure (lo, hi) of the small divisor q*omega - p.
+def _divisor_ends(cf: ContinuedFraction, q: int, p: int) -> tuple:
+    """(sign, x_lo, d_lo, x_hi, d_hi) with x_lo/d_lo <= |q omega - p| <= x_hi/d_hi
+    and sign = +-1 the sign of q omega - p, for q >= 0.
 
-    Signed; lo <= q*omega - p <= hi with equality only for rational specs
-    (or q = 0, where the value is the exact integer -p).
+    The ends are the residues q num - p den of the bracket endpoints num/den
+    over their denominators.  omega lies strictly inside an irrational
+    bracket, so an endpoint with residue 0 leaves the sign to the other
+    one, and x_lo is 0.  Raises when the residues have opposite signs, or
+    are both 0 (q omega = p for a rational omega).
     """
     lo, hi = cf.bracket
-    lo, hi = q * lo - p, q * hi - p
-    return (lo, hi) if q > 0 else (hi, lo)
+    lod, hid = lo.denominator, hi.denominator
+    r_lo, r_hi = q * lo.numerator - p * lod, q * hi.numerator - p * hid
+    if r_lo >= 0 < r_hi:
+        return 1, r_lo, lod, r_hi, hid
+    if r_lo < 0 >= r_hi:
+        return -1, -r_hi, hid, -r_lo, lod
+    raise DepthExhausted(f"divisor sign unresolved at (q={q}, p={p}); expand deeper")
 
 
 def resolve_depth_for_box(cf: ContinuedFraction, box_radius: int) -> int:
@@ -541,16 +504,15 @@ def verify_nint_lemma(cf: ContinuedFraction, k_max: int):
     multiple in that case and is skipped.
     """
     cf.require_depth(k_max + 1, f"verify_nint_lemma(k_max={k_max})")
-    half = Fraction(1, 2)
     results = []
     for k in range(k_max + 1):
         if k == 0 and cf.quotients[0] == 1:
             continue
         a = cf.astar[k]
-        lo, hi = divisor_interval(cf, a * cf.q[k], a * cf.p[k])
-        if -half < lo and hi < half:
+        _, x_lo, d_lo, x_hi, d_hi = _divisor_ends(cf, a * cf.q[k], a * cf.p[k])
+        if 2 * x_hi < d_hi:
             results.append((k, a, True))
-        elif lo >= half or hi <= -half:
+        elif 2 * x_lo >= d_lo:
             results.append((k, a, False))
         else:
             raise DepthExhausted(f"nint check unresolved at (k={k}, a={a}); expand deeper")

@@ -34,11 +34,12 @@ import math
 from typing import TYPE_CHECKING, Optional
 
 from ._record import Record
-from .bounds import BoundReport, _away_leading, _require_rate
+from .bounds import BoundReport, _away_box_bound, _away_leading, _require_rate
 from .contfrac import (
     ContinuedFraction,
     DepthExhausted,
     ExpansionError,
+    _divisor_ends,
     floor_mult,
     mul_big_float,
     resolve_depth_for_box,
@@ -169,6 +170,17 @@ def classify_index(
     return IndexClass(kind="away", strip=n)
 
 
+def _divisor_midpoint(x_lo: int, d_lo: int, x_hi: int, d_hi: int, q: int, p: int) -> float:
+    """Midpoint of x_lo/d_lo <= |q omega - p| <= x_hi/d_hi, each end correctly
+    rounded (as float(Fraction) is), once the relative width is below
+    _REL_WIDTH_TOL; the width test is cross-multiplied exactly."""
+    if (x_hi * d_lo - x_lo * d_hi) * _TOL_DEN > _TOL_NUM * x_lo * d_hi:
+        raise DepthExhausted(
+            f"divisor interval too wide at (q={q}, p={p}); expand deeper"
+        )
+    return (x_lo / d_lo + x_hi / d_hi) / 2.0
+
+
 def L_value(
     q: int, p: int, delta: float, cf: ContinuedFraction, log: bool = False
 ) -> float:
@@ -188,24 +200,8 @@ def L_value(
     if q == 0:
         d_mid = float(abs(p))
     else:
-        # q omega - p lies between r_lo / lod and r_hi / hid, the bracket
-        # endpoints' residues over their denominators
-        lo, hi = cf.bracket
-        lod, hid = lo.denominator, hi.denominator
-        r_lo, r_hi = q * lo.numerator - p * lod, q * hi.numerator - p * hid
-        if r_lo <= 0 <= r_hi:
-            raise DepthExhausted(
-                f"divisor sign unresolved at (q={q}, p={p}); expand deeper"
-            )
-        # |q omega - p| lies between x_lo / d_lo and x_hi / d_hi
-        x_lo, d_lo, x_hi, d_hi = (r_lo, lod, r_hi, hid) if r_lo > 0 else (-r_hi, hid, -r_lo, lod)
-        # the relative width against the tolerance, cross-multiplied exactly
-        if (x_hi * d_lo - x_lo * d_hi) * _TOL_DEN > _TOL_NUM * x_lo * d_hi:
-            raise DepthExhausted(
-                f"divisor interval too wide at (q={q}, p={p}); expand deeper"
-            )
-        # int / int is correctly rounded, as float(Fraction) is
-        d_mid = (x_lo / d_lo + x_hi / d_hi) / 2.0
+        _, x_lo, d_lo, x_hi, d_hi = _divisor_ends(cf, q, p)
+        d_mid = _divisor_midpoint(x_lo, d_lo, x_hi, d_hi, q, p)
     exponent = -mul_big_float(abs(p) + abs(q), delta)
     if log:
         return exponent - math.log(d_mid)
@@ -351,20 +347,9 @@ def _box_rows(cf: ContinuedFraction, Q: int):
     f = [0.0]
     g = [1.0]
     for q, fl, r_lo, _, r_hi in _residue_rows(lo, hi, Q):
-        f.append(_divisor_midpoint(r_lo / lod, r_hi / hid, q, fl))
-        g.append(_divisor_midpoint((hid - r_hi) / hid, (lod - r_lo) / lod, q, fl + 1))
+        f.append(_divisor_midpoint(r_lo, lod, r_hi, hid, q, fl))
+        g.append(_divisor_midpoint(hid - r_hi, hid, lod - r_lo, lod, q, fl + 1))
     return table, floors, f, g
-
-
-def _divisor_midpoint(lo: float, hi: float, q: int, p: int) -> float:
-    """Midpoint of lo <= |q omega - p| <= hi once its sign and width are resolved."""
-    if not lo > 0.0:
-        raise DepthExhausted(f"divisor unresolved at (q={q}, p={p}); expand deeper")
-    if hi - lo > _REL_WIDTH_TOL * lo:
-        raise DepthExhausted(
-            f"divisor interval too wide at (q={q}, p={p}); expand deeper"
-        )
-    return 0.5 * (lo + hi)
 
 
 class _Block(Record):
@@ -517,18 +502,6 @@ def partition_sums(cf: ContinuedFraction, delta: float, Q: int) -> PartitionSums
     )
 
 
-def box_sum(cf: ContinuedFraction, delta: float, Q: int) -> float:
-    """Unclassified sum of L over the same box: ``partition_sums(...).box_total``.
-
-    The exact bucket sum of every cell of the half, rounded once: like the
-    class sums, it equals ``math.fsum`` of its values bit for bit.  It
-    shares the kernel with :func:`partition_sums`, so agreement shows only
-    that the classes tile the box; :func:`oracle_mismatches` checks the
-    kernel against the independent scalar oracle.
-    """
-    return partition_sums(cf, delta, Q).box_total
-
-
 def oracle_mismatches(cf: ContinuedFraction, sums: PartitionSums) -> list:
     """The (q, p) of ``sums.kernel_sample`` where the kernel disagrees with
     ``classify_index`` (class, strip, k and a) or with ``L_value`` (beyond
@@ -629,13 +602,7 @@ def _legendre_reread(cf: ContinuedFraction, rows: list, table) -> list:
     """
     lo, hi = cf.bracket
     lon, lod, hin, hid = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    floors = []
-    for q in rows:
-        floors.append((q * lon) // lod)
-        if (q * hin) // hid != floors[-1]:
-            raise DepthExhausted(
-                f"floor({q}*omega) unresolved at depth {cf.depth}; expand deeper"
-            )
+    floors = [floor_mult(cf, q) for q in rows]
     out = []
     for q, fl in zip(rows, floors):
         r_lo, r_hi = q * lon - fl * lod, q * hin - fl * hid
@@ -686,10 +653,10 @@ def verify_legendre(cf: ContinuedFraction, Q: int) -> BoundReport:
     if cf.exact is not None:
         raise ExpansionError("verify_legendre needs an irrational frequency")
     table = brjuno_pairs_up_to(cf, Q)
-    level = cf.sandwich(resolve_depth_for_box(cf, Q))
+    level_lo, level_hi = cf.sandwich(resolve_depth_for_box(cf, Q))
     lo, hi = cf.bracket
-    if level.lo <= lo and hi <= level.hi:
-        lo, hi = level.lo, level.hi
+    if level_lo <= lo and hi <= level_hi:
+        lo, hi = level_lo, level_hi
     lod, hid = lo.denominator, hi.denominator
     table_rows = {q for q, _ in table.pairs}
 
@@ -770,17 +737,15 @@ def away_bound_check(
             sums.add(0, L[abs(n) <= n_max])
             sums.add(0, L[abs(n + 1) <= n_max])
         computed = sums.value(0)
-    leading = _away_leading(cf.omega_float())
-    bound = mu * leading * math.log(1.0 / delta) / delta
     return BoundReport(
         quantity="away box sum",
         computed=computed,
-        bound=bound,
+        bound=_away_box_bound(cf, delta, mu),
         params={
             "delta": delta,
             "Q": Q,
             "mu": mu,
             "n_max": n_max,
-            "G_away_leading": leading,
+            "G_away_leading": _away_leading(cf.omega_float()),
         },
     )

@@ -16,6 +16,17 @@ PI_MINUS_3_NUM = 14159265358979323846264338327950288419716939937510
 PI_MINUS_3_DEN = 10**50
 
 
+def divisor_interval(cf, q, p):
+    """Exact rational enclosure (lo, hi) of the small divisor q*omega - p.
+
+    Signed; lo <= q*omega - p <= hi, read at the bracket of omega in
+    Fractions.  The reference for the package's integer-residue reads.
+    """
+    lo, hi = cf.bracket
+    lo, hi = q * lo - p, q * hi - p
+    return (lo, hi) if q > 0 else (hi, lo)
+
+
 @pytest.fixture(scope="session")
 def golden():
     return expand(FrequencySpec.golden(), 60)

@@ -358,12 +358,17 @@ def test_every_command_deterministic_and_exit_matches_verdicts(tmp_path, name):
 
 
 def test_partition_oracle_catches_a_kernel_defect(monkeypatch, capsys):
-    # a divisor off by 1e-9 relative in every row of the kernel: the class sums
-    # still add up to the all-cell sum, so only the scalar oracle sees it
-    midpoint = smalldiv._divisor_midpoint
-    monkeypatch.setattr(
-        smalldiv, "_divisor_midpoint", lambda *args: midpoint(*args) * (1.0 + 1e-9)
-    )
+    # a divisor off by 1e-9 relative in every row q >= 1 of the kernel: the
+    # class sums still add up to the all-cell sum, so only the scalar oracle
+    # sees it
+    box_rows = smalldiv._box_rows
+
+    def defective(cf, Q):
+        table, floors, f, g = box_rows(cf, Q)
+        f, g = ([v[0]] + [x * (1.0 + 1e-9) for x in v[1:]] for v in (f, g))
+        return table, floors, f, g
+
+    monkeypatch.setattr(smalldiv, "_box_rows", defective)
     code = main(["partition", "--freq", "golden", "--delta", "0.2", "--Q", "20"])
     assert code == EXIT_VERDICT
     report = json.loads(capsys.readouterr().out)

@@ -22,7 +22,9 @@ from smalldivlab.cohom import (
     solve_modes,
     strip_norm,
 )
-from smalldivlab.contfrac import DepthExhausted, FrequencySpec, divisor_interval, expand
+from smalldivlab.contfrac import DepthExhausted, FrequencySpec, expand
+
+from conftest import divisor_interval
 
 
 def _random_hermitian(rng, rho, count, span=10):
@@ -96,8 +98,7 @@ def test_solve_round_trip(golden):
     rng = np.random.default_rng(7)
     a = _random_hermitian(rng, 1.0, 30)
     res = solve_modes(a, golden)
-    box = golden.finest_sandwich()
-    omega = float(box.midpoint)
+    omega = golden.omega_float()
     for (p, q), g in res.modes.entries.items():
         back = complex(0.0, p - q * omega) * g
         err = abs(back - a.entries[(p, q)])
@@ -124,9 +125,6 @@ def test_solver_divisors_match_the_fraction_divisor_interval(corpus):
     modes = [(p, q) for q in range(16) for p in range(-16, 17) if (q, p) > (0, 0)]
     modes += [(3**40, 2**62), (-(5**30), 7**25), (2**70, 0)]
     for cf in corpus.values():
-        for p, q in modes:
-            ends = [float(d).hex() for d in divisor_interval(cf, q, p)]
-            assert [x.hex() for x in cohom._divisor_ends(cf, p, q)] == ends, (p, q)
         # through the solver: the mirror mode takes the negated divisor
         a = ModeMap.build({**{m: 1.0 for m in modes}, **{(-p, -q): 1j for p, q in modes}})
         res = solve_modes(a, cf)
@@ -139,16 +137,20 @@ def test_solver_divisors_match_the_fraction_divisor_interval(corpus):
 
 
 def test_solver_unresolved_divisor_sign_message(golden):
-    # the bracket of a depth-5 expansion ends at p_5 / q_5, so q_5 omega - p_5
-    # may be zero there
+    # the bracket of a depth-5 expansion is (3/5, 5/8): 13 omega - 8 has no
+    # sign there, and 8 omega - 5 vanishes at its upper end
     cf = expand(FrequencySpec.golden(), 5)
-    p, q = cf.p[5], cf.q[5]
-    for mode in ((p, q), (-p, -q)):
+    for mode in ((8, 13), (-8, -13)):
         with pytest.raises(
             DepthExhausted,
-            match=re.escape(f"divisor sign unresolved at mode (p={p}, q={q}); expand deeper"),
+            match=re.escape("divisor sign unresolved at (q=13, p=8); expand deeper"),
         ):
             solve_modes(ModeMap.build({mode: 1.0}), cf)
+    # omega < 5/8 fixes the sign, but 5 - 8 omega is enclosed only in (0, 1/5],
+    # so the error bound width / midpoint is 2
+    res = solve_modes(ModeMap.build({(5, 8): 1.0}), cf)
+    assert res.modes.entries[(5, 8)].imag < 0
+    assert res.max_rel_err >= 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +399,7 @@ def test_witness_identity_log_space(golden):
     rho, dprime, eps = 1.0, 0.05, 0.7
     pts = blowup_witness(golden, rho, dprime, eps, 12)
     ce = counterexample_modes(golden, rho, eps, 12)
-    box = golden.finest_sandwich()
-    omega = float(box.midpoint)
+    omega = golden.omega_float()
     for pt in pts:
         coeff = ce.modes.entries[(pt.p, pt.q)].real
         g_coeff = coeff / abs(pt.q * omega - pt.p)
@@ -408,9 +409,9 @@ def test_witness_identity_log_space(golden):
 
 def test_witness_divisor_bracket_sound(golden):
     pts = blowup_witness(golden, 1.0, 0.05, 1.0, 12)
-    box = golden.finest_sandwich()
+    lo, hi = golden.bracket
     for pt in pts:
-        true_div = abs(float(pt.q * box.midpoint - pt.p))
+        true_div = abs(float(pt.q * (lo + hi) / 2 - pt.p))
         assert 1.0 / (pt.q + golden.q[pt.n + 1]) < true_div < 1.0 / golden.q[pt.n + 1]
 
 

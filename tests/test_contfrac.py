@@ -27,8 +27,7 @@ from smalldivlab.contfrac import (
     DepthExhausted,
     ExpansionError,
     FrequencySpec,
-    cmp_omega,
-    divisor_interval,
+    _divisor_ends,
     expand,
     floor_mult,
     legendre_astar,
@@ -38,7 +37,7 @@ from smalldivlab.contfrac import (
     verify_nint_lemma,
 )
 
-from conftest import PI_MINUS_3_DEN, PI_MINUS_3_NUM
+from conftest import PI_MINUS_3_DEN, PI_MINUS_3_NUM, divisor_interval
 
 quotient_lists = st.lists(st.integers(min_value=1, max_value=50), min_size=2, max_size=20)
 
@@ -103,7 +102,7 @@ def test_rational_exact_at_its_own_length():
     # omega is 2/5 itself, not inside a sandwich ending at 2/5
     cf = expand(FrequencySpec.rational(2, 5), 2)
     assert cf.exact == Fraction(2, 5) and not cf.truncated
-    assert cmp_omega(cf, Fraction(2, 5)) == 0
+    assert cf.bracket == (Fraction(2, 5), Fraction(2, 5))
     assert expand(FrequencySpec.rational(2, 5), 1).exact is None
 
 
@@ -252,15 +251,17 @@ def test_astar_is_largest_below_root(a):
 
 
 def test_sandwich_golden_m4(golden):
-    box = golden.sandwich(4)
-    assert (box.lo, box.hi) == (Fraction(3, 5), Fraction(5, 8))
-    assert box.width == Fraction(1, 40)
+    lo, hi = golden.sandwich(4)
+    assert (lo, hi) == (Fraction(3, 5), Fraction(5, 8))
+    assert hi - lo == Fraction(1, 40)
 
 
 def test_sandwich_nesting(golden, sqrt2m1, pi_like):
     for cf in (golden, sqrt2m1, pi_like):
         for m in range(0, min(cf.depth - 2, 12)):
-            assert cf.sandwich(m + 1).strictly_inside(cf.sandwich(m))
+            # consecutive sandwiches share one endpoint
+            (lo, hi), (outer_lo, outer_hi) = cf.sandwich(m + 1), cf.sandwich(m)
+            assert outer_lo <= lo < hi <= outer_hi and (lo, hi) != (outer_lo, outer_hi)
 
 
 def test_sandwich_contains_surd_oracle(sqrt2m1):
@@ -269,10 +270,10 @@ def test_sandwich_contains_surd_oracle(sqrt2m1):
     v = mp.sqrt(2) - 1
     lo = Fraction(int(v * mp.mpf(10) ** 30) - 1, 10**30)
     hi = Fraction(int(v * mp.mpf(10) ** 30) + 1, 10**30)
-    box = sqrt2m1.sandwich(2)
-    assert box.lo < lo < hi < box.hi
-    deep = sqrt2m1.sandwich(30)
-    assert lo < deep.lo < deep.hi < hi or deep.lo < lo  # 30-digit bracket is coarser
+    box_lo, box_hi = sqrt2m1.sandwich(2)
+    assert box_lo < lo < hi < box_hi
+    deep_lo, deep_hi = sqrt2m1.sandwich(30)
+    assert lo < deep_lo < deep_hi < hi or deep_lo < lo  # 30-digit bracket is coarser
 
 
 def test_sandwich_depth_error(golden):
@@ -281,8 +282,8 @@ def test_sandwich_depth_error(golden):
 
 
 def test_cmp_and_floor(golden):
-    assert cmp_omega(golden, Fraction(1, 2)) == 1
-    assert cmp_omega(golden, Fraction(2, 3)) == -1
+    lo, hi = golden.bracket
+    assert Fraction(1, 2) < lo < hi < Fraction(2, 3)
     mp.mp.dps = 40
     w = (mp.sqrt(5) - 1) / 2
     for n in (1, 2, 3, 10, 137, 1000):
@@ -292,10 +293,36 @@ def test_cmp_and_floor(golden):
 def test_divisor_interval_sign(golden):
     lo, hi = divisor_interval(golden, 1, 1)  # omega - 1 < 0
     assert lo < hi < 0
+    assert _divisor_ends(golden, 1, 1)[0] == -1
     lo, hi = divisor_interval(golden, 2, 1)  # 2 omega - 1 > 0
     assert 0 < lo < hi
+    assert _divisor_ends(golden, 2, 1)[0] == 1
     lo, hi = divisor_interval(golden, -1, -1)
     assert 0 < lo < hi
+
+
+def test_divisor_ends_match_the_fraction_enclosure(corpus):
+    # the sign, and |q omega - p| between x_lo/d_lo and x_hi/d_hi, are the
+    # Fraction enclosure's; it may end at 0, but not contain 0 inside
+    for cf in corpus.values():
+        for m in range(0, cf._levels, 4):
+            level = cf._replace()
+            level.__dict__["bracket"] = cf.sandwich(m)  # the cached property
+            for q in range(0, 30):
+                for p in range(-3, 30):
+                    if (q, p) <= (0, 0):
+                        continue
+                    lo, hi = divisor_interval(level, q, p)
+                    if lo < 0 < hi:
+                        with pytest.raises(DepthExhausted, match=re.escape(
+                            f"divisor sign unresolved at (q={q}, p={p}); expand deeper"
+                        )):
+                            _divisor_ends(level, q, p)
+                        continue
+                    sign, x_lo, d_lo, x_hi, d_hi = _divisor_ends(level, q, p)
+                    assert sign == (1 if hi > 0 else -1)
+                    ends = (Fraction(x_lo, d_lo), Fraction(x_hi, d_hi))
+                    assert ends == ((lo, hi) if sign > 0 else (-hi, -lo))
 
 
 def test_resolve_depth_for_box(golden):
@@ -326,12 +353,12 @@ def test_nint_large_quotients(large_quot):
     assert max(a for _, a, _ in results) == 4
 
     # exact rational brute force over every reported (k, a)
-    box = large_quot.finest_sandwich()
+    lo, hi = large_quot.bracket
     for k, a, ok in results:
         t = a * large_quot.q[k]
         target = a * large_quot.p[k]
-        v_lo = t * box.lo - target
-        v_hi = t * box.hi - target
+        v_lo = t * lo - target
+        v_hi = t * hi - target
         assert ok == (abs(v_lo) < Fraction(1, 2) and abs(v_hi) < Fraction(1, 2))
 
 
@@ -384,21 +411,27 @@ def test_bracket_rational_is_plain_fraction_arithmetic(num, den):
         assert floor_mult(cf, q) == (q * num) // den
         for p in (-3, 0, (q * num) // den, 9):
             v = q * omega - p
-            assert divisor_interval(cf, q, p) == (v, v)
-            assert divisor_interval(cf, -q, -p) == (-v, -v)
-    assert divisor_interval(cf, 0, 4) == (-4, -4)
+            if not v:
+                with pytest.raises(DepthExhausted, match="divisor sign unresolved"):
+                    _divisor_ends(cf, q, p)
+                continue
+            sign, x_lo, d_lo, x_hi, d_hi = _divisor_ends(cf, q, p)
+            assert sign * Fraction(x_lo, d_lo) == sign * Fraction(x_hi, d_hi) == v
+    sign, x_lo, d_lo, x_hi, d_hi = _divisor_ends(cf, 0, 4)
+    assert sign == -1 and Fraction(x_lo, d_lo) == Fraction(x_hi, d_hi) == 4
 
 
 def test_bracket_irrational_is_finest_sandwich(golden):
-    box = golden.finest_sandwich()
-    assert golden.bracket == (box.lo, box.hi)
-    assert golden.omega_float() == float(box.midpoint)
-    assert gamma_delta(golden, 1.0, 0.1).omega_halfwidth == float(box.width) / 2.0
+    lo, hi = golden.sandwich(golden.depth - 1)
+    assert golden.bracket == (lo, hi)
+    assert golden.omega_float() == float((lo + hi) / 2)
+    assert gamma_delta(golden, 1.0, 0.1).omega_halfwidth == float(hi - lo) / 2.0
     for q in (1, 2, 3, 7, 112, 113, 5000):
-        assert floor_mult(golden, q) == (q * box.lo.numerator) // box.lo.denominator
+        assert floor_mult(golden, q) == (q * lo.numerator) // lo.denominator
         for p in (-3, 0, 9):
-            assert divisor_interval(golden, q, p) == (q * box.lo - p, q * box.hi - p)
-            assert divisor_interval(golden, -q, -p) == (p - q * box.hi, p - q * box.lo)
+            sign, x_lo, d_lo, x_hi, d_hi = _divisor_ends(golden, q, p)
+            ends = sorted(sign * Fraction(x, d) for x, d in ((x_lo, d_lo), (x_hi, d_hi)))
+            assert ends == [q * lo - p, q * hi - p]
 
 
 _KL = kl_params(0.3, 0.1, 1)

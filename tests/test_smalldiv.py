@@ -19,7 +19,6 @@ from smalldivlab.contfrac import (
     DepthExhausted,
     ExpansionError,
     FrequencySpec,
-    divisor_interval,
     expand,
     floor_mult,
     parse_frequency,
@@ -35,7 +34,6 @@ from smalldivlab.smalldiv import (
     _half_box,
     away_bound_check,
     away_tail_majorant,
-    box_sum,
     brjuno_pairs_up_to,
     classify_index,
     oracle_mismatches,
@@ -44,7 +42,7 @@ from smalldivlab.smalldiv import (
     verify_legendre,
 )
 
-from conftest import PI_MINUS_3_QUOTIENTS
+from conftest import PI_MINUS_3_QUOTIENTS, divisor_interval
 
 # quotients:[...] prefixes long enough to resolve Q <= 25 boxes, and surds
 _quotient = st.integers(min_value=1, max_value=30)
@@ -115,9 +113,7 @@ def test_crit_strip_iff_not_away(pair):
     cf = expand(FrequencySpec.periodic((), (2, 1, 3)), 50)
     q, p = pair
     cls = classify_index(q, p, cf)
-    box = cf.finest_sandwich()
-    lo = q * box.lo - p
-    hi = q * box.hi - p
+    lo, hi = divisor_interval(cf, q, p)
     inside = max(abs(lo), abs(hi)) < 1  # |q omega - p| < 1 decided exactly
     on_edge = q == 0 and abs(p) == 1
     if inside:
@@ -179,8 +175,8 @@ def test_L_monotone_to_zero_delta(golden):
     values = [L_value(3, 2, d, golden) for d in (0.5, 0.2, 0.1, 0.01, 1e-6)]
     for a, b in zip(values, values[1:]):
         assert b > a
-    box = golden.finest_sandwich()
-    limit = 1.0 / abs(float(3 * box.midpoint - 2))
+    lo, hi = golden.bracket
+    limit = 1.0 / abs(float(3 * (lo + hi) / 2 - 2))
     assert values[-1] < limit
     assert values[-1] == pytest.approx(limit, rel=1e-4)
 
@@ -192,16 +188,25 @@ def test_L_log_mode(golden):
     )
 
 
+def _with_bracket(cf, level):
+    """``cf`` with its bracket replaced by the sandwich at ``level``."""
+    coarse = cf._replace()
+    coarse.__dict__["bracket"] = cf.sandwich(level)  # the cached property
+    return coarse
+
+
 def _L_fraction(q, p, delta, cf):
     """L_value on the Fractions of divisor_interval: the reference for its
-    integer residues, with the same errors and bit-identical values."""
+    integer residues, with the same errors and bit-identical values.  omega
+    lies strictly inside an irrational bracket, so an enclosure ending at 0
+    has a sign, but no relative width below the tolerance."""
     if q < 0 or (q == 0 and p < 0):
         q, p = -q, -p
     if q == 0:
         d_mid = float(abs(p))
     else:
         d_lo, d_hi = divisor_interval(cf, q, p)
-        if d_lo <= 0 <= d_hi:
+        if d_lo < 0 < d_hi or d_lo == d_hi == 0:
             raise DepthExhausted(f"divisor sign unresolved at (q={q}, p={p}); expand deeper")
         a_lo, a_hi = (d_lo, d_hi) if d_lo > 0 else (-d_hi, -d_lo)
         if a_hi - a_lo > Fraction(1e-12) * a_lo:
@@ -211,17 +216,16 @@ def _L_fraction(q, p, delta, cf):
 
 
 def test_L_matches_the_fraction_divisor_at_every_sandwich_level(corpus):
-    # coarse brackets leave signs unresolved (an endpoint p_m/q_m itself) or
-    # intervals too wide; a rational's exact bracket hits zero divisors
+    # coarse brackets leave signs unresolved (p/q strictly inside) or
+    # intervals too wide (an endpoint p_m/q_m itself among them); a
+    # rational's exact bracket hits zero divisors
     raised = Counter()
     brackets = [(expand(FrequencySpec.rational(5, 13), 10), None)]
     for cf in corpus.values():
         brackets += [(cf, m) for m in range(0, cf._levels, 3)]
     for cf, m in brackets:
         if m is not None:
-            box = cf.sandwich(m)
-            cf = cf._replace()
-            cf.__dict__["bracket"] = (box.lo, box.hi)  # the cached property
+            cf = _with_bracket(cf, m)
         for q in range(-15, 16):
             for p in range(-15, 16):
                 if (q, p) == (0, 0):
@@ -250,7 +254,7 @@ def test_partition_counts_tile_box(golden, sqrt2m1):
 
 def test_partition_oracle(golden):
     sums = partition_sums(golden, 0.2, 200)
-    oracle = box_sum(golden, 0.2, 200)
+    oracle = sums.box_total
     assert abs(sums.total - oracle) <= 1e-12 * oracle
     assert sums.total == sums.away + sums.const_type + sums.brjuno
 
@@ -324,7 +328,6 @@ def test_unusable_delta_is_rejected_before_the_scan(golden, delta, message):
     # the scan, nan and inf with FloatingPointError in the exact sums
     for call in (
         lambda: partition_sums(golden, delta, 5),
-        lambda: box_sum(golden, delta, 5),
         lambda: partition_dump(golden, delta, 5, "unused.csv"),
         lambda: away_tail_majorant(delta, 5),
         lambda: L_value(1, 0, delta, golden),
@@ -391,7 +394,34 @@ def test_half_box_matches_scalar_oracle(spec, Q, delta, rows):
         oracle = math.fsum(values)
         assert abs(getattr(sums, name) - oracle) <= 1e-15 * oracle
     oracle = math.fsum(sum(terms.values(), []))
-    assert abs(box_sum(cf, delta, Q) - oracle) <= 1e-15 * oracle
+    assert abs(sums.box_total - oracle) <= 1e-15 * oracle
+
+
+def _raises_depth(call) -> bool:
+    try:
+        call()
+    except DepthExhausted:
+        return True
+    return False
+
+
+@settings(max_examples=25, deadline=None)
+@given(frequencies, st.integers(min_value=1, max_value=6))
+def test_box_kernel_raises_where_the_scalar_reads_raise(spec, Q):
+    # the kernel reads each row's floor and its two least divisors; the
+    # scalar reads take every floor and every divisor of the half box
+    cf = expand(spec, 60)
+    outcomes = set()
+    for level in range(cf._levels):
+        coarse = _with_bracket(cf, level)
+        scalar = any(
+            _raises_depth(lambda: floor_mult(coarse, q))
+            or any(_raises_depth(lambda: L_value(q, p, 0.2, coarse)) for p in range(-Q, Q + 1))
+            for q in range(1, Q + 1)
+        )
+        assert _raises_depth(lambda: partition_sums(coarse, 0.2, Q)) == scalar, level
+        outcomes.add(scalar)
+    assert outcomes == {True, False}
 
 
 # zeros, subnormals and exponents from 2^-1074 up to 2^1000, of either sign
@@ -442,7 +472,7 @@ def test_partition_sums_are_fsum_of_the_kernel_cells(golden):
     assert sums.away == 2.0 * math.fsum(L[label == _AWAY])
     assert sums.const_type == 2.0 * math.fsum(L[label == _CONST])
     assert sums.brjuno == 2.0 * math.fsum(L[label == _BRJUNO])
-    assert box_sum(golden, delta, Q) == 2.0 * math.fsum(L[label != _MIRROR])
+    assert sums.box_total == 2.0 * math.fsum(L[label != _MIRROR])
 
 
 def test_box_scans_do_not_depend_on_the_block_size(golden, large_quot, monkeypatch):
@@ -452,7 +482,6 @@ def test_box_scans_do_not_depend_on_the_block_size(golden, large_quot, monkeypat
         return [
             (
                 partition_sums(cf, delta, Q),
-                box_sum(cf, delta, Q),
                 away_bound_check(cf, delta, Q, n_max=2).computed,
             )
             for cf in (golden, large_quot)
@@ -669,22 +698,12 @@ def test_legendre_raises_where_the_per_pair_loop_raises(corpus):
     for cf in corpus.values():
         for Q in range(1, 40):
             for m in range(resolve_depth_for_box(cf, Q) + 1):
-                coarse = cf._replace()
-                box = cf.sandwich(m)
-                coarse.__dict__["bracket"] = (box.lo, box.hi)  # the cached property
+                coarse = _with_bracket(cf, m)
                 got = _legendre_outcome(verify_legendre, coarse, Q)
                 assert got == _legendre_outcome(_legendre_loop, coarse, Q), (Q, m)
                 if got[0] == "raised":
                     raised.add(got[1].split(" at ")[0].split("(")[0])
     assert raised == {"floor", "legendre comparison unresolved"}
-
-
-def _with_bracket(cf, level):
-    """``cf`` with its bracket replaced by the sandwich at ``level``."""
-    coarse = cf._replace()
-    box = cf.sandwich(level)
-    coarse.__dict__["bracket"] = (box.lo, box.hi)  # the cached property
-    return coarse
 
 
 def _legendre_argmax(cf, lo, hi, Q):
@@ -745,12 +764,35 @@ def test_legendre_matches_the_loop_on_random_quotients(monkeypatch):
             if got[0] != "raised":
                 coarse = cf.sandwich(resolve_depth_for_box(cf, Q))
                 argmax_moved.append(
-                    _legendre_argmax(cf, coarse.lo, coarse.hi, Q)
+                    _legendre_argmax(cf, *coarse, Q)
                     != _legendre_argmax(cf, *cf.bracket, Q)
                 )
 
     check()
     assert reread_rows and any(argmax_moved)
+
+
+def test_legendre_reports_a_violation_found_by_the_reread(monkeypatch):
+    # the bracket is sandwich level 8 and the box resolves at level 7, so row
+    # 65 is left to the re-read; with no Brjuno table every convergent is
+    # checked, and (65, 34) sorts before the coarse (86, 45)
+    cf = expand(FrequencySpec.literal((1, 1, 10, 3, 1, 1, 2, 3, 1, 10, 1)), 11)
+    assert resolve_depth_for_box(cf, 86) == 7
+    bracket = _with_bracket(cf, 8)
+    empty = brjuno_pairs_up_to(cf, 86)._replace(pairs={})
+    monkeypatch.setattr(smalldiv, "brjuno_pairs_up_to", lambda cf, Q: empty)
+    reread_rows = []
+    reread = smalldiv._legendre_reread
+
+    def spy(cf, rows, table):
+        reread_rows.extend(rows)
+        return reread(cf, rows, table)
+
+    monkeypatch.setattr(smalldiv, "_legendre_reread", spy)
+    got = _legendre_outcome(verify_legendre, bracket, 86)
+    assert got[2] == [(1, 1), (2, 1), (4, 2), (21, 11), (65, 34), (86, 45)]
+    assert reread_rows == [65]
+    assert got == _legendre_loop(bracket, 86)
 
 
 def test_legendre_evaluates_every_pair_within_the_margin(monkeypatch):
