@@ -212,7 +212,7 @@ def diophantine_constant(
     emp_lo = None
     emp_hi = None
     for n in range(0, depth + 1):
-        _, x_lo, d_lo, x_hi, d_hi = _divisor_ends(cf, cf.q[n], cf.p[n])
+        _, x_lo, d_lo, x_hi, d_hi = _divisor_ends(cf, cf.q[n], cf.p[n], zero_end=True)
         a_lo, a_hi = Fraction(x_lo, d_lo), Fraction(x_hi, d_hi)
         if tau_int is not None:
             scale = Fraction(cf.q[n]) ** tau_int

@@ -449,22 +449,23 @@ def floor_mult(cf: ContinuedFraction, n: int) -> int:
     )
 
 
-def _divisor_ends(cf: ContinuedFraction, q: int, p: int) -> tuple:
+def _divisor_ends(cf: ContinuedFraction, q: int, p: int, zero_end: bool = False) -> tuple:
     """(sign, x_lo, d_lo, x_hi, d_hi) with x_lo/d_lo <= |q omega - p| <= x_hi/d_hi
     and sign = +-1 the sign of q omega - p, for q >= 0.
 
     The ends are the residues q num - p den of the bracket endpoints num/den
-    over their denominators.  omega lies strictly inside an irrational
-    bracket, so an endpoint with residue 0 leaves the sign to the other
-    one, and x_lo is 0.  Raises when the residues have opposite signs, or
-    are both 0 (q omega = p for a rational omega).
+    over their denominators.  Raises when the residues have opposite signs
+    or one is 0 (p/q is an endpoint).  With ``zero_end`` an endpoint p/q is
+    read too: omega lies strictly inside an irrational bracket, so the
+    other endpoint carries the sign, and x_lo is 0; both residues 0
+    (q omega = p for a rational omega) still raise.
     """
     lo, hi = cf.bracket
     lod, hid = lo.denominator, hi.denominator
     r_lo, r_hi = q * lo.numerator - p * lod, q * hi.numerator - p * hid
-    if r_lo >= 0 < r_hi:
+    if r_lo >= 0 < r_hi and (r_lo or zero_end):
         return 1, r_lo, lod, r_hi, hid
-    if r_lo < 0 >= r_hi:
+    if r_lo < 0 >= r_hi and (r_hi or zero_end):
         return -1, -r_hi, hid, -r_lo, lod
     raise DepthExhausted(f"divisor sign unresolved at (q={q}, p={p}); expand deeper")
 
@@ -509,7 +510,7 @@ def verify_nint_lemma(cf: ContinuedFraction, k_max: int):
         if k == 0 and cf.quotients[0] == 1:
             continue
         a = cf.astar[k]
-        _, x_lo, d_lo, x_hi, d_hi = _divisor_ends(cf, a * cf.q[k], a * cf.p[k])
+        _, x_lo, d_lo, x_hi, d_hi = _divisor_ends(cf, a * cf.q[k], a * cf.p[k], zero_end=True)
         if 2 * x_hi < d_hi:
             results.append((k, a, True))
         elif 2 * x_lo >= d_lo:

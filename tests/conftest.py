@@ -27,6 +27,13 @@ def divisor_interval(cf, q, p):
     return (lo, hi) if q > 0 else (hi, lo)
 
 
+def with_bracket(cf, level):
+    """``cf`` with its bracket replaced by the sandwich at ``level``."""
+    coarse = cf._replace()
+    coarse.__dict__["bracket"] = cf.sandwich(level)  # the cached property
+    return coarse
+
+
 @pytest.fixture(scope="session")
 def golden():
     return expand(FrequencySpec.golden(), 60)

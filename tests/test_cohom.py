@@ -137,20 +137,17 @@ def test_solver_divisors_match_the_fraction_divisor_interval(corpus):
 
 
 def test_solver_unresolved_divisor_sign_message(golden):
-    # the bracket of a depth-5 expansion is (3/5, 5/8): 13 omega - 8 has no
-    # sign there, and 8 omega - 5 vanishes at its upper end
+    # the bracket of a depth-5 expansion is (3/5, 5/8): it ends at p_5 / q_5,
+    # so q_5 omega - p_5 may be zero there, and 13 omega - 8 has no sign
     cf = expand(FrequencySpec.golden(), 5)
-    for mode in ((8, 13), (-8, -13)):
-        with pytest.raises(
-            DepthExhausted,
-            match=re.escape("divisor sign unresolved at (q=13, p=8); expand deeper"),
-        ):
-            solve_modes(ModeMap.build({mode: 1.0}), cf)
-    # omega < 5/8 fixes the sign, but 5 - 8 omega is enclosed only in (0, 1/5],
-    # so the error bound width / midpoint is 2
-    res = solve_modes(ModeMap.build({(5, 8): 1.0}), cf)
-    assert res.modes.entries[(5, 8)].imag < 0
-    assert res.max_rel_err >= 2.0
+    p, q = cf.p[5], cf.q[5]
+    for cp, cq in ((p, q), (8, 13)):
+        for mode in ((cp, cq), (-cp, -cq)):
+            with pytest.raises(
+                DepthExhausted,
+                match=re.escape(f"divisor sign unresolved at (q={cq}, p={cp}); expand deeper"),
+            ):
+                solve_modes(ModeMap.build({mode: 1.0}), cf)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from smalldivlab.contfrac import (
     verify_nint_lemma,
 )
 
-from conftest import PI_MINUS_3_DEN, PI_MINUS_3_NUM, divisor_interval
+from conftest import PI_MINUS_3_DEN, PI_MINUS_3_NUM, divisor_interval, with_bracket
 
 quotient_lists = st.lists(st.integers(min_value=1, max_value=50), min_size=2, max_size=20)
 
@@ -303,26 +303,27 @@ def test_divisor_interval_sign(golden):
 
 def test_divisor_ends_match_the_fraction_enclosure(corpus):
     # the sign, and |q omega - p| between x_lo/d_lo and x_hi/d_hi, are the
-    # Fraction enclosure's; it may end at 0, but not contain 0 inside
+    # Fraction enclosure's; it may end at 0 only with zero_end
     for cf in corpus.values():
         for m in range(0, cf._levels, 4):
-            level = cf._replace()
-            level.__dict__["bracket"] = cf.sandwich(m)  # the cached property
+            level = with_bracket(cf, m)
             for q in range(0, 30):
                 for p in range(-3, 30):
                     if (q, p) <= (0, 0):
                         continue
                     lo, hi = divisor_interval(level, q, p)
-                    if lo < 0 < hi:
-                        with pytest.raises(DepthExhausted, match=re.escape(
-                            f"divisor sign unresolved at (q={q}, p={p}); expand deeper"
-                        )):
-                            _divisor_ends(level, q, p)
-                        continue
-                    sign, x_lo, d_lo, x_hi, d_hi = _divisor_ends(level, q, p)
-                    assert sign == (1 if hi > 0 else -1)
-                    ends = (Fraction(x_lo, d_lo), Fraction(x_hi, d_hi))
-                    assert ends == ((lo, hi) if sign > 0 else (-hi, -lo))
+                    for zero_end in (False, True):
+                        on_end = lo * hi == 0
+                        if lo < 0 < hi or (on_end and (lo == hi or not zero_end)):
+                            with pytest.raises(DepthExhausted, match=re.escape(
+                                f"divisor sign unresolved at (q={q}, p={p}); expand deeper"
+                            )):
+                                _divisor_ends(level, q, p, zero_end)
+                            continue
+                        sign, x_lo, d_lo, x_hi, d_hi = _divisor_ends(level, q, p, zero_end)
+                        assert sign == (1 if hi > 0 else -1)
+                        ends = (Fraction(x_lo, d_lo), Fraction(x_hi, d_hi))
+                        assert ends == ((lo, hi) if sign > 0 else (-hi, -lo))
 
 
 def test_resolve_depth_for_box(golden):

@@ -42,7 +42,7 @@ from smalldivlab.smalldiv import (
     verify_legendre,
 )
 
-from conftest import PI_MINUS_3_QUOTIENTS, divisor_interval
+from conftest import PI_MINUS_3_QUOTIENTS, divisor_interval, with_bracket
 
 # quotients:[...] prefixes long enough to resolve Q <= 25 boxes, and surds
 _quotient = st.integers(min_value=1, max_value=30)
@@ -188,25 +188,16 @@ def test_L_log_mode(golden):
     )
 
 
-def _with_bracket(cf, level):
-    """``cf`` with its bracket replaced by the sandwich at ``level``."""
-    coarse = cf._replace()
-    coarse.__dict__["bracket"] = cf.sandwich(level)  # the cached property
-    return coarse
-
-
 def _L_fraction(q, p, delta, cf):
     """L_value on the Fractions of divisor_interval: the reference for its
-    integer residues, with the same errors and bit-identical values.  omega
-    lies strictly inside an irrational bracket, so an enclosure ending at 0
-    has a sign, but no relative width below the tolerance."""
+    integer residues, with the same errors and bit-identical values."""
     if q < 0 or (q == 0 and p < 0):
         q, p = -q, -p
     if q == 0:
         d_mid = float(abs(p))
     else:
         d_lo, d_hi = divisor_interval(cf, q, p)
-        if d_lo < 0 < d_hi or d_lo == d_hi == 0:
+        if d_lo <= 0 <= d_hi:
             raise DepthExhausted(f"divisor sign unresolved at (q={q}, p={p}); expand deeper")
         a_lo, a_hi = (d_lo, d_hi) if d_lo > 0 else (-d_hi, -d_lo)
         if a_hi - a_lo > Fraction(1e-12) * a_lo:
@@ -216,16 +207,15 @@ def _L_fraction(q, p, delta, cf):
 
 
 def test_L_matches_the_fraction_divisor_at_every_sandwich_level(corpus):
-    # coarse brackets leave signs unresolved (p/q strictly inside) or
-    # intervals too wide (an endpoint p_m/q_m itself among them); a
-    # rational's exact bracket hits zero divisors
+    # coarse brackets leave signs unresolved (an endpoint p_m/q_m itself) or
+    # intervals too wide; a rational's exact bracket hits zero divisors
     raised = Counter()
     brackets = [(expand(FrequencySpec.rational(5, 13), 10), None)]
     for cf in corpus.values():
         brackets += [(cf, m) for m in range(0, cf._levels, 3)]
     for cf, m in brackets:
         if m is not None:
-            cf = _with_bracket(cf, m)
+            cf = with_bracket(cf, m)
         for q in range(-15, 16):
             for p in range(-15, 16):
                 if (q, p) == (0, 0):
@@ -413,7 +403,7 @@ def test_box_kernel_raises_where_the_scalar_reads_raise(spec, Q):
     cf = expand(spec, 60)
     outcomes = set()
     for level in range(cf._levels):
-        coarse = _with_bracket(cf, level)
+        coarse = with_bracket(cf, level)
         scalar = any(
             _raises_depth(lambda: floor_mult(coarse, q))
             or any(_raises_depth(lambda: L_value(q, p, 0.2, coarse)) for p in range(-Q, Q + 1))
@@ -698,7 +688,7 @@ def test_legendre_raises_where_the_per_pair_loop_raises(corpus):
     for cf in corpus.values():
         for Q in range(1, 40):
             for m in range(resolve_depth_for_box(cf, Q) + 1):
-                coarse = _with_bracket(cf, m)
+                coarse = with_bracket(cf, m)
                 got = _legendre_outcome(verify_legendre, coarse, Q)
                 assert got == _legendre_outcome(_legendre_loop, coarse, Q), (Q, m)
                 if got[0] == "raised":
@@ -755,7 +745,7 @@ def test_legendre_matches_the_loop_on_random_quotients(monkeypatch):
     def check(case):
         quotients, Q, level = case
         cf = expand(FrequencySpec.literal(quotients), len(quotients))
-        bracket = _with_bracket(cf, level)
+        bracket = with_bracket(cf, level)
         reread_before = len(reread_rows)
         got = _legendre_outcome(verify_legendre, bracket, Q)
         assert got == _legendre_outcome(_legendre_loop, bracket, Q)
@@ -778,7 +768,7 @@ def test_legendre_reports_a_violation_found_by_the_reread(monkeypatch):
     # checked, and (65, 34) sorts before the coarse (86, 45)
     cf = expand(FrequencySpec.literal((1, 1, 10, 3, 1, 1, 2, 3, 1, 10, 1)), 11)
     assert resolve_depth_for_box(cf, 86) == 7
-    bracket = _with_bracket(cf, 8)
+    bracket = with_bracket(cf, 8)
     empty = brjuno_pairs_up_to(cf, 86)._replace(pairs={})
     monkeypatch.setattr(smalldiv, "brjuno_pairs_up_to", lambda cf, Q: empty)
     reread_rows = []
