@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from ._record import Record
-from .classify import PHI, KLParams
+from .classify import PHI, KLParams, kl_params
 from .contfrac import ContinuedFraction, mul_big_float
 
 LOG_PHI = math.log(PHI)
@@ -44,7 +44,8 @@ def _exp_sat(lt: float) -> float:
 
 
 def _require_rate(name: str, value: float) -> None:
-    """Reject a decay rate (delta or Delta) that is not a finite number > 0."""
+    """Reject a rate, radius or constant (delta, Delta, rho, epsilon, C,
+    beta') that is not a finite number > 0."""
     if value <= 0:
         raise ValueError(f"{name} must be > 0")
     if not math.isfinite(value):
@@ -99,11 +100,19 @@ class DiophGrowth(Record):
     C: float
     tau: float
 
+    def __post_init__(self):
+        _require_rate("C", self.C)
+        if not 1 <= self.tau < math.inf:
+            raise ValueError(f"tau must be a finite number >= 1, got {self.tau}")
+
 
 class KLGrowth(Record):
     """Certified upper band q_{n+1} <= e^(beta' (n+1))."""
 
     beta_prime: float
+
+    def __post_init__(self):
+        _require_rate("beta_prime", self.beta_prime)
 
 
 GrowthCert = Union[DiophGrowth, KLGrowth, None]
@@ -369,7 +378,6 @@ class GammaDelta(Record):
     Delta: float
     omega: float
     omega_halfwidth: float
-    brj: BrjunoValue
     brj_term: float
     const_type_term: float
     away_term: float
@@ -397,27 +405,23 @@ def _check_gamma_inputs(rho: float, delta: float, mu: float) -> None:
     # the const-type term divides by delta^2
     if delta * delta == 0.0:
         raise ValueError(f"delta = {delta!r} is too small: delta**2 underflows to 0")
-    if mu < 1.0:
-        raise ValueError("mu must be >= 1")
+    if not 1.0 <= mu < math.inf:
+        raise ValueError(f"mu must be a finite number >= 1, got {mu}")
 
 
 def gamma_delta(
-    cf: ContinuedFraction,
-    rho: float,
-    delta: float,
-    depth: Optional[int] = None,
-    mu: float = 1.25,
-    growth: GrowthCert = None,
+    cf: ContinuedFraction, rho: float, delta: float, mu: float = 1.25
 ) -> GammaDelta:
-    """Assemble Gamma0(delta) for a strip shrink of delta inside radius rho."""
+    """Assemble Gamma0(delta) for a strip shrink of delta inside radius rho.
+
+    The series run to the full depth cf.depth - 1 with heuristic tails.
+    """
     _check_gamma_inputs(rho, delta, mu)
-    if depth is None:
-        depth = cf.depth - 1
     omega = cf.omega_float()
     lo, hi = cf.bracket
     halfwidth = float(hi - lo) / 2.0
     Delta = (1.0 + omega) * delta
-    combined = brj_combined(cf, Delta, depth, growth)
+    combined = brj_combined(cf, Delta, cf.depth - 1)
     log_inv = math.log(1.0 / delta)
     away = _away_leading(omega) / delta * log_inv
     const_type = _const_type_leading(omega) / delta**2
@@ -426,7 +430,6 @@ def gamma_delta(
         Delta=Delta,
         omega=omega,
         omega_halfwidth=halfwidth,
-        brj=combined,
         brj_term=2.0 * combined.value,
         const_type_term=const_type,
         away_term=away,
@@ -597,8 +600,6 @@ TABLE1_GRID = (
 
 def table1_rows(tolerance: float = 1e-8):
     """Constants grid over the standard band-parameter pairs."""
-    from .classify import kl_params
-
     rows = []
     for t_minus, t_plus in TABLE1_GRID:
         params = kl_params(t_minus, t_plus, N=1, tolerance=tolerance)

@@ -76,8 +76,8 @@ def khintchine_constants(tolerance: float = 1e-8) -> KhintchineConstants:
     Terms are summed until the rigorous integral-comparison tail bound
     drops below ``tolerance``; the returned values carry that bound.
     """
-    if tolerance < 1e-10:
-        raise ValueError("tolerance must be >= 1e-10")
+    if not 1e-10 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 1e-10, got {tolerance}")
     if tolerance in _CONSTANTS_MEMO:
         return _CONSTANTS_MEMO[tolerance]
 
@@ -128,8 +128,10 @@ class KLParams(Record):
     kappa_prime: float
 
     def __post_init__(self):
-        if self.T_minus < 0 or self.T_plus < 0:
-            raise ValueError("band widths must be >= 0")
+        if not (self.T_minus >= 0 and 0 <= self.T_plus < math.inf):
+            raise ValueError(
+                f"band widths must be finite numbers >= 0, got {self.T_minus}, {self.T_plus}"
+            )
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if self.T_minus >= self.kappa - math.log(PHI):
@@ -202,8 +204,8 @@ def diophantine_constant(
     integer pairs up to q_depth: for q_n <= q < q_{n+1} the distance of
     q*omega to the nearest integer is at least |q_n omega - p_n|.
     """
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
+    if not 1 <= tau < math.inf:
+        raise ValueError(f"tau must be a finite number >= 1, got {tau}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     cf.require_depth(depth + 1, f"diophantine_constant(depth={depth})")
@@ -289,9 +291,9 @@ def kl_membership(
 ) -> KLVerdicts:
     """Check e^(beta n) <= M_n and M'_n <= e^(beta' n) for N <= n <= depth.
 
-    Comparisons run in float log space: log M_n and log M'_n are running
-    sums of log a_k and log(a_k + 1), not reads of the big-integer
-    products ``cf.M`` and ``cf.Mprime``.
+    M_n = a_1 ... a_n and M'_n = (a_1 + 1) ... (a_n + 1).  Comparisons run
+    in float log space: log M_n and log M'_n are running sums of log a_k
+    and log(a_k + 1).
     """
     if depth < params.N:
         raise DepthExhausted(f"depth {depth} < N = {params.N}")

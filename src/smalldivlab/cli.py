@@ -191,11 +191,9 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_brj(args) -> dict:
+    growth = None if args.C is None else DiophGrowth(C=args.C, tau=args.tau)
     cf = _expand_freq(args)
     depth = min(args.depth, cf.depth - 1)
-    growth = None
-    if args.C is not None:
-        growth = DiophGrowth(C=args.C, tau=args.tau)
     b1 = brj1(cf, args.Delta, depth, growth)
     b2 = brj2(cf, args.Delta, depth, growth)
     comb = brj_combined(cf, args.Delta, depth, growth)
@@ -456,9 +454,9 @@ def _add_io_opts(sp):
     )
 
 
-def _add_freq_opts(sp, depth_default=64):
+def _add_freq_opts(sp):
     sp.add_argument("--freq", required=True, help="frequency mini-language string")
-    sp.add_argument("--depth", type=int, default=depth_default)
+    sp.add_argument("--depth", type=int, default=64)
     sp.add_argument("--depth-cap", dest="depth_cap", type=int, default=None)
     sp.add_argument("--bit-cap", dest="bit_cap", type=int, default=None)
 
@@ -542,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--modes-per-map", dest="modes_per_map", type=_positive_int, default=25
     )
-    sp.add_argument("--span", type=int, default=12)
+    sp.add_argument("--span", type=_positive_int, default=12)
 
     sp = sub.add_parser("counterexample", help="blow-up data and witness")
     _add_io_opts(sp)

@@ -26,7 +26,7 @@ import sys
 from typing import Optional
 
 from ._record import Record
-from .bounds import BoundReport, GrowthCert, gamma_delta
+from .bounds import BoundReport, _require_rate, gamma_delta
 from .contfrac import ContinuedFraction, _divisor_ends, mul_big_float
 
 
@@ -299,9 +299,6 @@ def check_thm1(
     rho: float,
     delta: float,
     mu: float = 1.25,
-    grid_n: int = 64,
-    depth: Optional[int] = None,
-    growth: GrowthCert = None,
 ) -> BoundReport:
     """End-to-end solvability bound check on a strip shrunk by delta.
 
@@ -309,9 +306,9 @@ def check_thm1(
     bound of ||g|| on radius rho - delta against mu * Gamma0(delta) times
     the coefficient-sum upper bound of ||a|| on radius rho.
     """
-    gd = gamma_delta(cf, rho, delta, depth=depth, mu=mu, growth=growth)
+    gd = gamma_delta(cf, rho, delta, mu=mu)
     solved = solve_modes(a, cf)
-    g_norm = strip_norm(solved.modes, rho - delta, grid_n)
+    g_norm = strip_norm(solved.modes, rho - delta)
     a_upper = _coef_upper(a.entries.items(), rho)
     computed = g_norm.sampled_lower
     bound = mu * gd.Gamma0 * a_upper
@@ -398,8 +395,8 @@ def counterexample_modes(
     compliant mass exactly where the small divisors are smallest.  The
     weighted-coefficient norm bound is epsilon * 2 sum alpha_n <= epsilon.
     """
-    if epsilon <= 0 or rho <= 0:
-        raise ValueError("epsilon and rho must be > 0")
+    _require_rate("epsilon", epsilon)
+    _require_rate("rho", rho)
     alpha = _alpha_data(cf, n_max)
     entries = {}
     for n in range(1, n_max + 1):
@@ -445,10 +442,10 @@ def blowup_witness(
     n_max: int,
 ) -> list:
     """Witness log-magnitudes for n = 1..n_max, entirely in log space."""
+    _require_rate("rho", rho)
     if not 0.0 < delta_prime < rho:
         raise ValueError("need 0 < delta_prime < rho")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    _require_rate("epsilon", epsilon)
     cf.require_depth(n_max + 1, f"blowup_witness(n_max={n_max})")
     alpha = _alpha_data(cf, n_max)
     log_eps = math.log(epsilon)

@@ -1,18 +1,17 @@
 """Exact continued-fraction core.
 
-Partial quotients, convergents, Legendre multiplier bounds, quotient
-products and rational sandwiches of an irrational frequency, all in
-big-integer arithmetic.  A frequency is never held as a float: every
-order comparison against a rational goes through a nested convergent
-interval (a "sandwich") and is only reported once both endpoints agree.
+Partial quotients, convergents, Legendre multiplier bounds and rational
+sandwiches of an irrational frequency, all in big-integer arithmetic.  A
+frequency is never held as a float: every order comparison against a
+rational goes through a nested convergent interval (a "sandwich") and is
+only reported once both endpoints agree.
 
 Index conventions: (p_0, q_0) = (0, 1), p_1 = 1, q_1 = a_1 and
-q_k = a_k q_{k-1} + q_{k-2} for k >= 2.  Products M_n = a_1 ... a_n and
-M'_n = (a_1 + 1) ... (a_n + 1) are stored with the empty products
-M_0 = M'_0 = 1 at index 0.  ``astar[k]`` is the Legendre multiplier
-bound attached to the quotient a_{k+1}, so the admissible convergent
-multiples at level k are 1 <= a <= astar[k]; that enumeration starts at
-k = 0, while the weighted series over denominators start at n = 1.
+q_k = a_k q_{k-1} + q_{k-2} for k >= 2.  ``astar[k]`` is the Legendre
+multiplier bound attached to the quotient a_{k+1}, so the admissible
+convergent multiples at level k are 1 <= a <= astar[k]; that enumeration
+starts at k = 0, while the weighted series over denominators start at
+n = 1.
 """
 
 from __future__ import annotations
@@ -214,8 +213,6 @@ class ContinuedFraction(Record):
     quotients: tuple  # a_1 .. a_d
     p: tuple  # p_0 .. p_d
     q: tuple  # q_0 .. q_d
-    M: tuple  # M_0 = 1, M_1 .. M_d
-    Mprime: tuple  # M'_0 = 1, M'_1 .. M'_d
     astar: tuple  # astar[k] bounds multiples of (q_k, p_k); k = 0 .. d-1
     truncated: bool
     exact: Optional[Fraction] = None
@@ -386,7 +383,6 @@ def expand(spec: FrequencySpec, depth: int) -> ContinuedFraction:
     a_list: list = []
     p_list, q_list = [0], [1]
     p_prev, q_prev = 1, 0  # index -1
-    m_list, mp_list = [1], [1]
     while len(a_list) < target:
         n = len(a_list)
         if n < len(spec.head):
@@ -412,8 +408,6 @@ def expand(spec: FrequencySpec, depth: int) -> ContinuedFraction:
         a_list.append(a)
         p_list.append(p_next)
         q_list.append(q_next)
-        m_list.append(m_list[-1] * a)
-        mp_list.append(mp_list[-1] * (a + 1))
 
     if not a_list:
         raise ExpansionError("expansion produced no quotients")
@@ -422,8 +416,6 @@ def expand(spec: FrequencySpec, depth: int) -> ContinuedFraction:
         quotients=tuple(a_list),
         p=tuple(p_list),
         q=tuple(q_list),
-        M=tuple(m_list),
-        Mprime=tuple(mp_list),
         astar=tuple(legendre_astar(a) for a in a_list),
         truncated=hit_cap,
         exact=spec.exact if len(a_list) == len(spec.head) else None,

@@ -181,15 +181,11 @@ def _divisor_midpoint(x_lo: int, d_lo: int, x_hi: int, d_hi: int, q: int, p: int
     return (x_lo / d_lo + x_hi / d_hi) / 2.0
 
 
-def L_value(
-    q: int, p: int, delta: float, cf: ContinuedFraction, log: bool = False
-) -> float:
+def L_value(q: int, p: int, delta: float, cf: ContinuedFraction) -> float:
     """L(q, p) = e^(-(|p|+|q|) delta) / |q omega - p| (midpoint evaluation).
 
     The divisor interval comes from the bracket of omega; its relative
     width must be below 1e-12 or the call asks for a deeper expansion.
-    With ``log=True`` the natural log of L is returned (for huge boxes
-    where the exponential underflows).
     """
     if q == 0 and p == 0:
         raise ExpansionError("(0, 0) carries no small divisor")
@@ -202,10 +198,7 @@ def L_value(
     else:
         _, x_lo, d_lo, x_hi, d_hi = _divisor_ends(cf, q, p)
         d_mid = _divisor_midpoint(x_lo, d_lo, x_hi, d_hi, q, p)
-    exponent = -mul_big_float(abs(p) + abs(q), delta)
-    if log:
-        return exponent - math.log(d_mid)
-    return math.exp(exponent) / d_mid
+    return math.exp(-mul_big_float(abs(p) + abs(q), delta)) / d_mid
 
 
 # ---------------------------------------------------------------------------
@@ -448,26 +441,6 @@ def _kernel_sample(block: _Block, Q: int) -> list:
     return sample
 
 
-def _class_scan(cf: ContinuedFraction, delta: float, Q: int):
-    """One pass over the half box.
-
-    Returns the exact L sums per label, the cell counts of the three classes,
-    the L values of the level-0 Brjuno pairs and the kernel's oracle sample.
-    """
-    sums = _ExactSums(4)
-    counts = [0, 0, 0]  # _AWAY, _CONST, _BRJUNO
-    level0 = []
-    sample = []
-    for block in _half_box(cf, delta, Q):
-        sums.add(block.label, block.L)
-        for label in (_AWAY, _CONST, _BRJUNO):
-            counts[label] += int((block.label == label).sum())
-        k0 = block.brjuno[block.brjuno[:, 2] == 0]
-        level0 += block.L[k0[:, 0] - block.q0, k0[:, 1] + Q].tolist()
-        sample += _kernel_sample(block, Q)
-    return sums, counts, level0, sample
-
-
 def partition_sums(cf: ContinuedFraction, delta: float, Q: int) -> PartitionSums:
     """Classify and sum L over all 0 < max(|q|, |p|) <= Q, one sum per class.
 
@@ -478,7 +451,17 @@ def partition_sums(cf: ContinuedFraction, delta: float, Q: int) -> PartitionSums
     Q.  Each class sum is twice the sum over the half, and doubling a float
     is exact.
     """
-    sums, counts, level0, sample = _class_scan(cf, delta, Q)
+    sums = _ExactSums(4)
+    counts = [0, 0, 0]  # _AWAY, _CONST, _BRJUNO
+    level0 = []  # L of the level-0 Brjuno pairs
+    sample = []
+    for block in _half_box(cf, delta, Q):
+        sums.add(block.label, block.L)
+        for label in (_AWAY, _CONST, _BRJUNO):
+            counts[label] += int((block.label == label).sum())
+        k0 = block.brjuno[block.brjuno[:, 2] == 0]
+        level0 += block.L[k0[:, 0] - block.q0, k0[:, 1] + Q].tolist()
+        sample += _kernel_sample(block, Q)
     away_sum = 2.0 * sums.value(_AWAY)
     const_sum = 2.0 * sums.value(_CONST)
     brj_sum = 2.0 * sums.value(_BRJUNO)
@@ -589,10 +572,8 @@ def _critical_pairs(q: int, fl: int, r_lo: int, r_hi: int, lod: int, hid: int, t
 
 def _legendre_ratio(cf: ContinuedFraction, q: int, p: int) -> float:
     """1/(2q |q omega - p|) in floats at the bracket endpoint nearer to p/q."""
-    lo, hi = cf.bracket
-    d_lo = abs(q * lo.numerator - p * lo.denominator) / lo.denominator
-    d_hi = abs(q * hi.numerator - p * hi.denominator) / hi.denominator
-    return 1.0 / (2.0 * q * min(d_lo, d_hi))
+    _, x_lo, d_lo, _, _ = _divisor_ends(cf, q, p, zero_end=True)
+    return 1.0 / (2.0 * q * (x_lo / d_lo))
 
 
 def _legendre_reread(cf: ContinuedFraction, rows: list, table) -> list:
@@ -600,18 +581,17 @@ def _legendre_reread(cf: ContinuedFraction, rows: list, table) -> list:
 
     Returns (q, p, short) per checked pair, ``short`` set on a violation.
     """
-    lo, hi = cf.bracket
-    lon, lod, hin, hid = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     floors = [floor_mult(cf, q) for q in rows]
     out = []
     for q, fl in zip(rows, floors):
-        r_lo, r_hi = q * lon - fl * lod, q * hin - fl * hid
-        for p, x_lo, x_hi in _critical_pairs(q, fl, r_lo, r_hi, lod, hid, table):
+        for p in (fl, fl + 1):
+            if (q, p) in table.pairs:
+                continue
             # 2q |q omega - p| >= 1 must hold at both bracket endpoints; at
             # neither it is a violation, at one only the bracket is too coarse
-            t_lo, t_hi = 2 * q * x_lo, 2 * q * x_hi
-            short = t_lo < lod or t_hi < hid
-            if short and (t_lo > lod or t_hi > hid):
+            _, x_lo, d_lo, x_hi, d_hi = _divisor_ends(cf, q, p, zero_end=True)
+            short = 2 * q * x_lo < d_lo
+            if short and 2 * q * x_hi > d_hi:
                 raise DepthExhausted(
                     f"legendre comparison unresolved at (q={q}, p={p}); expand deeper"
                 )
@@ -640,10 +620,11 @@ def verify_legendre(cf: ContinuedFraction, Q: int) -> BoundReport:
 
     ``computed`` is the bracket expression of ``_legendre_ratio``, whose
     three roundings put it within 3.01 2^-53 relative of 1/(2v), with
-    v = q min(d_lo, d_hi) exact.  The coarse read encloses v in a <= v <= b
-    for each pair it decides; let b_min be the least b, at pair P0.  A pair
-    whose a exceeds b_min (1 + 2^-40) has a value below P0's: 2^-40 far
-    exceeds the 6.02 2^-53 that the two pairs' roundings can make up, plus
+    v = q x_lo / d_lo exact (the lower end from ``_divisor_ends``).  The
+    coarse read encloses v in a <= v <= b for each pair it decides; let
+    b_min be the least b, at pair P0.  A pair whose a exceeds
+    b_min (1 + 2^-40) has a value below P0's: 2^-40 far exceeds the
+    6.02 2^-53 that the two pairs' roundings can make up, plus
     the 2^-53 of each float a, b and b_min (1 + 2^-40).  So the expression
     is evaluated only on every re-read pair and on the other coarse pairs,
     the candidates.

@@ -186,6 +186,13 @@ def test_brj_errors(golden):
         brj1(golden, -1.0, 5)
     with pytest.raises(DepthExhausted):
         brj1(golden, 1.0, golden.depth)
+    # growth certificates are checked when they are built
+    for C, tau in ((0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (0.5, 0.5), (0.5, math.inf)):
+        with pytest.raises(ValueError):
+            DiophGrowth(C=C, tau=tau)
+    for beta_prime in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            KLGrowth(beta_prime=beta_prime)
 
 
 # ---------------------------------------------------------------------------

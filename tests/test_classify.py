@@ -248,8 +248,9 @@ def test_kl_params_validation():
     c = khintchine_constants(1e-8)
     with pytest.raises(ValueError):
         kl_params(c.kappa - math.log((1 + math.sqrt(5)) / 2) + 0.01, 0.1, 1)
-    with pytest.raises(ValueError):
-        kl_params(-0.1, 0.1, 1)
+    for t_minus, t_plus in ((-0.1, 0.1), (math.nan, 0.1), (0.1, math.nan), (0.1, math.inf)):
+        with pytest.raises(ValueError):
+            kl_params(t_minus, t_plus, 1)
     with pytest.raises(ValueError):
         kl_params(0.1, 0.1, 0)
     p = kl_params(0.1, 0.2, 3)

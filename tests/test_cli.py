@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import smalldivlab
-from smalldivlab import bounds, cli, smalldiv
+from smalldivlab import bounds, classify, cli, smalldiv
 from smalldivlab.cli import (
     EXIT_CRASH,
     EXIT_INPUT,
@@ -492,8 +492,12 @@ def test_solve_rejects_non_finite_R(tmp_path, capsys, R):
         (["--span", "1"], "--modes-per-map"),  # 50 modes cannot fit in 8 cells
         (["--count", "0"], "--count"),
         (["--modes-per-map", "0"], "--modes-per-map"),
+        (["--span", "-3", "--modes-per-map", "5"], "--span"),
+        (["--mu", "nan"], "mu must be a finite number >= 1, got nan"),
+        (["--mu", "inf"], "mu must be a finite number >= 1, got inf"),
     ],
-    ids=["span-too-small", "count-zero", "modes-per-map-zero"],
+    ids=["span-too-small", "count-zero", "modes-per-map-zero", "span-negative", "mu-nan",
+         "mu-inf"],
 )
 def test_thm1_rejects_impossible_inputs_before_computing(extra, flag):
     proc = run_cli("thm1", "--freq", "golden", "--delta", "0.2", *extra, timeout=60)
@@ -516,6 +520,18 @@ def test_thm1_rejects_impossible_inputs_before_computing(extra, flag):
         (["brj", "--Delta", "nan"], "Delta must be finite, got nan"),
         (["brj", "--Delta", "inf", "--C", "0.5"], "Delta must be finite, got inf"),
         (["brj", "--Delta", "0"], "Delta must be > 0"),
+        (["brj", "--Delta", "0.3", "--C", "0"], "C must be > 0"),
+        (["brj", "--Delta", "0.3", "--C", "-1"], "C must be > 0"),
+        (["brj", "--Delta", "0.3", "--C", "nan"], "C must be finite, got nan"),
+        (["brj", "--Delta", "0.3", "--C", "0.5", "--tau", "inf"], "tau must be a finite"),
+        (["classify", "--T-minus", "nan"], "band widths must be finite numbers >= 0"),
+        (["classify", "--T-plus", "inf"], "band widths must be finite numbers >= 0"),
+        (["classify", "--tau", "nan"], "tau must be a finite number >= 1, got nan"),
+        (["classify", "--tau", "inf"], "tau must be a finite number >= 1, got inf"),
+        (["counterexample", "--delta-prime", "0.05", "--epsilon", "nan"],
+         "epsilon must be finite, got nan"),
+        (["counterexample", "--delta-prime", "0.05", "--rho", "inf"],
+         "rho must be finite, got inf"),
     ],
 )
 def test_unusable_delta_is_an_input_error_before_any_scan(monkeypatch, capsys, argv, message):
@@ -550,6 +566,45 @@ def test_delta_whose_square_underflows_is_an_input_error(monkeypatch, capsys, ar
     assert main([command, "--freq", "golden", *rest]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert "delta**2 underflows to 0" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["constants", "table1"])
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+def test_non_finite_tolerance_is_an_input_error(monkeypatch, capsys, command, tolerance):
+    # a NaN tolerance passed "tolerance < 1e-10", and the kappa series then
+    # doubled its terms up to 2^26; the tail enclosure is its first work
+    def no_work(*args, **kwargs):
+        raise AssertionError("the kappa series ran")
+
+    monkeypatch.setattr(classify, "_gauss_tail_enclosure", no_work)
+    assert main([command, "--tolerance", tolerance]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "tolerance must be a finite number >= 1e-10" in captured.err
+    assert captured.out == ""
+
+
+def test_every_command_runs_traced(tmp_path):
+    # perfbench/tracer.py wraps the layers' public functions and binds their
+    # call arguments by signature (away_bound_check's n_max, strip_norm's
+    # grid_n, ...); a signature it cannot read crashes the traced run
+    child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    _write_modes(tmp_path / "modes.json", 1)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    for name, argv in sorted(COMMANDS.items()):
+        out = tmp_path / name
+        out.mkdir()
+        argv = [arg.replace("OUT", str(out)).replace("TMP", str(tmp_path)) for arg in argv]
+        record = out / "record.json"
+        proc = subprocess.run(
+            [sys.executable, str(child), str(record), "1", str(SRC), "--",
+             "--out", str(out / "report"), *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode in (EXIT_OK, EXIT_VERDICT), (name, proc.stderr)
+        assert json.loads(record.read_text())["spans"], name
 
 
 def test_commands_import_numpy_and_mpmath_only_where_used(tmp_path):

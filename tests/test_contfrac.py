@@ -1,5 +1,7 @@
 """Exact continued-fraction core: recurrences, sandwiches, Legendre bounds."""
 
+import itertools
+import operator
 import os
 import random
 import re
@@ -209,10 +211,13 @@ def _check_invariants(cf: ContinuedFraction):
         fib = 1 if n <= 1 else fib_b
         assert fib <= cf.q[n]
         assert phi**n / 3 < cf.q[n]
-    # product sandwich M_n < q_n < M'_n (n >= 2); M_1 = q_1 < M'_1
-    assert cf.M[1] == cf.q[1] < cf.Mprime[1]
+    # product sandwich M_n < q_n < M'_n (n >= 2); M_1 = q_1 < M'_1, with
+    # M_n = a_1 ... a_n and M'_n = (a_1 + 1) ... (a_n + 1)
+    M = [1, *itertools.accumulate(cf.quotients, operator.mul)]
+    Mprime = [1, *itertools.accumulate((a + 1 for a in cf.quotients), operator.mul)]
+    assert M[1] == cf.q[1] < Mprime[1]
     for n in range(2, d + 1):
-        assert cf.M[n] < cf.q[n] < cf.Mprime[n]
+        assert M[n] < cf.q[n] < Mprime[n]
 
 
 def test_invariants_corpus(golden, sqrt2m1, pi_like, large_quot, omega_star, exp_liouville):

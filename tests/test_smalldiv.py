@@ -181,13 +181,6 @@ def test_L_monotone_to_zero_delta(golden):
     assert values[-1] == pytest.approx(limit, rel=1e-4)
 
 
-def test_L_log_mode(golden):
-    direct = L_value(5, 3, 0.3, golden)
-    assert L_value(5, 3, 0.3, golden, log=True) == pytest.approx(
-        math.log(direct), rel=1e-12
-    )
-
-
 def _L_fraction(q, p, delta, cf):
     """L_value on the Fractions of divisor_interval: the reference for its
     integer residues, with the same errors and bit-identical values."""
