@@ -11,7 +11,7 @@ Usage: python3 scripts/partition_experiment.py [freq] [Q]
 import math
 import sys
 
-from smalldivlab.bounds import _away_box_bound, _brjuno_box_bound, _const_type_box_bound
+from smalldivlab.bounds import CLASS_BOUNDS, _check_class_domain
 from smalldivlab.contfrac import expand, parse_frequency
 from smalldivlab.smalldiv import partition_sums
 
@@ -32,14 +32,18 @@ def main():
     for delta in (0.05, 0.1, 0.2, 0.3):
         sums = partition_sums(cf, delta, Q)
         rel = abs(sums.total - sums.box_total) / sums.box_total
-        away_bound = _away_box_bound(cf, delta, MU) if delta * math.e < 1 else float("nan")
-        const_bound = _const_type_box_bound(cf, delta, MU)
-        brj_bound = _brjuno_box_bound(cf, delta, MU)
+        margins = []
+        for kind, bound in CLASS_BOUNDS.items():  # away, const_type, brjuno
+            try:
+                _check_class_domain(delta, MU, (kind,))
+            except ValueError:
+                margins.append(math.nan)
+            else:
+                margins.append(bound(cf, delta, MU) - getattr(sums, kind))
         print(
             f"{delta:>7} {sums.away:>12.4f} {sums.const_type:>12.4f} "
             f"{sums.brjuno:>12.4f} {sums.brjuno_k0:>10.4f} {rel:>10.2e} "
-            f"{away_bound - sums.away:>9.2f} {const_bound - sums.const_type:>9.2f} "
-            f"{brj_bound - sums.brjuno:>9.2f}"
+            + " ".join(f"{m:>9.2f}" for m in margins)
         )
 
 

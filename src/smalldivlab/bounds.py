@@ -324,7 +324,7 @@ def _const_type_leading(omega: float, mu: float = 1.0) -> float:
 
 def _away_box_bound(cf: ContinuedFraction, delta: float, mu: float) -> float:
     """Away-class bound mu (4/(1+omega) + 2/(1-omega)) delta^-1 log(1/delta)."""
-    return mu * _away_leading(cf.omega_float()) * math.log(1.0 / delta) / delta
+    return mu * (_away_leading(cf.omega_float()) / delta * math.log(1.0 / delta))
 
 
 def _const_type_box_bound(cf: ContinuedFraction, delta: float, mu: float) -> float:
@@ -346,6 +346,29 @@ def _brjuno_box_bound(cf: ContinuedFraction, delta: float, mu: float) -> float:
     )
 
 
+# The closed-form majorant of each class's box sum, as f(cf, delta, mu); at
+# mu = 1 the three add up to Gamma0(delta).  _check_class_domain says where
+# each is defined.
+CLASS_BOUNDS = {
+    "away": _away_box_bound,
+    "const_type": _const_type_box_bound,
+    "brjuno": _brjuno_box_bound,
+}
+
+
+def _check_class_domain(delta: float, mu: float, kinds=CLASS_BOUNDS) -> None:
+    """Reject a delta or mu at which a class bound of ``kinds`` is undefined.
+
+    The away bound needs log(1/delta) > 1, the const-type bound divides by
+    delta^2, and mu scales every bound, so it must be a finite number > 0.
+    """
+    if "away" in kinds and delta * math.e >= 1.0:
+        raise ValueError("delta must satisfy log(1/delta) > 1, i.e. delta < 1/e")
+    if "const_type" in kinds and delta * delta == 0.0:
+        raise ValueError(f"delta = {delta!r} is too small: delta**2 underflows to 0")
+    _require_rate("mu", mu)
+
+
 class BoundReport(Record):
     """Structured comparison of a computed quantity against a closed-form bound."""
 
@@ -364,7 +387,8 @@ class BoundReport(Record):
 
 
 class GammaDelta(Record):
-    """Leading-order loss-of-domain factor and its three components.
+    """Leading-order loss-of-domain factor and its three components, the
+    class bounds of ``CLASS_BOUNDS`` at mu = 1.
 
     Gamma0 = 2 brj((1+omega) delta) + (8/(1+omega)^2) delta^-2
            + (4/(1+omega) + 2/(1-omega)) delta^-1 log(delta^-1)
@@ -398,15 +422,13 @@ class GammaDelta(Record):
 
 def _check_gamma_inputs(rho: float, delta: float, mu: float) -> None:
     """Reject a rho, delta or mu that ``gamma_delta`` cannot use."""
+    _require_rate("rho", rho)
     if not 0.0 < delta < rho:
         raise ValueError(f"delta must lie in (0, rho) = (0, {rho}); got {delta}")
-    if delta * math.e >= 1.0:
-        raise ValueError("delta must satisfy log(1/delta) > 1, i.e. delta < 1/e")
-    # the const-type term divides by delta^2
-    if delta * delta == 0.0:
-        raise ValueError(f"delta = {delta!r} is too small: delta**2 underflows to 0")
+    # here mu is the margin factor over Gamma0's leading order
     if not 1.0 <= mu < math.inf:
         raise ValueError(f"mu must be a finite number >= 1, got {mu}")
+    _check_class_domain(delta, mu)
 
 
 def gamma_delta(
@@ -414,25 +436,20 @@ def gamma_delta(
 ) -> GammaDelta:
     """Assemble Gamma0(delta) for a strip shrink of delta inside radius rho.
 
-    The series run to the full depth cf.depth - 1 with heuristic tails.
+    Its three terms are the class bounds at mu = 1; the Brjuno series run
+    to the full depth cf.depth - 1 with heuristic tails.
     """
     _check_gamma_inputs(rho, delta, mu)
     omega = cf.omega_float()
     lo, hi = cf.bracket
-    halfwidth = float(hi - lo) / 2.0
-    Delta = (1.0 + omega) * delta
-    combined = brj_combined(cf, Delta, cf.depth - 1)
-    log_inv = math.log(1.0 / delta)
-    away = _away_leading(omega) / delta * log_inv
-    const_type = _const_type_leading(omega) / delta**2
     return GammaDelta(
         delta=delta,
-        Delta=Delta,
+        Delta=(1.0 + omega) * delta,
         omega=omega,
-        omega_halfwidth=halfwidth,
-        brj_term=2.0 * combined.value,
-        const_type_term=const_type,
-        away_term=away,
+        omega_halfwidth=float(hi - lo) / 2.0,
+        brj_term=CLASS_BOUNDS["brjuno"](cf, delta, 1.0),
+        const_type_term=CLASS_BOUNDS["const_type"](cf, delta, 1.0),
+        away_term=CLASS_BOUNDS["away"](cf, delta, 1.0),
         mu=mu,
     )
 
@@ -469,10 +486,8 @@ def dioph_smallness_threshold(tau: float) -> float:
 
 def dioph_bound_rhs(C: float, tau: float, Delta: float) -> DiophBound:
     """Evaluate both Diophantine right-hand sides and their coefficients."""
-    if C <= 0:
-        raise ValueError("C must be > 0")
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
+    DiophGrowth(C, tau)  # the certificate's rules for C and tau
+    _require_rate("Delta", Delta)
     thr = dioph_smallness_threshold(tau)
     if Delta > thr:
         raise ValueError(

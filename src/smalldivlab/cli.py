@@ -26,11 +26,11 @@ import sys
 from . import __version__
 from ._record import Record
 from .bounds import (
+    CLASS_BOUNDS,
     BoundReport,
     DiophGrowth,
-    _brjuno_box_bound,
+    _check_class_domain,
     _check_gamma_inputs,
-    _const_type_box_bound,
     brj1,
     brj2,
     brj_combined,
@@ -59,7 +59,6 @@ from .cohom import (
 from .contfrac import ContinuedFraction, ExpansionError, expand, parse_frequency, verify_nint_lemma
 from .smalldiv import (
     _check_delta,
-    away_bound_check,
     oracle_mismatches,
     partition_dump,
     partition_sums,
@@ -400,37 +399,28 @@ def _cmd_counterexample(args) -> dict:
 
 
 def _cmd_sweep(args) -> tuple:
-    cf = _expand_freq(args)
     deltas = [float(tok) for tok in args.deltas.split(",") if tok]
     if not deltas:
         raise ExpansionError("sweep needs a nonempty delta list")
     for delta in deltas:
         _check_delta(delta)
-    rows = []
-    for delta in deltas:
-        if args.check == "away":
-            rep = away_bound_check(cf, delta, args.Q, mu=args.mu)
-        elif args.check == "const_type":
-            rep = BoundReport(
-                quantity="const_type box sum",
-                computed=partition_sums(cf, delta, args.Q).const_type,
-                bound=_const_type_box_bound(cf, delta, args.mu),
-                params={"delta": delta, "Q": args.Q, "mu": args.mu},
-            )
-        else:  # brjuno; argparse choices admit nothing else
-            rep = BoundReport(
-                quantity="brjuno box sum",
-                computed=partition_sums(cf, delta, args.Q).brjuno,
-                bound=_brjuno_box_bound(cf, delta, args.mu),
-                params={"delta": delta, "Q": args.Q, "mu": args.mu},
-            )
-        rows.append((delta, rep))
+        _check_class_domain(delta, args.mu, (args.check,))
+    cf = _expand_freq(args)
+    bound = CLASS_BOUNDS[args.check]
     lines = ["delta,computed,bound,margin,verdict"]
-    for delta, rep in rows:
+    ok = True
+    for delta in deltas:
+        rep = BoundReport(
+            quantity=f"{args.check} box sum",
+            computed=getattr(partition_sums(cf, delta, args.Q), args.check),
+            bound=bound(cf, delta, args.mu),
+            params={"delta": delta, "Q": args.Q, "mu": args.mu},
+        )
         lines.append(
             f"{delta!r},{rep.computed!r},{rep.bound!r},{rep.margin!r},{rep.verdict}"
         )
-    return "\n".join(lines) + "\n", all(rep.verdict for _, rep in rows)
+        ok = ok and rep.verdict
+    return "\n".join(lines) + "\n", ok
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ import math
 from typing import TYPE_CHECKING, Optional
 
 from ._record import Record
-from .bounds import BoundReport, _away_box_bound, _away_leading, _require_rate
+from .bounds import BoundReport, _require_rate
 from .contfrac import (
     ContinuedFraction,
     DepthExhausted,
@@ -689,44 +689,4 @@ def verify_legendre(cf: ContinuedFraction, Q: int) -> BoundReport:
         computed=worst,
         bound=1.0,
         params={"Q": Q, "checked": checked, "violations": sorted(violations)},
-    )
-
-
-def away_bound_check(
-    cf: ContinuedFraction,
-    delta: float,
-    Q: int,
-    mu: float = 1.25,
-    n_max: Optional[int] = None,
-) -> BoundReport:
-    """Box away sum against mu * (4/(1+omega) + 2/(1-omega)) delta^-1 log(1/delta).
-
-    The box sum is a lower bound of the full away series, so the verdict
-    is expected true whenever log(1/delta) > 1.  ``n_max``, when given,
-    restricts to strips |n| <= n_max.
-    """
-    if delta * math.e >= 1.0:
-        raise ValueError("away bound needs log(1/delta) > 1, i.e. delta < 1/e")
-    if n_max is None:
-        computed = partition_sums(cf, delta, Q).away
-    else:
-        sums = _ExactSums(1)
-        for block in _half_box(cf, delta, Q):
-            away = block.label == _AWAY
-            L, n = block.L[away], block.n[away]
-            # the mirror of a pair in strip n lies in strip -n - 1
-            sums.add(0, L[abs(n) <= n_max])
-            sums.add(0, L[abs(n + 1) <= n_max])
-        computed = sums.value(0)
-    return BoundReport(
-        quantity="away box sum",
-        computed=computed,
-        bound=_away_box_bound(cf, delta, mu),
-        params={
-            "delta": delta,
-            "Q": Q,
-            "mu": mu,
-            "n_max": n_max,
-            "G_away_leading": _away_leading(cf.omega_float()),
-        },
     )

@@ -1,6 +1,7 @@
 """Weighted convergent series, closed-form bounds, gamma evaluators."""
 
 import math
+import re
 
 import mpmath as mp
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smalldivlab.bounds import (
+    CLASS_BOUNDS,
     PHI,
     DiophGrowth,
     KLGrowth,
@@ -255,6 +257,20 @@ def test_gamma_delta_components_golden(golden):
     assert gd.omega_halfwidth < 1e-20
 
 
+def test_gamma_delta_terms_are_the_class_bounds(golden, sqrt2m1, omega_star):
+    # one formula per class: Gamma0's terms are the table's entries at mu = 1,
+    # bit for bit, and mu scales the away entry exactly
+    for cf in (golden, sqrt2m1, omega_star):
+        for delta in (1e-6, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.36):
+            gd = gamma_delta(cf, 1.0, delta)
+            assert gd.away_term == CLASS_BOUNDS["away"](cf, delta, 1.0)
+            assert gd.const_type_term == CLASS_BOUNDS["const_type"](cf, delta, 1.0)
+            assert gd.brj_term == CLASS_BOUNDS["brjuno"](cf, delta, 1.0)
+            assert gd.brj_term == 2.0 * brj_combined(cf, gd.Delta, cf.depth - 1).value
+            for mu in (1.25, 3.0, 0.001):
+                assert CLASS_BOUNDS["away"](cf, delta, mu) == mu * gd.away_term
+
+
 def test_gamma_delta_quarter_scaling(golden):
     # halving delta exactly quadruples the delta^-2 component
     a = gamma_delta(golden, 1.0, 0.2)
@@ -313,6 +329,23 @@ def test_dioph_rhs_threshold():
         dioph_bound_rhs(0.2, 1.0, 0.4)
     with pytest.raises(ValueError):
         dioph_bound_rhs(-0.1, 1.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "C, tau, Delta, message",
+    [
+        (math.nan, 1.0, 0.1, "C must be finite, got nan"),
+        (0.2, math.nan, 0.1, "tau must be a finite number >= 1, got nan"),
+        (0.2, math.inf, 0.1, "tau must be a finite number >= 1, got inf"),
+        (0.2, 1.0, math.nan, "Delta must be finite, got nan"),
+        (0.2, 1.0, 0.0, "Delta must be > 0"),
+    ],
+)
+def test_dioph_rhs_rejects_unusable_inputs(C, tau, Delta, message):
+    # NaN C or Delta once gave rhs1 = rhs2 = nan, and Delta = 0 divided by
+    # zero; C and tau follow the certificate's rules
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dioph_bound_rhs(C, tau, Delta)
 
 
 def test_dioph_rhs_oracle_tau2():

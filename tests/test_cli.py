@@ -495,9 +495,10 @@ def test_solve_rejects_non_finite_R(tmp_path, capsys, R):
         (["--span", "-3", "--modes-per-map", "5"], "--span"),
         (["--mu", "nan"], "mu must be a finite number >= 1, got nan"),
         (["--mu", "inf"], "mu must be a finite number >= 1, got inf"),
+        (["--rho", "inf"], "rho must be finite, got inf"),
     ],
     ids=["span-too-small", "count-zero", "modes-per-map-zero", "span-negative", "mu-nan",
-         "mu-inf"],
+         "mu-inf", "rho-inf"],
 )
 def test_thm1_rejects_impossible_inputs_before_computing(extra, flag):
     proc = run_cli("thm1", "--freq", "golden", "--delta", "0.2", *extra, timeout=60)
@@ -532,6 +533,12 @@ def test_thm1_rejects_impossible_inputs_before_computing(extra, flag):
          "epsilon must be finite, got nan"),
         (["counterexample", "--delta-prime", "0.05", "--rho", "inf"],
          "rho must be finite, got inf"),
+        (["sweep", "--check", "away", "--deltas", "0.1,0.5", "--Q", "20"], "delta < 1/e"),
+        (["sweep", "--check", "away", "--deltas", "0.1", "--Q", "20", "--mu", "nan"],
+         "mu must be finite, got nan"),
+        (["sweep", "--check", "brjuno", "--deltas", "0.1", "--Q", "20", "--mu", "inf"],
+         "mu must be finite, got inf"),
+        (["gamma", "--delta", "0.1", "--rho", "inf"], "rho must be finite, got inf"),
     ],
 )
 def test_unusable_delta_is_an_input_error_before_any_scan(monkeypatch, capsys, argv, message):
@@ -585,8 +592,8 @@ def test_non_finite_tolerance_is_an_input_error(monkeypatch, capsys, command, to
 
 def test_every_command_runs_traced(tmp_path):
     # perfbench/tracer.py wraps the layers' public functions and binds their
-    # call arguments by signature (away_bound_check's n_max, strip_norm's
-    # grid_n, ...); a signature it cannot read crashes the traced run
+    # call arguments by signature (partition_sums's Q, strip_norm's grid_n,
+    # ...); a signature it cannot read crashes the traced run
     child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
     _write_modes(tmp_path / "modes.json", 1)
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smalldivlab import smalldiv
-from smalldivlab.bounds import brj1, brj2
+from smalldivlab.bounds import CLASS_BOUNDS, brj1, brj2
 from smalldivlab.contfrac import (
     DepthExhausted,
     ExpansionError,
@@ -32,7 +32,6 @@ from smalldivlab.smalldiv import (
     L_value,
     _ExactSums,
     _half_box,
-    away_bound_check,
     away_tail_majorant,
     brjuno_pairs_up_to,
     classify_index,
@@ -462,13 +461,7 @@ def test_box_scans_do_not_depend_on_the_block_size(golden, large_quot, monkeypat
     Q, delta = 60, 0.1
 
     def scans():
-        return [
-            (
-                partition_sums(cf, delta, Q),
-                away_bound_check(cf, delta, Q, n_max=2).computed,
-            )
-            for cf in (golden, large_quot)
-        ]
+        return [partition_sums(cf, delta, Q) for cf in (golden, large_quot)]
 
     whole = scans()
     monkeypatch.setattr(smalldiv, "_BLOCK_CELLS", 1)  # one row per block
@@ -826,37 +819,15 @@ def test_legendre_rejects_rational_before_scanning():
 
 
 def test_away_bound(golden):
-    rep = away_bound_check(golden, 0.1, 500, mu=1.25)
-    assert rep.verdict, rep
-    rep2 = away_bound_check(golden, 0.05, 500, mu=1.25)
-    assert rep2.verdict
+    away = CLASS_BOUNDS["away"]
+    computed = partition_sums(golden, 0.1, 500).away
+    assert computed <= away(golden, 0.1, 1.25)
+    computed2 = partition_sums(golden, 0.05, 500).away
+    assert computed2 <= away(golden, 0.05, 1.25)
     # the bound roughly doubles (times the log ratio) while the sum follows
-    assert rep2.bound > 2.0 * rep.bound
-    assert rep2.computed > rep.computed
-    assert rep.computed >= 0.0
-
-
-def test_away_bound_strip_cutoff(golden):
-    full = away_bound_check(golden, 0.1, 200, mu=1.25)
-    cut = away_bound_check(golden, 0.1, 200, mu=1.25, n_max=3)
-    assert cut.computed <= full.computed
-    assert cut.verdict
-
-
-def test_away_bound_strip_cutoff_oracle(golden):
-    Q, delta = 30, 0.1
-    table = brjuno_pairs_up_to(golden, Q)
-    box = [(q, p) for q in range(-Q, Q + 1) for p in range(-Q, Q + 1) if (q, p) != (0, 0)]
-    for n_max in (0, 1, 3):
-        oracle = math.fsum(
-            L_value(q, p, delta, golden)
-            for q, p in box
-            if (cls := classify_index(q, p, golden, table)).kind == "away"
-            and abs(cls.strip) <= n_max
-        )
-        rep = away_bound_check(golden, delta, Q, mu=1.25, n_max=n_max)
-        assert abs(rep.computed - oracle) <= 1e-14 * oracle, (n_max, rep.computed, oracle)
-    assert rep.computed == pytest.approx(30.3742, abs=1e-4)
+    assert away(golden, 0.05, 1.25) > 2.0 * away(golden, 0.1, 1.25)
+    assert computed2 > computed
+    assert computed >= 0.0
 
 
 def test_const_type_box_bound(golden, sqrt2m1, pi_like):
