@@ -139,17 +139,16 @@ class BrjunoValue(Record):
         return self.value + self.tail_bound
 
 
-def _term_log(qn: int, qnext: int, Delta: float, log_qnext: float):
-    """log of e^(-q_n Delta) q_{n+1}, or None when it underflows doubles.
-
-    q_n * Delta is computed as an exact big-integer-times-float product
-    rounded once, so huge q_n cannot cancel catastrophically (and cannot
-    overflow the conversion; an oversized product just drops the term).
+def _term_log(qn: int, Delta: float, log_weight: float):
+    """log of W e^(-q_n Delta) for log W = ``log_weight`` >= 0, or None when
+    it underflows doubles.  The one place a series term meets q_n Delta:
+    the product is rounded once from the big integer, so huge q_n can
+    neither cancel catastrophically nor overflow the conversion.
     """
     b = qn.bit_length()
-    if b > 64 and (b - 1) * 0.6931 + math.log(Delta) > math.log(log_qnext + 800.0):
+    if b > 64 and (b - 1) * 0.6931 + math.log(Delta) > math.log(log_weight + 800.0):
         return None  # q_n Delta >= 2^(b-1) Delta already kills the term
-    lt = log_qnext - mul_big_float(qn, Delta)
+    lt = log_weight - mul_big_float(qn, Delta)
     return None if lt < _UNDERFLOW_LOG else lt
 
 
@@ -158,21 +157,17 @@ def _brj_terms(cf: ContinuedFraction, Delta: float, depth: int, weighted: bool):
     terms = []
     dropped = 0
     for n in range(1, depth + 1):
-        qn, qnext = cf.q[n], cf.q[n + 1]
         a_next = cf.quotients[n]  # a_{n+1}
         if weighted and a_next == 1:
             terms.append(0.0)
             continue
-        log_qnext = math.log(qnext)
-        lt = _term_log(qn, qnext, Delta, log_qnext)
-        if weighted and lt is not None:
-            w = math.log(a_next)
-            lt = lt + math.log(w) if w > 0 else None
+        lt = _term_log(cf.q[n], Delta, math.log(cf.q[n + 1]))
         if lt is None:
             terms.append(0.0)
             dropped += 1
         else:
-            terms.append(_exp_sat(lt))
+            # a_{n+1} >= 2 here, so log log a_{n+1} is finite
+            terms.append(_exp_sat(lt + math.log(math.log(a_next)) if weighted else lt))
     return terms, dropped
 
 
@@ -574,28 +569,20 @@ def brj_fin_diff(cf: ContinuedFraction, m: int, Delta: float, params: KLParams):
     d1 = sum_{n=1}^{m-1} e^(-q_n Delta) q_{n+1}
          - sum_{n=1}^{m-1} e^(-e^(beta n) Delta) e^(beta' (n+1))
     d2 is the analogue with weights log a_{n+1} and beta'(n+1) - beta n.
-    Either difference may be negative.
+    Either difference may be negative.  The data sides are brj1/brj2
+    terms; a band term is e^(beta') times a Sigma1 term, and its weight is
+    (beta' - beta) n + beta', so the band sides are Sigma1 and Sigma2.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     cf.require_depth(m, f"brj_fin_diff(m={m})")
     b, bp = params.beta, params.beta_prime
-    t1, i1, t2, i2 = [], [], [], []
-    for n in range(1, m):
-        qn, qnext = cf.q[n], cf.q[n + 1]
-        a_next = cf.quotients[n]
-        log_qnext = math.log(qnext)
-        lt = _term_log(qn, qnext, Delta, log_qnext)
-        term = _exp_sat(lt) if lt is not None else 0.0
-        t1.append(term)
-        t2.append(term * math.log(a_next))
-        ideal_log = bp * (n + 1) - math.exp(b * n) * Delta
-        ideal = math.exp(ideal_log) if ideal_log > _UNDERFLOW_LOG else 0.0
-        i1.append(ideal)
-        i2.append(ideal * (bp * (n + 1) - b * n))
-    d1 = math.fsum(t1) - math.fsum(i1)
-    d2 = math.fsum(t2) - math.fsum(i2)
-    return d1, d2
+    t1, t2 = (math.fsum(_brj_terms(cf, Delta, m - 1, w)[0]) for w in (False, True))
+    s1, s2 = (
+        eval_majorant_series(kind, Delta, m - 1, beta=b, beta_prime=bp)
+        for kind in ("Sigma1", "Sigma2")
+    )
+    return t1 - math.exp(bp) * s1, t2 - math.exp(bp) * ((bp - b) * s2 + bp * s1)
 
 
 TABLE1_GRID = (
@@ -670,15 +657,12 @@ def eval_majorant_series(
         cf.require_depth(n_max, f"eval_majorant_series({kind}, n_max={n_max})")
         terms = []
         for n in range(1, n_max + 1):
-            qn = cf.q[n]
-            log_qn = math.log(qn)
-            lt = tau * log_qn - mul_big_float(qn, Delta)
-            if kind == "Dph2":
-                if log_qn <= 0.0:
-                    terms.append(0.0)
-                    continue
-                lt += math.log(log_qn)
-            terms.append(_exp_sat(lt) if lt > _UNDERFLOW_LOG else 0.0)
+            log_qn = math.log(cf.q[n])
+            lt = _term_log(cf.q[n], Delta, tau * log_qn)
+            if lt is None or (kind == "Dph2" and log_qn == 0.0):
+                terms.append(0.0)
+            else:
+                terms.append(_exp_sat(lt + math.log(log_qn) if kind == "Dph2" else lt))
         return math.fsum(terms)
     if kind in ("Sigma1", "Sigma2"):
         if beta is None or beta_prime is None:

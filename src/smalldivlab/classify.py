@@ -177,10 +177,11 @@ class DiophantineCert(Record):
     """Empirical and certified Diophantine constants for a fixed exponent.
 
     ``C_empirical_lo/hi`` enclose min_n q_n^tau |q_n omega - p_n| over the
-    tested depth (exact Fractions for integer tau, conservatively widened
-    floats otherwise).  ``C_certified`` comes from the recursive
-    inequalities q_{n+1} <= C^-1 q_n^tau and a_{n+1} <= C^-1 q_n^(tau-1)
-    via C -> C/(2+C) and is always <= C_empirical.
+    tested depth (exact Fractions for integer tau, otherwise floats from
+    the logs of the integers, conservatively widened).  ``C_certified``
+    comes from the recursive inequalities q_{n+1} <= C^-1 q_n^tau and
+    a_{n+1} <= C^-1 q_n^(tau-1) via C -> C/(2+C) and is always <=
+    C_empirical.
     """
 
     tau: float
@@ -193,6 +194,19 @@ class DiophantineCert(Record):
     @property
     def C_empirical(self) -> float:
         return 0.5 * (self.C_empirical_lo + self.C_empirical_hi)
+
+
+def _exp_outward(logs, sign: int) -> float:
+    """e^(sum of ``logs``) moved outward, down for sign -1 and up for +1.
+
+    The logs of integers stay finite where the integers or their ratios
+    leave the float range.  The move is 1e-12 plus a bound on the
+    rounding of the logs and of their sum, which grows with their size;
+    +inf past the float range.
+    """
+    total = math.fsum(logs)
+    slack = 1e-12 + 2.0**-48 * math.fsum(map(abs, logs))
+    return (math.exp(total) if total < 709.0 else math.inf) * (1.0 + sign * slack)
 
 
 def diophantine_constant(
@@ -215,25 +229,35 @@ def diophantine_constant(
     emp_hi = None
     for n in range(0, depth + 1):
         _, x_lo, d_lo, x_hi, d_hi = _divisor_ends(cf, cf.q[n], cf.p[n], zero_end=True)
-        a_lo, a_hi = Fraction(x_lo, d_lo), Fraction(x_hi, d_hi)
         if tau_int is not None:
             scale = Fraction(cf.q[n]) ** tau_int
-            v_lo, v_hi = scale * a_lo, scale * a_hi
+            v_lo, v_hi = scale * Fraction(x_lo, d_lo), scale * Fraction(x_hi, d_hi)
         else:
-            scale = float(cf.q[n]) ** tau
-            v_lo = scale * float(a_lo) * (1.0 - 1e-12)
-            v_hi = scale * float(a_hi) * (1.0 + 1e-12)
+            log_scale = tau * math.log(cf.q[n])
+            v_lo = _exp_outward((log_scale, math.log(x_lo), -math.log(d_lo)), -1) if x_lo else 0.0
+            v_hi = _exp_outward((log_scale, math.log(x_hi), -math.log(d_hi)), 1)
         if emp_hi is None or v_hi < emp_hi:
             emp_hi = v_hi
         if emp_lo is None or v_lo < emp_lo:
             emp_lo = v_lo
 
+    # min over n of q_n^tau / q_{n+1} and q_n^(tau-1) / a_{n+1}; at n = 0
+    # the second is 1/a_1, so C_rec <= 1 even where the terms leave the
+    # float range
     C_rec = None
     for n in range(0, depth):
         q_n, q_n1, a_n1 = cf.q[n], cf.q[n + 1], cf.quotients[n]
-        cand = min(float(q_n) ** tau / q_n1, float(q_n) ** (tau - 1.0) / a_n1)
+        if tau_int is not None:
+            cand = min(Fraction(q_n**tau_int, q_n1), Fraction(q_n ** (tau_int - 1), a_n1))
+        else:
+            log_q = math.log(q_n)
+            cand = min(
+                _exp_outward((tau * log_q, -math.log(q_n1)), -1),
+                _exp_outward(((tau - 1.0) * log_q, -math.log(a_n1)), -1),
+            )
         if C_rec is None or cand < C_rec:
             C_rec = cand
+    C_rec = float(C_rec)
 
     return DiophantineCert(
         tau=tau,

@@ -148,6 +148,11 @@ def solve_modes(a: ModeMap, cf: ContinuedFraction) -> SolveResult:
         # p - q*omega = -(q*omega - p); int / int is correctly rounded
         sign, x_lo, d_lo, x_hi, d_hi = _divisor_ends(cf, cq, cp)
         lo_f, hi_f = x_lo / d_lo, x_hi / d_hi
+        if lo_f < sys.float_info.min:
+            raise ValueError(
+                f"mode (p={p}, q={q}): divisor |p - q omega| has lower end {lo_f:.3g},"
+                " below the smallest normal double"
+            )
         mid = (lo_f + hi_f) / 2.0
         divisors[key] = -sign * mid
         rel_err[key] = (hi_f - lo_f) / mid + 4.0 * 2.3e-16
@@ -468,18 +473,3 @@ def blowup_witness(
         )
     return points
 
-
-def divergence_minorant_check(cf: ContinuedFraction, Delta: float) -> list:
-    """Diagnostic: levels n >= 2 where e^(-q_n Delta) q_{n+1} >= 1/q_n.
-
-    For a frequency built to defeat every convergence band (denominator
-    growth at least e^(c q_n) with c > Delta) this holds at every
-    computed level; returns (n, lhs_log, rhs_log, verdict) rows.
-    """
-    rows = []
-    for n in range(2, cf.depth):
-        qn, qn1 = cf.q[n], cf.q[n + 1]
-        lhs = math.log(qn1) - mul_big_float(qn, Delta)
-        rhs = -math.log(qn)
-        rows.append((n, lhs, rhs, lhs >= rhs))
-    return rows

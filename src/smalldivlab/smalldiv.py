@@ -31,6 +31,7 @@ any block size.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, Optional
 
 from ._record import Record
@@ -337,11 +338,21 @@ def _box_rows(cf: ContinuedFraction, Q: int):
             )
         floors.append(fl)
     lod, hid = lo.denominator, hi.denominator
+    # no L of the box exceeds 1/min(f, g), and a box sum adds fewer than
+    # (2Q + 1)^2 of them: above this floor, which leaves a factor 2 for
+    # rounding, every sum stays finite
+    d_floor = 2.0 * (2 * Q + 1) ** 2 / sys.float_info.max
     f = [0.0]
     g = [1.0]
     for q, fl, r_lo, _, r_hi in _residue_rows(lo, hi, Q):
         f.append(_divisor_midpoint(r_lo, lod, r_hi, hid, q, fl))
         g.append(_divisor_midpoint(hid - r_hi, hid, lod - r_lo, lod, q, fl + 1))
+        if min(f[q], g[q]) < d_floor:
+            p, d = (fl, f[q]) if f[q] < g[q] else (fl + 1, g[q])
+            raise ValueError(
+                f"pair (q={q}, p={p}): divisor |q omega - p| rounds to {d:.3g},"
+                f" below {d_floor:.3g}, where L and the box sums may overflow"
+            )
     return table, floors, f, g
 
 

@@ -444,6 +444,47 @@ def test_brj_fin_diff_sign_freedom():
     assert d1_neg < 0
 
 
+def _fin_diff_oracle(cf, m, Delta, params):
+    """d1, d2 of brj_fin_diff from their definition at 40 digits, and the
+    sum of the magnitudes of all their terms (the scale of their rounding)."""
+    with mp.workdps(40):
+        D, b, bp = mp.mpf(Delta), mp.mpf(params.beta), mp.mpf(params.beta_prime)
+        t1, t2, i1, i2 = [], [], [], []
+        for n in range(1, m):
+            term = mp.exp(-cf.q[n] * D) * cf.q[n + 1]
+            t1.append(term)
+            t2.append(term * mp.log(cf.quotients[n]))
+            ideal = mp.exp(bp * (n + 1) - mp.exp(b * n) * D)
+            i1.append(ideal)
+            i2.append(ideal * (bp * (n + 1) - b * n))
+        d1 = mp.fsum(t1) - mp.fsum(i1)
+        d2 = mp.fsum(t2) - mp.fsum(i2)
+        scale1 = mp.fsum(t1) + mp.fsum(i1)
+        scale2 = mp.fsum(t2) + mp.fsum(i2)
+        return float(d1), float(d2), float(scale1), float(scale2)
+
+
+def test_brj_fin_diff_against_mpmath(golden, sqrt2m1, two_three):
+    # criterion 6's band corpus at its own N and deeper, golden at a depth
+    # where e^(beta n) leaves the float range
+    kl_golden = kl_params(0.1, 0.1, 1)
+    cases = [
+        (sqrt2m1, kl_params(0.3, 0.1, 1), 1),
+        (sqrt2m1, kl_params(0.3, 0.1, 1), 12),
+        (two_three, kl_params(0.2, 0.1, 2), 2),
+        (two_three, kl_params(0.2, 0.1, 2), 6),
+        (golden, kl_golden, 5),
+    ]
+    deep = expand(FrequencySpec.golden(), 851)
+    for Delta in (1.0, 0.3, 0.1, 0.03, 0.01):
+        for cf, params, m in cases + [(deep, kl_golden, 850)]:
+            d1, d2 = brj_fin_diff(cf, m, Delta, params)
+            assert math.isfinite(d1) and math.isfinite(d2)
+            e1, e2, scale1, scale2 = _fin_diff_oracle(cf, m, Delta, params)
+            assert abs(d1 - e1) <= 1e-14 * scale1, (m, Delta, d1, e1)
+            assert abs(d2 - e2) <= 1e-14 * scale2, (m, Delta, d2, e2)
+
+
 def test_brj_fin_diff_errors(golden):
     params = kl_params(0.1, 0.1, 1)
     with pytest.raises(ValueError):
@@ -493,6 +534,24 @@ def test_dph2_oracle(sqrt2m1):
         for n in range(1, 13)
     )
     assert got == pytest.approx(float(oracle), rel=1e-12)
+
+
+def test_dph_against_mpmath_past_the_float_range():
+    # q_2 has 1102 bits: its q_n Delta leaves the float range, and its
+    # terms must drop without spoiling the small-denominator ones
+    cf = expand(FrequencySpec.literal([3, 2**1100 + 1, 2, 5, 7]), 5)
+    assert cf.q[2].bit_length() > 1100
+    for Delta in (1.0, 0.3, 1e-3, 1e-300):
+        for tau in (1.0, 2.0, 2.5):
+            with mp.workdps(40):
+                D, t = mp.mpf(Delta), mp.mpf(tau)
+                terms = [mp.exp(-cf.q[n] * D) * mp.mpf(cf.q[n]) ** t for n in range(1, 6)]
+                dph1 = mp.fsum(terms)
+                dph2 = mp.fsum(x * mp.log(cf.q[n]) for n, x in enumerate(terms, 1))
+            got1 = eval_majorant_series("Dph1", Delta, 5, cf=cf, tau=tau)
+            got2 = eval_majorant_series("Dph2", Delta, 5, cf=cf, tau=tau)
+            assert got1 == pytest.approx(float(dph1), rel=1e-14), (Delta, tau)
+            assert got2 == pytest.approx(float(dph2), rel=1e-14), (Delta, tau)
 
 
 def test_majorant_errors(golden):

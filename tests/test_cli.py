@@ -685,6 +685,38 @@ def test_every_command_runs_without_mpmath(tmp_path):
     assert json.loads(proc.stdout) == expected + [EXIT_OK], proc.stderr
 
 
+# a_2 = 2^1100 + 1: 3 omega - 1 and the terms built on q_2 leave the float range
+HUGE_QUOTIENT = f"quotients:[3,{2**1100 + 1},2,5,7]"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["classify", "--tau", "1"], EXIT_OK, ""),
+        (["classify", "--tau", "2"], EXIT_OK, ""),
+        (["classify", "--tau", "2.5"], EXIT_OK, ""),
+        (["solve", "--modes", "TMP/modes.json", "--R", "0.5"], EXIT_INPUT, "mode (p=1, q=3)"),
+        (["thm1", "--delta", "0.2", "--count", "2"], EXIT_INPUT, "mode (p="),
+        (["partition", "--delta", "0.2", "--Q", "20"], EXIT_INPUT, "pair (q=3, p=1)"),
+        (["sweep", "--check", "brjuno", "--deltas", "0.1,0.2", "--Q", "20"], EXIT_INPUT,
+         "pair (q=3, p=1)"),
+    ],
+    ids=["classify-tau1", "classify-tau2", "classify-tau2.5", "solve", "thm1", "partition",
+         "sweep"],
+)
+def test_denominator_past_the_float_range_is_no_crash(tmp_path, capsys, argv, code, message):
+    (tmp_path / "modes.json").write_text(
+        json.dumps([{"p": s, "q": 3 * s, "re": 1.0, "im": 0.0} for s in (1, -1)])
+    )
+    argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
+    assert main([argv[0], "--freq", HUGE_QUOTIENT] + argv[1:]) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_OK:
+        json.loads(out)
+    else:
+        assert out == "" and message in err and "internal error" not in err
+
+
 def test_truncation_reported_on_stderr(capsys):
     argv = ["brj", "--freq", "rule:exp-liouville(c=0.5,a1=1)", "--Delta", "0.3"]
     assert main(argv) == EXIT_OK

@@ -16,7 +16,6 @@ from smalldivlab.cohom import (
     blowup_witness,
     check_thm1,
     counterexample_modes,
-    divergence_minorant_check,
     load_modes,
     save_modes,
     solve_modes,
@@ -428,15 +427,6 @@ def test_blowup_exp_liouville_vs_golden(exp_liouville, golden):
     mids = [(pt.log_w_lo + pt.log_w_hi) / 2 for pt in gpts]
     for a, b in zip(mids, mids[1:]):
         assert b < a  # no blow-up for the all-ones frequency
-
-
-def test_divergence_minorant(exp_liouville):
-    rows = divergence_minorant_check(exp_liouville, 0.1)
-    assert rows  # at least one level computed
-    assert all(ok for _, _, _, ok in rows)
-    # fails for Delta above the construction rate
-    rows_big = divergence_minorant_check(exp_liouville, 5.0)
-    assert not all(ok for _, _, _, ok in rows_big)
 
 
 def test_blowup_witness_validation(golden):
