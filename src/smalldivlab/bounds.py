@@ -390,7 +390,7 @@ class GammaDelta(Record):
 
     The vanishing-with-delta increments of the two absolute constants are
     not in closed form; callers comparing empirical data apply their own
-    margin factor ``mu`` (echoed here, default 1.25).
+    margin factor ``mu`` to Gamma0.
     """
 
     delta: float
@@ -400,7 +400,6 @@ class GammaDelta(Record):
     brj_term: float
     const_type_term: float
     away_term: float
-    mu: float
 
     @property
     def G_away_leading(self) -> float:
@@ -426,15 +425,13 @@ def _check_gamma_inputs(rho: float, delta: float, mu: float) -> None:
     _check_class_domain(delta, mu)
 
 
-def gamma_delta(
-    cf: ContinuedFraction, rho: float, delta: float, mu: float = 1.25
-) -> GammaDelta:
+def gamma_delta(cf: ContinuedFraction, rho: float, delta: float) -> GammaDelta:
     """Assemble Gamma0(delta) for a strip shrink of delta inside radius rho.
 
     Its three terms are the class bounds at mu = 1; the Brjuno series run
     to the full depth cf.depth - 1 with heuristic tails.
     """
-    _check_gamma_inputs(rho, delta, mu)
+    _check_gamma_inputs(rho, delta, 1.0)
     omega = cf.omega_float()
     lo, hi = cf.bracket
     return GammaDelta(
@@ -445,7 +442,6 @@ def gamma_delta(
         brj_term=CLASS_BOUNDS["brjuno"](cf, delta, 1.0),
         const_type_term=CLASS_BOUNDS["const_type"](cf, delta, 1.0),
         away_term=CLASS_BOUNDS["away"](cf, delta, 1.0),
-        mu=mu,
     )
 
 

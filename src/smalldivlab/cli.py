@@ -207,7 +207,7 @@ def _cmd_brj(args) -> dict:
 def _cmd_gamma(args) -> dict:
     _check_gamma_inputs(args.rho, args.delta, args.mu)
     cf = _expand_freq(args)
-    gd = gamma_delta(cf, args.rho, args.delta, mu=args.mu)
+    gd = gamma_delta(cf, args.rho, args.delta)
     return _report(
         "gamma",
         {"freq": args.freq, "rho": args.rho, "delta": args.delta, "mu": args.mu},
@@ -323,7 +323,7 @@ def _random_decay_modes(rng, rho: float, count: int, span: int) -> ModeMap:
         c = magnitude * complex(math.cos(phase), math.sin(phase))
         entries[(p, q)] = c
         entries[(-p, -q)] = c.conjugate()
-    return ModeMap.build(entries, hermitian=True)
+    return ModeMap(entries)
 
 
 def _cmd_thm1(args) -> dict:

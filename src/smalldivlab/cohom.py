@@ -23,43 +23,24 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import Optional
 
 from ._record import Record
-from .bounds import BoundReport, _require_rate, gamma_delta
+from .bounds import BoundReport, _check_gamma_inputs, _require_rate, gamma_delta
 from .contfrac import ContinuedFraction, _divisor_ends, mul_big_float
 
 
 class ModeMap(Record):
     """Sparse Fourier data: {(p, q): coefficient} with no (0, 0) entry.
 
-    ``hermitian`` asserts c_{-p,-q} = conj(c_{p,q}) exactly for every
-    stored pair (the reality condition for torus functions).
+    A real torus function has c_{-p,-q} = conj(c_{p,q}); ``solve_modes``
+    keeps that pairing mode by mode, so no flag records it.
     """
 
     entries: dict
-    hermitian: bool
 
     def __post_init__(self):
         if (0, 0) in self.entries:
             raise ValueError("zero-mean class: no (0, 0) mode allowed")
-        if self.hermitian:
-            for (p, q), c in self.entries.items():
-                mirror = self.entries.get((-p, -q))
-                if mirror is None or mirror != complex(c).conjugate():
-                    raise ValueError(
-                        f"hermitian flag set but symmetry fails at ({p}, {q})"
-                    )
-
-    @classmethod
-    def build(cls, entries, hermitian: Optional[bool] = None) -> "ModeMap":
-        """Normalize coefficients to complex; autodetect hermitian if not given."""
-        norm = {(int(p), int(q)): complex(c) for (p, q), c in entries.items()}
-        if hermitian is None:
-            hermitian = all(
-                norm.get((-p, -q)) == c.conjugate() for (p, q), c in norm.items()
-            ) and bool(norm)
-        return cls(entries=norm, hermitian=hermitian)
 
     def __len__(self):
         return len(self.entries)
@@ -114,7 +95,7 @@ def load_modes(path) -> ModeMap:
         if mode in entries:
             raise ValueError(f"{path}: record {i} repeats mode {mode}")
         entries[mode] = complex(r["re"], r["im"])
-    return ModeMap.build(entries)
+    return ModeMap(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -124,58 +105,42 @@ def load_modes(path) -> ModeMap:
 
 class SolveResult(Record):
     modes: ModeMap
-    mode_rel_err: dict
     max_rel_err: float
 
 
 def solve_modes(a: ModeMap, cf: ContinuedFraction) -> SolveResult:
     """g_{p,q} = a_{p,q} / (i(p - q omega)), divisors from exact sandwiches.
 
-    The divisor of the mirror mode is exactly the negated divisor of its
-    canonical representative, so hermitian data yields hermitian output
-    by construction rather than by post-hoc symmetrization.  Per-mode
-    relative error bounds (sandwich width over divisor) are recorded.
+    Each canonical divisor is read once; its mirror mode (-p, -q) takes
+    the negated divisor, and in floats c / (i d) and conj(c) / (-i d) are
+    conjugate, so hermitian data yields hermitian output mode by mode.
+    ``max_rel_err`` bounds every mode's relative error (sandwich width over
+    divisor, plus rounding).
     """
     if (0, 0) in a.entries:
         raise ValueError("mean mode (0, 0) is not solvable")
     divisors = {}
-    rel_err = {}
-    for p, q in a.entries:
-        cp, cq = (p, q) if (q, p) >= (0, 0) else (-p, -q)
-        key = (cp, cq)
-        if key in divisors:
-            continue
-        # p - q*omega = -(q*omega - p); int / int is correctly rounded
-        sign, x_lo, d_lo, x_hi, d_hi = _divisor_ends(cf, cq, cp)
-        lo_f, hi_f = x_lo / d_lo, x_hi / d_hi
-        if lo_f < sys.float_info.min:
-            raise ValueError(
-                f"mode (p={p}, q={q}): divisor |p - q omega| has lower end {lo_f:.3g},"
-                " below the smallest normal double"
-            )
-        mid = (lo_f + hi_f) / 2.0
-        divisors[key] = -sign * mid
-        rel_err[key] = (hi_f - lo_f) / mid + 4.0 * 2.3e-16
-
+    max_rel_err = 0.0
     g = {}
-    errs = {}
     for (p, q), c in a.entries.items():
         canonical = (q, p) >= (0, 0)
         key = (p, q) if canonical else (-p, -q)
-        if a.hermitian and not canonical:
-            continue  # filled by conjugation below
+        if key not in divisors:
+            cp, cq = key
+            # p - q*omega = -(q*omega - p); int / int is correctly rounded
+            sign, x_lo, d_lo, x_hi, d_hi = _divisor_ends(cf, cq, cp)
+            lo_f, hi_f = x_lo / d_lo, x_hi / d_hi
+            if lo_f < sys.float_info.min:
+                raise ValueError(
+                    f"mode (p={p}, q={q}): divisor |p - q omega| has lower end {lo_f:.3g},"
+                    " below the smallest normal double"
+                )
+            mid = (lo_f + hi_f) / 2.0
+            divisors[key] = -sign * mid
+            max_rel_err = max(max_rel_err, (hi_f - lo_f) / mid + 4.0 * 2.3e-16)
         d = divisors[key] if canonical else -divisors[key]
         g[(p, q)] = complex(c) / complex(0.0, d)
-        errs[(p, q)] = rel_err[key]
-    if a.hermitian:
-        for (p, q), val in list(g.items()):
-            if (-p, -q) in a.entries and (-p, -q) not in g:
-                g[(-p, -q)] = val.conjugate()
-                errs[(-p, -q)] = errs[(p, q)]
-    out = ModeMap(entries=g, hermitian=a.hermitian)
-    return SolveResult(
-        modes=out, mode_rel_err=errs, max_rel_err=max(errs.values(), default=0.0)
-    )
+    return SolveResult(modes=ModeMap(g), max_rel_err=max_rel_err)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +276,8 @@ def check_thm1(
     bound of ||g|| on radius rho - delta against mu * Gamma0(delta) times
     the coefficient-sum upper bound of ||a|| on radius rho.
     """
-    gd = gamma_delta(cf, rho, delta, mu=mu)
+    _check_gamma_inputs(rho, delta, mu)
+    gd = gamma_delta(cf, rho, delta)
     solved = solve_modes(a, cf)
     g_norm = strip_norm(solved.modes, rho - delta)
     a_upper = _coef_upper(a.entries.items(), rho)
@@ -359,8 +325,6 @@ class Counterexample(Record):
     modes: ModeMap
     alpha: AlphaReport
     epsilon: float
-    rho: float
-    n_max: int
     norm_upper: float
 
 
@@ -411,13 +375,10 @@ def counterexample_modes(
         c = epsilon * math.exp(expo) * alpha_n if expo > -745.0 else 0.0
         entries[(pn, qn)] = complex(c, 0.0)
         entries[(-pn, -qn)] = complex(c, 0.0)
-    modes = ModeMap.build(entries, hermitian=True)
     return Counterexample(
-        modes=modes,
+        modes=ModeMap(entries),
         alpha=alpha,
         epsilon=epsilon,
-        rho=rho,
-        n_max=n_max,
         norm_upper=epsilon * alpha.two_sum_alpha,
     )
 

@@ -267,7 +267,7 @@ def test_criterion_7_thm1(golden, sqrt2m1):
             )
             entries[(p, q)] = c
             entries[(-p, -q)] = c.conjugate()
-        maps.append(ModeMap.build(entries, hermitian=True))
+        maps.append(ModeMap(entries))
     failures = 0
     for cf in (golden, sqrt2m1):
         for delta in (0.2, 0.05):

@@ -240,6 +240,25 @@ def test_brj2_rigorous_tail(sqrt2m1):
     assert deepest.value <= v.value + v.tail_bound
 
 
+def test_tail_past_1020_bits():
+    # golden at depth 1480: s1 = q_1480 + q_1479 has 1028 bits, so the tail
+    # is decided in Fractions, and C = 0.5, tau = 1 is a true certificate
+    cf = expand(FrequencySpec.golden(), 1500)
+    depth, growth = 1480, DiophGrowth(C=0.5, tau=1.0)
+    s1 = cf.q[depth] + cf.q[depth - 1]
+    assert s1.bit_length() > 1020
+    for Delta in (0.3, 1e-306):
+        v = brj1(cf, Delta, depth, growth)
+        assert (v.tail_kind, v.tail_bound) == ("rigorous", 0.0)
+        assert v.tail_note.startswith("remainder terms underflow double precision")
+        # the first remainder majorant C^-1 s1^tau e^(-s1 Delta) is below e^-746
+        with mp.workdps(30):
+            log_majorant = mp.log(2) + mp.log(s1) - s1 * mp.mpf(Delta)
+        assert log_majorant < -746
+    # s1 Delta is about 1440 here, below the weight cap that decides the underflow
+    assert brj1(cf, 4e-307, depth, growth).tail_kind == "heuristic"
+
+
 # ---------------------------------------------------------------------------
 # loss-of-domain factor
 # ---------------------------------------------------------------------------
@@ -283,8 +302,6 @@ def test_gamma_delta_domain(golden):
         gamma_delta(golden, 1.0, 1.5)
     with pytest.raises(ValueError):
         gamma_delta(golden, 1.0, 0.4)  # 1/delta <= e
-    with pytest.raises(ValueError):
-        gamma_delta(golden, 1.0, 0.1, mu=0.8)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ def _random_hermitian(rng, rho, count, span=10):
         c = complex(rng.normal(), rng.normal()) * math.exp(-(abs(p) + abs(q)) * rho)
         entries[(p, q)] = c
         entries[(-p, -q)] = c.conjugate()
-    return ModeMap.build(entries, hermitian=True)
+    return ModeMap(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -46,20 +46,11 @@ def _random_hermitian(rng, rho, count, span=10):
 
 def test_mode_map_rejects_mean():
     with pytest.raises(ValueError):
-        ModeMap.build({(0, 0): 1.0})
-
-
-def test_mode_map_hermitian_detection():
-    good = ModeMap.build({(1, 2): 1 + 2j, (-1, -2): 1 - 2j})
-    assert good.hermitian
-    bad = ModeMap.build({(1, 2): 1 + 2j, (-1, -2): 1 + 2j})
-    assert not bad.hermitian
-    with pytest.raises(ValueError):
-        ModeMap(entries={(1, 2): 1 + 2j}, hermitian=True)
+        ModeMap({(0, 0): 1.0})
 
 
 def test_mode_map_json_round_trip(tmp_path):
-    m = ModeMap.build({(1, 2): 0.25 - 0.5j, (-1, -2): 0.25 + 0.5j, (3, 0): 0.125})
+    m = ModeMap({(1, 2): 0.25 - 0.5j, (-1, -2): 0.25 + 0.5j, (3, 0): 0.125})
     path = tmp_path / "modes.json"
     save_modes(m, path)
     again = load_modes(path)
@@ -86,7 +77,7 @@ def test_load_modes_rejects_indices_past_1019_bits(tmp_path, key, index):
 
 
 def test_solve_single_mode_golden(golden):
-    a = ModeMap.build({(1, 1): 1.0, (-1, -1): 1.0})
+    a = ModeMap({(1, 1): 1.0, (-1, -1): 1.0})
     res = solve_modes(a, golden)
     # divisor 1 - omega = (3 - sqrt 5)/2 ~ 0.381966
     assert abs(res.modes.entries[(1, 1)]) == pytest.approx(2.618033988, rel=1e-9)
@@ -101,20 +92,42 @@ def test_solve_round_trip(golden):
     for (p, q), g in res.modes.entries.items():
         back = complex(0.0, p - q * omega) * g
         err = abs(back - a.entries[(p, q)])
-        assert err <= (res.mode_rel_err[(p, q)] + 1e-9) * abs(a.entries[(p, q)])
+        # the mode's relative error: its divisor's enclosure width over the divisor
+        lo, hi = (abs(float(d)) for d in divisor_interval(golden, q, p))
+        rel_err = abs(hi - lo) / ((lo + hi) / 2.0) + 4.0 * 2.3e-16
+        assert rel_err <= res.max_rel_err
+        assert err <= (rel_err + 1e-9) * abs(a.entries[(p, q)])
 
 
-def test_solve_reality_preserved_exactly(golden):
+def _real_and_imaginary_maps():
+    # purely real and purely imaginary pairs, q = 0 and q < 0 among the modes
+    modes = [(1, 0), (-3, 0), (2, -1), (5, -3), (-4, 7), (1, 1), (0, 2), (0, -5)]
+    weights = [0.5, 1.25, 3.0, 0.1, 2.0**-30, 7.0, 0.75, 1e-3]
+    real = {}
+    imaginary = {}
+    for (p, q), c in zip(modes, weights):
+        real[(p, q)] = real[(-p, -q)] = complex(c, 0.0)
+        imaginary[(p, q)] = complex(0.0, c)
+        imaginary[(-p, -q)] = complex(0.0, -c)
+    return [ModeMap(real), ModeMap(imaginary)]
+
+
+def test_solve_reality_preserved_exactly(golden, sqrt2m1):
     rng = np.random.default_rng(11)
-    a = _random_hermitian(rng, 0.8, 40)
-    res = solve_modes(a, golden)
-    assert res.modes.hermitian
-    for (p, q), g in res.modes.entries.items():
-        assert res.modes.entries[(-p, -q)] == g.conjugate()
+    for a in (_random_hermitian(rng, 0.8, 40), *_real_and_imaginary_maps()):
+        for cf in (golden, sqrt2m1):
+            g = solve_modes(a, cf).modes.entries
+            for (p, q), value in g.items():
+                mirror = g[(-p, -q)]
+                assert mirror == value.conjugate(), (p, q)
+                # bit for bit wherever a part is nonzero; only a zero's sign may differ
+                for mine, theirs in ((mirror.real, value.real), (mirror.imag, -value.imag)):
+                    if mine or theirs:
+                        assert mine.hex() == theirs.hex(), (p, q)
 
 
 def test_solve_empty_and_mean_errors(golden):
-    empty = ModeMap.build({})
+    empty = ModeMap({})
     assert len(solve_modes(empty, golden).modes) == 0
 
 
@@ -125,7 +138,7 @@ def test_solver_divisors_match_the_fraction_divisor_interval(corpus):
     modes += [(3**40, 2**62), (-(5**30), 7**25), (2**70, 0)]
     for cf in corpus.values():
         # through the solver: the mirror mode takes the negated divisor
-        a = ModeMap.build({**{m: 1.0 for m in modes}, **{(-p, -q): 1j for p, q in modes}})
+        a = ModeMap({**{m: 1.0 for m in modes}, **{(-p, -q): 1j for p, q in modes}})
         res = solve_modes(a, cf)
         for (p, q), c in a.entries.items():
             sign = 1 if (q, p) > (0, 0) else -1
@@ -146,7 +159,7 @@ def test_solver_unresolved_divisor_sign_message(golden):
                 DepthExhausted,
                 match=re.escape(f"divisor sign unresolved at (q={cq}, p={cp}); expand deeper"),
             ):
-                solve_modes(ModeMap.build({mode: 1.0}), cf)
+                solve_modes(ModeMap({mode: 1.0}), cf)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +168,7 @@ def test_solver_unresolved_divisor_sign_message(golden):
 
 
 def test_strip_norm_single_mode_exact():
-    m = ModeMap.build({(2, 1): 1.0}, hermitian=False)
+    m = ModeMap({(2, 1): 1.0})
     est = strip_norm(m, 0.7, 64)
     expected = math.exp(0.7 * 3)
     assert est.upper == pytest.approx(expected, rel=1e-12)
@@ -166,7 +179,7 @@ def test_strip_norm_single_mode_exact():
 
 def test_strip_norm_shift_keeps_in_range_values():
     # e^705 is a float, but the sums run shifted down by e^5 and scale back once
-    m = ModeMap.build({(705, 0): 1.0}, hermitian=False)
+    m = ModeMap({(705, 0): 1.0})
     est = strip_norm(m, 1.0, 16)
     assert est.upper == pytest.approx(math.exp(705), rel=1e-14)
     assert est.sampled_lower == pytest.approx(math.exp(705), rel=1e-2)
@@ -212,7 +225,7 @@ def test_strip_norm_fft_matches_direct_sum(grid_n, span_per_grid):
 
 def test_strip_norm_fft_matches_direct_sum_on_the_shifted_path():
     # R (|p| + |q|) = 705 and 703 exceed the 700 room, so both sums run shifted
-    m = ModeMap.build({(705, 0): 1.0, (700, 3): 0.5j, (-2, 1): 0.25}, hermitian=False)
+    m = ModeMap({(705, 0): 1.0, (700, 3): 0.5j, (-2, 1): 0.25})
     _assert_matches_direct_sum(m, 1.0, 16)
 
 
@@ -234,7 +247,7 @@ def _sparse_maps(draw):
             max_size=30,
         )
     )
-    return ModeMap.build(entries, hermitian=False), grid_n
+    return ModeMap(entries), grid_n
 
 
 @settings(max_examples=150, deadline=None)
@@ -246,7 +259,7 @@ def test_strip_norm_fft_matches_direct_sum_random(map_and_grid, R):
 
 def test_strip_norm_index_beyond_int64():
     # 2**63 is past int64, so the residues must come from the Python ints
-    m = ModeMap.build({(2**63, 0): 1.0, (-(2**63), 0): 1.0, (1, 1): 0.5}, hermitian=False)
+    m = ModeMap({(2**63, 0): 1.0, (-(2**63), 0): 1.0, (1, 1): 0.5})
     est = strip_norm(m, 0.5, 16)
     assert est.upper == math.inf
     assert est.sampled_lower == sys.float_info.max
@@ -258,7 +271,7 @@ def test_strip_norm_shift_past_2_53_and_the_float_range(p, R):
     # R (|p| + |q|) - s is formed from exact integers, so the largest mode's
     # exponent is 700, neither e^1024 (an overflow warning, an error in this
     # suite) nor inf - inf (a nan upper bound)
-    m = ModeMap.build({(p, 1): 1.0, (-p, -1): 1.0}, hermitian=False)
+    m = ModeMap({(p, 1): 1.0, (-p, -1): 1.0})
     est = strip_norm(m, R, 16)
     assert est.upper == math.inf
     assert est.sampled_lower == sys.float_info.max
@@ -266,7 +279,7 @@ def test_strip_norm_shift_past_2_53_and_the_float_range(p, R):
 
 def test_strip_norm_zero_coefficient_sets_no_shift():
     # a zero mode far out once shifted e^(1 - 1300) to 0 and gave upper 0
-    m = ModeMap.build({(2000, 0): 0.0, (1, 0): 1.0}, hermitian=False)
+    m = ModeMap({(2000, 0): 0.0, (1, 0): 1.0})
     est = strip_norm(m, 1.0, 16)
     assert est.upper == math.exp(1.0)
     assert est.sampled_lower == pytest.approx(math.exp(1.0), rel=1e-14)
@@ -275,17 +288,17 @@ def test_strip_norm_zero_coefficient_sets_no_shift():
 @pytest.mark.parametrize("grid_n", [7, 4097, 100_000_000])
 def test_strip_norm_rejects_grid_n_out_of_range(grid_n):
     with pytest.raises(ValueError, match="grid_n must be between 8 and 4096"):
-        strip_norm(ModeMap.build({(1, 0): 1.0}), 0.5, grid_n)
+        strip_norm(ModeMap({(1, 0): 1.0}), 0.5, grid_n)
 
 
 @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, 0.0, -0.5])
 def test_strip_norm_rejects_bad_R(R):
     with pytest.raises(ValueError, match="R must be a finite number > 0"):
-        strip_norm(ModeMap.build({(1, 0): 1.0}), R)
+        strip_norm(ModeMap({(1, 0): 1.0}), R)
 
 
 def test_strip_norm_zero():
-    est = strip_norm(ModeMap.build({}), 1.0)
+    est = strip_norm(ModeMap({}), 1.0)
     assert (est.upper, est.sampled_lower) == (0.0, 0.0)
 
 
@@ -296,7 +309,7 @@ def test_strip_norm_triangle_inequality():
     merged = dict(m1.entries)
     for k, v in m2.entries.items():
         merged[k] = merged.get(k, 0.0) + v
-    s = strip_norm(ModeMap.build(merged), 0.5)
+    s = strip_norm(ModeMap(merged), 0.5)
     assert s.upper <= strip_norm(m1, 0.5).upper + strip_norm(m2, 0.5).upper + 1e-12
 
 
@@ -322,7 +335,7 @@ def test_strip_norm_lower_below_upper():
 
 
 def test_check_thm1_single_mode(golden):
-    a = ModeMap.build({(1, 1): 1.0, (-1, -1): 1.0})
+    a = ModeMap({(1, 1): 1.0, (-1, -1): 1.0})
     rep = check_thm1(a, golden, 1.0, 0.2)
     assert rep.verdict
     assert rep.margin > 10.0 * rep.computed  # large margin
@@ -352,9 +365,19 @@ def test_check_thm1_norms_the_solution_only(golden, monkeypatch):
     assert rep.params["a_upper"] == strip_norm(a, 1.0).upper
 
 
+def test_check_thm1_checks_mu_before_the_solve(golden, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("solved before the inputs were checked")
+
+    monkeypatch.setattr(cohom, "solve_modes", unreachable)
+    a = ModeMap({(1, 1): 1.0, (-1, -1): 1.0})
+    with pytest.raises(ValueError, match="mu must be a finite number >= 1, got 0.8"):
+        check_thm1(a, golden, 1.0, 0.1, mu=0.8)
+
+
 def test_check_thm1_delta_near_rho(golden):
     # delta just under rho: few effective modes survive, everything finite
-    a = ModeMap.build({(2, 1): 0.01, (-2, -1): 0.01})
+    a = ModeMap({(2, 1): 0.01, (-2, -1): 0.01})
     rep = check_thm1(a, golden, 0.35, 0.349)
     assert rep.verdict
     assert math.isfinite(rep.bound) and math.isfinite(rep.computed)
@@ -379,7 +402,8 @@ def test_counterexample_coefficient_formula(golden):
     # (p_3, q_3) = (2, 3)
     expected = math.exp(-5.0) / (2.0 * ce.alpha.abar * 3.0)
     assert ce.modes.entries[(2, 3)].real == pytest.approx(expected, rel=1e-15)
-    assert ce.modes.hermitian
+    for (p, q), c in ce.modes.entries.items():
+        assert ce.modes.entries[(-p, -q)] == c.conjugate()
     assert len(ce.modes) == 20
 
 

@@ -26,7 +26,7 @@ def _instances(golden) -> list:
     rule = expand(parse_frequency("rule:exp-liouville(c=0.5,a1=1)"), 12)
     params = classify.kl_params(0.1, 0.5, 2)
     dioph = bounds.DiophGrowth(C=0.3, tau=1.0)
-    modes = cohom.ModeMap.build({(1, 1): 0.5 + 0.25j, (-1, -1): 0.5 - 0.25j, (2, -1): 0.1})
+    modes = cohom.ModeMap({(1, 1): 0.5 + 0.25j, (-1, -1): 0.5 - 0.25j, (2, -1): 0.1})
     example = cohom.counterexample_modes(golden, 1.0, 0.1, 4)
     sums = smalldiv.partition_sums(golden, 0.2, 12)
     table = smalldiv.brjuno_pairs_up_to(golden, 12)
@@ -167,7 +167,7 @@ def test_replace_validates_again():
     with pytest.raises(ExpansionError, match="partial quotients must be integers >= 1"):
         spec._replace(head=(0,))
     with pytest.raises(ValueError, match="no \\(0, 0\\) mode"):
-        cohom.ModeMap.build({(1, 0): 1.0})._replace(entries={(0, 0): 1.0})
+        cohom.ModeMap({(1, 0): 1.0})._replace(entries={(0, 0): 1.0})
     with pytest.raises(TypeError):
         spec._replace(not_a_field=1)
 
