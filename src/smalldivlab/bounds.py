@@ -21,11 +21,10 @@ denominators is supplied; otherwise tails are labeled heuristic.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Optional, Union
 
 from ._record import Record
-from .classify import PHI, KLParams, kl_params
+from .classify import PHI, KLParams, _check_tau, kl_params
 from .contfrac import ContinuedFraction, mul_big_float
 
 LOG_PHI = math.log(PHI)
@@ -102,8 +101,7 @@ class DiophGrowth(Record):
 
     def __post_init__(self):
         _require_rate("C", self.C)
-        if not 1 <= self.tau < math.inf:
-            raise ValueError(f"tau must be a finite number >= 1, got {self.tau}")
+        _check_tau(self.tau)
 
 
 class KLGrowth(Record):
@@ -140,10 +138,12 @@ class BrjunoValue(Record):
 
 
 def _term_log(qn: int, Delta: float, log_weight: float):
-    """log of W e^(-q_n Delta) for log W = ``log_weight`` >= 0, or None when
-    it underflows doubles.  The one place a series term meets q_n Delta:
-    the product is rounded once from the big integer, so huge q_n can
-    neither cancel catastrophically nor overflow the conversion.
+    """log of W e^(-q_n Delta) for log W = ``log_weight`` >= -800, or None
+    when it underflows doubles.  The one place a series term or a tail
+    majorant meets q_n Delta: the product is rounded once from the big
+    integer, so huge q_n can neither cancel catastrophically nor overflow
+    the conversion.  A tail's log weight log(1/C) + tau log s is negative
+    when C > 1, but never below -log(max float) > -710.
     """
     b = qn.bit_length()
     if b > 64 and (b - 1) * 0.6931 + math.log(Delta) > math.log(log_weight + 800.0):
@@ -179,65 +179,47 @@ def _tail_bound(
     Denominators beyond the expansion are lower-bounded through the
     recurrence (s1 = q_d + q_{d-1}, s2 = s1 + q_d, then doubling every two
     steps), and each certified term majorant must decay by at least 1/2
-    per doubling for the geometric closure to apply.  Returns (bound,
-    note) or None when the domination conditions fail at this depth.
+    per doubling for the geometric closure to apply.  A majorant W e^(-s
+    Delta) is formed as ``_brj_terms`` forms a term, through ``_term_log``,
+    so s of any size takes the same path.  Returns (bound, note) or None
+    when the domination conditions fail at this depth.
     """
-    d = depth
-    q_d = cf.q[d]
-    q_dm1 = cf.q[d - 1] if d >= 1 else 0
-    s1 = q_d + q_dm1
+    q_d = cf.q[depth]
+    s1 = q_d + (cf.q[depth - 1] if depth >= 1 else 0)
     s2 = s1 + q_d
-    if s1.bit_length() > 1020:
-        # s1 * Delta overflows doubles long before the term weights
-        # (bounded by ~tau * 0.7 * bits + |log C| resp. beta' * (d + 2))
-        # can compensate, so every remainder majorant underflows to zero
-        # and the decay ratio is far below 1/2.
-        x1 = Fraction(s1) * Fraction(Delta)
-        weight_cap = (
-            abs(math.log(growth.C)) + growth.tau * 0.694 * s2.bit_length() + 50.0
-            if isinstance(growth, DiophGrowth)
-            else growth.beta_prime * (d + 3) + 50.0
-        )
-        if x1 > weight_cap - _UNDERFLOW_LOG:
-            return 0.0, "remainder terms underflow double precision"
-        return None
-    s1f, s2f = float(s1), float(s2)
+    x1 = mul_big_float(s1, Delta)
+
+    def majorant(s: int, log_weight: float, weight: float) -> float:
+        """e^(log_weight - s Delta), times ``weight`` for the weighted series."""
+        lt = _term_log(s, Delta, log_weight)
+        if lt is None or (weighted and weight <= 0):
+            return 0.0
+        return _exp_sat(lt + math.log(weight) if weighted else lt)
 
     if isinstance(growth, DiophGrowth):
         C, tau = growth.C, growth.tau
-        if s1f * Delta < tau:  # majorant not yet decreasing
+        if x1 < tau:  # majorant not yet decreasing
             return None
         weight_growth = 1.0 + (
             (tau - 1.0) * math.log(2.0) / math.log(1.0 / C) if C < 1.0 and tau > 1.0 else 0.0
         )
-        if (2.0**tau) * weight_growth * math.exp(-s1f * Delta) > 0.5:
+        if (2.0**tau) * weight_growth * math.exp(-x1) > 0.5:
             return None
-
-        def majorant(s: float) -> float:
-            base = math.log(1.0 / C) + tau * math.log(s) - s * Delta
-            if weighted:
-                w = math.log(1.0 / C) + (tau - 1.0) * math.log(s)
-                if w <= 0:
-                    return 0.0
-                base += math.log(w)
-            return math.exp(base) if base > _UNDERFLOW_LOG else 0.0
-
-        bound = 2.0 * (majorant(s1f) + majorant(s2f))
+        log_c = math.log(1.0 / C)
+        bound = 2.0 * sum(
+            majorant(s, log_c + tau * math.log(s), log_c + (tau - 1.0) * math.log(s))
+            for s in (s1, s2)
+        )
         return bound, f"diophantine growth certificate (C={C}, tau={tau})"
 
     if isinstance(growth, KLGrowth):
         bp = growth.beta_prime
         extra = 2.0 * math.log(2.0) if weighted else 0.0
-        if s1f * Delta < 2.0 * bp + math.log(2.0) + extra:
+        if x1 < 2.0 * bp + math.log(2.0) + extra:
             return None
-
-        def majorant(n: int, s: float) -> float:
-            base = bp * (n + 1) - s * Delta
-            if weighted:
-                base += math.log(bp * (n + 1))
-            return math.exp(base) if base > _UNDERFLOW_LOG else 0.0
-
-        bound = 2.0 * (majorant(d + 1, s1f) + majorant(d + 2, s2f))
+        # term n = d + 1 has q_n >= s1 and log q_{n+1} <= beta' (d + 2)
+        w1, w2 = bp * (depth + 2), bp * (depth + 3)
+        bound = 2.0 * (majorant(s1, w1, w1) + majorant(s2, w2, w2))
         return bound, f"upper-band growth certificate (beta'={bp})"
 
     return None

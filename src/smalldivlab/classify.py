@@ -168,6 +168,12 @@ def kl_params(
 # ---------------------------------------------------------------------------
 
 
+def _check_tau(tau: float) -> None:
+    """Reject a Diophantine exponent tau that is not a finite number >= 1."""
+    if not 1 <= tau < math.inf:
+        raise ValueError(f"tau must be a finite number >= 1, got {tau}")
+
+
 def certified_from_recursive(C_recursive: float) -> float:
     """Map the recursive-inequality constant to a certified Diophantine one."""
     return C_recursive / (2.0 + C_recursive)
@@ -218,8 +224,7 @@ def diophantine_constant(
     integer pairs up to q_depth: for q_n <= q < q_{n+1} the distance of
     q*omega to the nearest integer is at least |q_n omega - p_n|.
     """
-    if not 1 <= tau < math.inf:
-        raise ValueError(f"tau must be a finite number >= 1, got {tau}")
+    _check_tau(tau)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     cf.require_depth(depth + 1, f"diophantine_constant(depth={depth})")

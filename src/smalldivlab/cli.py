@@ -31,6 +31,7 @@ from .bounds import (
     DiophGrowth,
     _check_class_domain,
     _check_gamma_inputs,
+    _require_rate,
     brj1,
     brj2,
     brj_combined,
@@ -39,6 +40,7 @@ from .bounds import (
     table1_rows,
 )
 from .classify import (
+    _check_tau,
     brjuno_partial_sum,
     diophantine_constant,
     khintchine_constants,
@@ -48,6 +50,8 @@ from .classify import (
 )
 from .cohom import (
     ModeMap,
+    _check_blowup_inputs,
+    _check_strip,
     blowup_witness,
     check_thm1,
     counterexample_modes,
@@ -59,6 +63,7 @@ from .cohom import (
 from .contfrac import ContinuedFraction, ExpansionError, expand, parse_frequency, verify_nint_lemma
 from .smalldiv import (
     _check_delta,
+    _check_radius,
     oracle_mismatches,
     partition_dump,
     partition_sums,
@@ -161,10 +166,11 @@ def _bound_report_dict(rep: BoundReport) -> dict:
 
 
 def _cmd_classify(args) -> dict:
+    _check_tau(args.tau)
+    params = kl_params(args.T_minus, args.T_plus, args.N)
     cf = _expand_freq(args)
     depth = min(args.depth, cf.depth - 1)
     cert = diophantine_constant(cf, args.tau, depth)
-    params = kl_params(args.T_minus, args.T_plus, args.N)
     kl = kl_membership(cf, params, min(cf.depth, max(params.N, depth)))
     bps = brjuno_partial_sum(cf, depth)
     nint = verify_nint_lemma(cf, min(10, cf.depth - 1))
@@ -190,6 +196,7 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_brj(args) -> dict:
+    _require_rate("Delta", args.Delta)
     growth = None if args.C is None else DiophGrowth(C=args.C, tau=args.tau)
     cf = _expand_freq(args)
     depth = min(args.depth, cf.depth - 1)
@@ -251,6 +258,8 @@ def _cmd_constants(args) -> dict:
 
 
 def _cmd_partition(args) -> dict:
+    _check_delta(args.delta)
+    _check_radius(args.Q)
     cf = _expand_freq(args)
     sums = partition_sums(cf, args.delta, args.Q)
     oracle = sums.box_total
@@ -279,6 +288,7 @@ def _cmd_partition(args) -> dict:
 
 
 def _cmd_legendre(args) -> dict:
+    _check_radius(args.Q)
     cf = _expand_freq(args)
     rep = verify_legendre(cf, args.Q)
     return _report(
@@ -290,9 +300,10 @@ def _cmd_legendre(args) -> dict:
 
 
 def _cmd_solve(args) -> dict:
+    _check_strip(args.R, args.grid_n)
     cf = _expand_freq(args)
     a = load_modes(args.modes)
-    a_norm = strip_norm(a, args.R, args.grid_n)  # checks R and grid_n before the solve
+    a_norm = strip_norm(a, args.R, args.grid_n)
     solved = solve_modes(a, cf)
     g_norm = strip_norm(solved.modes, args.R, args.grid_n)
     if args.out_modes:
@@ -338,14 +349,12 @@ def _cmd_thm1(args) -> dict:
 
     cf = _expand_freq(args)
     rng = np.random.default_rng(args.seed)
-    failures = 0
-    margins = []
-    for _ in range(args.count):
-        a = _random_decay_modes(rng, args.rho, args.modes_per_map, args.span)
-        rep = check_thm1(a, cf, args.rho, args.delta, mu=args.mu)
-        margins.append(rep.margin)
-        if not rep.verdict:
-            failures += 1
+    maps = (
+        _random_decay_modes(rng, args.rho, args.modes_per_map, args.span)
+        for _ in range(args.count)
+    )
+    reports = check_thm1(maps, cf, args.rho, args.delta, mu=args.mu)
+    failures = sum(not rep.verdict for rep in reports)
     return _report(
         "thm1",
         {
@@ -356,12 +365,13 @@ def _cmd_thm1(args) -> dict:
             "seed": args.seed,
             "count": args.count,
         },
-        {"min_margin": min(margins), "failures": failures},
+        {"min_margin": min(rep.margin for rep in reports), "failures": failures},
         {"all_pass": failures == 0},
     )
 
 
 def _cmd_counterexample(args) -> dict:
+    _check_blowup_inputs(args.rho, args.delta_prime, args.epsilon, args.n_max)
     cf = _expand_freq(args)
     n_max = min(args.n_max, cf.depth - 1)
     ce = counterexample_modes(cf, args.rho, args.epsilon, n_max)
@@ -405,6 +415,7 @@ def _cmd_sweep(args) -> tuple:
     for delta in deltas:
         _check_delta(delta)
         _check_class_domain(delta, args.mu, (args.check,))
+    _check_radius(args.Q)
     cf = _expand_freq(args)
     bound = CLASS_BOUNDS[args.check]
     lines = ["delta,computed,bound,margin,verdict"]

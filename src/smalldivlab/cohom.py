@@ -210,6 +210,14 @@ def _coef_upper(items, R: float) -> float:
     return _times_exp(total, shift)
 
 
+def _check_strip(R: float, grid_n: int) -> None:
+    """Reject a strip radius or sampling grid that ``strip_norm`` cannot use."""
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError("R must be a finite number > 0")
+    if not 8 <= grid_n <= 4096:
+        raise ValueError("grid_n must be between 8 and 4096")
+
+
 def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
     """upper = sum |c| e^(R(|p|+|q|)); lower = max |f| over boundary grids.
 
@@ -224,10 +232,7 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
     ``upper`` is inf and the sampled value saturates to the largest
     float, which is still a lower bound.
     """
-    if not (math.isfinite(R) and R > 0):
-        raise ValueError("R must be a finite number > 0")
-    if not 8 <= grid_n <= 4096:
-        raise ValueError("grid_n must be between 8 and 4096")
+    _check_strip(R, grid_n)
     # zero coefficients add nothing to either bound
     items = [(pq, c) for pq, c in sorted(modes.entries.items()) if c]
     if not items:
@@ -264,40 +269,44 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
 
 
 def check_thm1(
-    a: ModeMap,
+    maps,
     cf: ContinuedFraction,
     rho: float,
     delta: float,
     mu: float = 1.25,
-) -> BoundReport:
+) -> list:
     """End-to-end solvability bound check on a strip shrunk by delta.
 
-    Solves the equation in Fourier space and compares the sampled lower
-    bound of ||g|| on radius rho - delta against mu * Gamma0(delta) times
-    the coefficient-sum upper bound of ||a|| on radius rho.
+    For each ModeMap a of ``maps``, solves the equation in Fourier space and
+    compares the sampled lower bound of ||g|| on radius rho - delta against
+    mu * Gamma0(delta) times the coefficient-sum upper bound of ||a|| on
+    radius rho.  The inputs are checked, and Gamma0 is built, once for all
+    maps; returns one BoundReport per map.
     """
     _check_gamma_inputs(rho, delta, mu)
-    gd = gamma_delta(cf, rho, delta)
-    solved = solve_modes(a, cf)
-    g_norm = strip_norm(solved.modes, rho - delta)
-    a_upper = _coef_upper(a.entries.items(), rho)
-    computed = g_norm.sampled_lower
-    bound = mu * gd.Gamma0 * a_upper
-    return BoundReport(
-        quantity="sampled lower bound of the shrunk-strip solution norm",
-        computed=computed,
-        bound=bound,
-        params={
-            "rho": rho,
-            "delta": delta,
-            "mu": mu,
-            "Gamma0": gd.Gamma0,
-            "a_upper": a_upper,
-            "g_upper": g_norm.upper,
-            "modes": len(a),
-            "solver_max_rel_err": solved.max_rel_err,
-        },
-    )
+    gamma0 = gamma_delta(cf, rho, delta).Gamma0
+
+    def report(a: ModeMap) -> BoundReport:
+        solved = solve_modes(a, cf)
+        g_norm = strip_norm(solved.modes, rho - delta)
+        a_upper = _coef_upper(a.entries.items(), rho)
+        return BoundReport(
+            quantity="sampled lower bound of the shrunk-strip solution norm",
+            computed=g_norm.sampled_lower,
+            bound=mu * gamma0 * a_upper,
+            params={
+                "rho": rho,
+                "delta": delta,
+                "mu": mu,
+                "Gamma0": gamma0,
+                "a_upper": a_upper,
+                "g_upper": g_norm.upper,
+                "modes": len(a),
+                "solver_max_rel_err": solved.max_rel_err,
+            },
+        )
+
+    return [report(a) for a in maps]
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +409,16 @@ class WitnessPoint(Record):
     log_w_hi: float
 
 
+def _check_blowup_inputs(rho: float, delta_prime: float, epsilon: float, n_max: int) -> None:
+    """Reject a rho, delta', epsilon or n_max that the blow-up data cannot use."""
+    _require_rate("epsilon", epsilon)
+    _require_rate("rho", rho)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if not 0.0 < delta_prime < rho:
+        raise ValueError("need 0 < delta_prime < rho")
+
+
 def blowup_witness(
     cf: ContinuedFraction,
     rho: float,
@@ -408,10 +427,7 @@ def blowup_witness(
     n_max: int,
 ) -> list:
     """Witness log-magnitudes for n = 1..n_max, entirely in log space."""
-    _require_rate("rho", rho)
-    if not 0.0 < delta_prime < rho:
-        raise ValueError("need 0 < delta_prime < rho")
-    _require_rate("epsilon", epsilon)
+    _check_blowup_inputs(rho, delta_prime, epsilon, n_max)
     cf.require_depth(n_max + 1, f"blowup_witness(n_max={n_max})")
     alpha = _alpha_data(cf, n_max)
     log_eps = math.log(epsilon)

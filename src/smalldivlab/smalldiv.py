@@ -104,6 +104,12 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta = {delta!r} is too small: e^(-delta) rounds to 1")
 
 
+def _check_radius(Q: int) -> None:
+    """Reject a box radius below 1."""
+    if Q < 1:
+        raise ExpansionError("box radius must be >= 1")
+
+
 def away_tail_majorant(delta: float, Q: int) -> float:
     """Geometric bound on sum of e^(-(|q|+|p|) delta) over max(|q|,|p|) > Q."""
     _check_delta(delta)
@@ -126,8 +132,7 @@ def brjuno_pairs_up_to(cf: ContinuedFraction, Q: int) -> BrjunoTable:
     Requires the expansion to reach a denominator beyond Q so the
     enumeration is provably complete.
     """
-    if Q < 1:
-        raise ExpansionError("box radius must be >= 1")
+    _check_radius(Q)
     if cf.q[-1] <= Q and cf.exact is None:
         raise DepthExhausted(
             f"expansion depth {cf.depth} stops at q = {cf.q[-1]} <= Q = {Q}; "
@@ -392,8 +397,7 @@ def _half_box(
     depend on the block it falls in.
     """
     _check_delta(delta)
-    if Q < 1:
-        raise ExpansionError("box radius must be >= 1")
+    _check_radius(Q)
     import numpy as np
 
     table, floors, f, g = _box_rows(cf, Q)
@@ -564,7 +568,7 @@ def partition_dump(cf: ContinuedFraction, delta: float, Q: int, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exact Legendre check and the away-bound report
+# exact Legendre check
 # ---------------------------------------------------------------------------
 
 
@@ -587,29 +591,6 @@ def _legendre_ratio(cf: ContinuedFraction, q: int, p: int) -> float:
     return 1.0 / (2.0 * q * (x_lo / d_lo))
 
 
-def _legendre_reread(cf: ContinuedFraction, rows: list, table) -> list:
-    """The rows' floors, then their pairs' Legendre comparisons, at the bracket.
-
-    Returns (q, p, short) per checked pair, ``short`` set on a violation.
-    """
-    floors = [floor_mult(cf, q) for q in rows]
-    out = []
-    for q, fl in zip(rows, floors):
-        for p in (fl, fl + 1):
-            if (q, p) in table.pairs:
-                continue
-            # 2q |q omega - p| >= 1 must hold at both bracket endpoints; at
-            # neither it is a violation, at one only the bracket is too coarse
-            _, x_lo, d_lo, x_hi, d_hi = _divisor_ends(cf, q, p, zero_end=True)
-            short = 2 * q * x_lo < d_lo
-            if short and 2 * q * x_hi > d_hi:
-                raise DepthExhausted(
-                    f"legendre comparison unresolved at (q={q}, p={p}); expand deeper"
-                )
-            out.append((q, p, short))
-    return out
-
-
 def verify_legendre(cf: ContinuedFraction, Q: int) -> BoundReport:
     """For every critical-strip pair with 0 < q <= Q that is not a convergent
     multiple, verify |q omega - p| >= 1/(2q) by exact integer comparison.
@@ -618,43 +599,35 @@ def verify_legendre(cf: ContinuedFraction, Q: int) -> BoundReport:
     bound 1; any violating pair (a classification defect, not a math
     failure) is listed in params["violations"].
 
-    Two reads give what one read of every pair at the bracket gives.  The
-    coarse read steps the small residues of sandwich level
-    ``resolve_depth_for_box(cf, Q)`` if that level contains the bracket, else
-    those of the bracket.  A floor that both of its endpoints give holds at
-    the bracket too, and so does a sign of 2q |q omega - p| - 1 that both
-    give, since that is affine in omega between them.  The bracket re-reads
-    the other rows (``_legendre_reread``), all floors first and then the
-    comparisons, so it raises the first error of a read of every row.  On an
-    expansion's own bracket no row is left: the level fixes every floor,
-    and Legendre's theorem with the astar bound fixes every sign.
+    Every floor and sign is decided at sandwich level
+    m = ``resolve_depth_for_box(cf, Q)``, stepping its small residues.  A
+    floor that both of its endpoints give holds at omega too, and so does a
+    sign of 2q |q omega - p| - 1 that both give, since that is affine in
+    omega between them.  The level fixes every floor, and Legendre's theorem
+    with the astar bound fixes every sign, so a row it leaves undecided is a
+    defect of the program, not a shallow expansion: it raises RuntimeError,
+    since expanding deeper would not change m.
 
     ``computed`` is the bracket expression of ``_legendre_ratio``, whose
     three roundings put it within 3.01 2^-53 relative of 1/(2v), with
     v = q x_lo / d_lo exact (the lower end from ``_divisor_ends``).  The
-    coarse read encloses v in a <= v <= b for each pair it decides; let
-    b_min be the least b, at pair P0.  A pair whose a exceeds
-    b_min (1 + 2^-40) has a value below P0's: 2^-40 far exceeds the
-    6.02 2^-53 that the two pairs' roundings can make up, plus
-    the 2^-53 of each float a, b and b_min (1 + 2^-40).  So the expression
-    is evaluated only on every re-read pair and on the other coarse pairs,
-    the candidates.
+    level encloses v in a <= v <= b for each pair; let b_min be the least b,
+    at pair P0.  A pair whose a exceeds b_min (1 + 2^-40) has a value below
+    P0's: 2^-40 far exceeds the 6.02 2^-53 that the two pairs' roundings can
+    make up, plus the 2^-53 of each float a, b and b_min (1 + 2^-40).  So the
+    expression is evaluated only on the other pairs, the candidates.
     """
-    if Q < 1:
-        raise ExpansionError("box radius must be >= 1")
+    _check_radius(Q)
     if cf.exact is not None:
         raise ExpansionError("verify_legendre needs an irrational frequency")
     table = brjuno_pairs_up_to(cf, Q)
-    level_lo, level_hi = cf.sandwich(resolve_depth_for_box(cf, Q))
-    lo, hi = cf.bracket
-    if level_lo <= lo and hi <= level_hi:
-        lo, hi = level_lo, level_hi
+    m = resolve_depth_for_box(cf, Q)
+    lo, hi = cf.sandwich(m)
     lod, hid = lo.denominator, hi.denominator
     table_rows = {q for q, _ in table.pairs}
 
     checked = 0
     violations = []
-    undecided = []
     candidates = []  # (a, q, p)
     least = math.inf  # b_min; a, b and b_min are doubled here
     # a pair whose a exceeds the integer K >= max(1, least (1 + margin)) is
@@ -662,19 +635,18 @@ def verify_legendre(cf: ContinuedFraction, Q: int) -> BoundReport:
     klod = khid = math.inf
     for q, fl, r_lo, f_hi, r_hi in _residue_rows(lo, hi, Q):
         q2 = q + q
-        if fl != f_hi:
-            undecided.append(q)
-            continue
         # a lies at the low endpoint for p = fl, at the high one for fl + 1
-        if q2 * r_lo > klod and q2 * (hid - r_hi) > khid and q not in table_rows:
+        if fl == f_hi and q2 * r_lo > klod and q2 * (hid - r_hi) > khid and q not in table_rows:
             checked += 2
             continue
         pairs = _critical_pairs(q, fl, r_lo, r_hi, lod, hid, table)
-        # is 2q |q omega - p| below 1 at each coarse endpoint?
+        # is 2q |q omega - p| below 1 at each endpoint of the level?
         below = [(q2 * x_lo < lod, q2 * x_hi < hid) for _, x_lo, x_hi in pairs]
-        if any(lo_below != hi_below for lo_below, hi_below in below):
-            undecided.append(q)
-            continue
+        if fl != f_hi or any(lo_below != hi_below for lo_below, hi_below in below):
+            raise RuntimeError(
+                f"legendre row q={q} undecided at sandwich level m={m}, the"
+                f" level chosen for box radius {Q}"
+            )
         checked += len(pairs)
         for (p, x_lo, x_hi), (short, _) in zip(pairs, below):
             if short:
@@ -689,15 +661,10 @@ def verify_legendre(cf: ContinuedFraction, Q: int) -> BoundReport:
 
     cutoff = least * (1.0 + _LEGENDRE_MARGIN)
     evaluated = [(q, p) for a, q, p in candidates if a <= cutoff]
-    for q, p, short in _legendre_reread(cf, undecided, table):
-        checked += 1
-        if short:
-            violations.append((q, p))
-        evaluated.append((q, p))
     worst = max((_legendre_ratio(cf, q, p) for q, p in evaluated), default=0.0)
     return BoundReport(
         quantity="max of 1/(2 q |q omega - p|) over non-convergent critical pairs",
         computed=worst,
         bound=1.0,
-        params={"Q": Q, "checked": checked, "violations": sorted(violations)},
+        params={"Q": Q, "checked": checked, "violations": violations},
     )

@@ -272,7 +272,7 @@ def test_criterion_7_thm1(golden, sqrt2m1):
     for cf in (golden, sqrt2m1):
         for delta in (0.2, 0.05):
             for a in maps:
-                rep = check_thm1(a, cf, rho, delta)
+                [rep] = check_thm1([a], cf, rho, delta)
                 if not rep.verdict:
                     failures += 1
     elapsed = time.monotonic() - start

@@ -240,23 +240,82 @@ def test_brj2_rigorous_tail(sqrt2m1):
     assert deepest.value <= v.value + v.tail_bound
 
 
+def test_tail_majorant_past_the_float_range_saturates():
+    # s1 = 3e15, Delta = 1e-15 and C = 1e-300 pass the decay test, yet the
+    # first majorant C^-1 s1 e^(-s1 Delta) is about e^723: the bound is inf,
+    # as a series term past the float range is, not an OverflowError
+    cf = expand(FrequencySpec.literal([1, 10**15, 2, 3, 1, 1]), 6)
+    growth = DiophGrowth(C=1e-300, tau=1.0)
+    for fn in (brj1, brj2):
+        v = fn(cf, 1e-15, 3, growth)
+        assert (v.tail_kind, v.tail_bound) == ("rigorous", math.inf)
+
+
+def _remainder(cf, Delta, depth, stop):
+    """sum_{n=depth+1}^{stop} e^(-q_n Delta) q_{n+1} in 30-digit mpmath."""
+    with mp.workdps(30):
+        return mp.fsum(
+            mp.exp(-cf.q[n] * mp.mpf(Delta)) * cf.q[n + 1] for n in range(depth + 1, stop + 1)
+        )
+
+
 def test_tail_past_1020_bits():
-    # golden at depth 1480: s1 = q_1480 + q_1479 has 1028 bits, so the tail
-    # is decided in Fractions, and C = 0.5, tau = 1 is a true certificate
+    # golden at depth 1480: s1 = q_1480 + q_1479 has 1028 bits, and C = 0.5,
+    # tau = 1 is a true certificate; the tail takes the same path as at any
+    # other size of s1
     cf = expand(FrequencySpec.golden(), 1500)
     depth, growth = 1480, DiophGrowth(C=0.5, tau=1.0)
     s1 = cf.q[depth] + cf.q[depth - 1]
+    s2 = s1 + cf.q[depth]
     assert s1.bit_length() > 1020
+    note = "diophantine growth certificate (C=0.5, tau=1.0)"
     for Delta in (0.3, 1e-306):
         v = brj1(cf, Delta, depth, growth)
         assert (v.tail_kind, v.tail_bound) == ("rigorous", 0.0)
-        assert v.tail_note.startswith("remainder terms underflow double precision")
+        assert v.tail_note.startswith(note)
         # the first remainder majorant C^-1 s1^tau e^(-s1 Delta) is below e^-746
         with mp.workdps(30):
             log_majorant = mp.log(2) + mp.log(s1) - s1 * mp.mpf(Delta)
         assert log_majorant < -746
-    # s1 Delta is about 1440 here, below the weight cap that decides the underflow
-    assert brj1(cf, 4e-307, depth, growth).tail_kind == "heuristic"
+    # s1 Delta is about 940 here: the majorants 2 s e^(-s Delta) no longer
+    # underflow, and the bound is their sum, doubled
+    v = brj1(cf, 4e-307, depth, growth)
+    assert (v.tail_kind, v.tail_note) == ("rigorous", note)
+    with mp.workdps(30):
+        Delta = mp.mpf(4e-307)
+        want = 2 * mp.fsum(2 * s * mp.exp(-s * Delta) for s in (s1, s2))
+    assert v.tail_bound == pytest.approx(float(want), rel=1e-12)
+    assert v.tail_bound == pytest.approx(3.568e-98, rel=1e-3)
+    assert _remainder(cf, 4e-307, depth, 1490) <= v.tail_bound
+    assert brj1(cf, 4e-307, 1490, growth).value <= v.value + v.tail_bound
+
+
+def test_kl_tail_past_1020_bits():
+    # golden has log q_{n+1} <= 0.49 (n + 1) at every n, so KLGrowth(0.49)
+    # is a true certificate
+    cf = expand(FrequencySpec.golden(), 1500)
+    depth, growth = 1480, KLGrowth(beta_prime=0.49)
+    s1 = cf.q[depth] + cf.q[depth - 1]
+    s2 = s1 + cf.q[depth]
+    assert s1.bit_length() > 1020
+    assert all(math.log(cf.q[n + 1]) <= 0.49 * (n + 1) for n in range(cf.depth))
+    note = "upper-band growth certificate (beta'=0.49)"
+    for fn in (brj1, brj2):
+        v = fn(cf, 0.3, depth, growth)
+        assert (v.tail_kind, v.tail_bound) == ("rigorous", 0.0)
+        assert v.tail_note.startswith(note)
+    with mp.workdps(30):
+        Delta = mp.mpf(4e-307)
+        w1, w2 = mp.mpf(0.49) * (depth + 2), mp.mpf(0.49) * (depth + 3)
+        terms = (mp.exp(w1 - s1 * Delta), mp.exp(w2 - s2 * Delta))
+        want1 = 2 * mp.fsum(terms)
+        want2 = 2 * (w1 * terms[0] + w2 * terms[1])
+    for fn, want in ((brj1, want1), (brj2, want2)):
+        v = fn(cf, 4e-307, depth, growth)
+        assert (v.tail_kind, v.tail_note) == ("rigorous", note)
+        assert v.tail_bound == pytest.approx(float(want), rel=1e-12)
+    v = brj1(cf, 4e-307, depth, growth)
+    assert _remainder(cf, 4e-307, depth, 1490) <= v.tail_bound
 
 
 # ---------------------------------------------------------------------------

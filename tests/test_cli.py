@@ -539,13 +539,23 @@ def test_thm1_rejects_impossible_inputs_before_computing(extra, flag):
         (["sweep", "--check", "brjuno", "--deltas", "0.1", "--Q", "20", "--mu", "inf"],
          "mu must be finite, got inf"),
         (["gamma", "--delta", "0.1", "--rho", "inf"], "rho must be finite, got inf"),
+        (["partition", "--delta", "0.2", "--Q", "0"], "box radius must be >= 1"),
+        (["legendre", "--Q", "0"], "box radius must be >= 1"),
+        (["sweep", "--check", "away", "--deltas", "0.1", "--Q", "0"], "box radius must be >= 1"),
+        (["counterexample", "--delta-prime", "0.05", "--n-max", "0"], "n_max must be >= 1"),
+        (["counterexample", "--delta-prime", "5"], "need 0 < delta_prime < rho"),
+        # the modes file does not exist: R and grid_n are checked before it is read
+        (["solve", "--modes", "missing.json", "--R", "nan"], "R must be a finite number > 0"),
+        (["solve", "--modes", "missing.json", "--R", "0.5", "--grid-n", "4"],
+         "grid_n must be between 8 and 4096"),
     ],
 )
 def test_unusable_delta_is_an_input_error_before_any_scan(monkeypatch, capsys, argv, message):
     def no_work(*args, **kwargs):
-        raise AssertionError("a scan or series ran")
+        raise AssertionError("the frequency was expanded, or a scan or series ran")
 
-    # the first exact work of every box scan and of every series
+    # the expansion, then the first exact work of every box scan and of every series
+    monkeypatch.setattr(cli, "expand", no_work)
     monkeypatch.setattr(smalldiv, "_box_rows", no_work)
     monkeypatch.setattr(bounds, "_brj_terms", no_work)
     command, *rest = argv

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smalldivlab import cohom
+from smalldivlab.bounds import gamma_delta
 from smalldivlab.cohom import (
     ModeMap,
     blowup_witness,
@@ -336,7 +337,7 @@ def test_strip_norm_lower_below_upper():
 
 def test_check_thm1_single_mode(golden):
     a = ModeMap({(1, 1): 1.0, (-1, -1): 1.0})
-    rep = check_thm1(a, golden, 1.0, 0.2)
+    [rep] = check_thm1([a], golden, 1.0, 0.2)
     assert rep.verdict
     assert rep.margin > 10.0 * rep.computed  # large margin
 
@@ -346,7 +347,7 @@ def test_check_thm1_seeded_random(golden, sqrt2m1):
     for cf in (golden, sqrt2m1):
         for _ in range(10):
             a = _random_hermitian(rng, 1.0, 25, span=12)
-            rep = check_thm1(a, cf, 1.0, 0.2)
+            [rep] = check_thm1([a], cf, 1.0, 0.2)
             assert rep.verdict, rep
 
 
@@ -360,7 +361,7 @@ def test_check_thm1_norms_the_solution_only(golden, monkeypatch):
         return strip_norm(*args, **kwargs)
 
     monkeypatch.setattr(cohom, "strip_norm", counted)
-    rep = check_thm1(a, golden, 1.0, 0.2)
+    [rep] = check_thm1([a], golden, 1.0, 0.2)
     assert len(calls) == 1
     assert rep.params["a_upper"] == strip_norm(a, 1.0).upper
 
@@ -372,13 +373,30 @@ def test_check_thm1_checks_mu_before_the_solve(golden, monkeypatch):
     monkeypatch.setattr(cohom, "solve_modes", unreachable)
     a = ModeMap({(1, 1): 1.0, (-1, -1): 1.0})
     with pytest.raises(ValueError, match="mu must be a finite number >= 1, got 0.8"):
-        check_thm1(a, golden, 1.0, 0.1, mu=0.8)
+        check_thm1([a], golden, 1.0, 0.1, mu=0.8)
+
+
+def test_check_thm1_builds_gamma0_once_for_every_map(golden, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gamma_delta(*args)
+
+    monkeypatch.setattr(cohom, "gamma_delta", counted)
+    rng = np.random.default_rng(5)
+    maps = [_random_hermitian(rng, 1.0, 25, span=12) for _ in range(4)]
+    reports = check_thm1(maps, golden, 1.0, 0.2)
+    assert len(calls) == 1
+    # each report is the one a single-map call gives
+    assert reports == [check_thm1([a], golden, 1.0, 0.2)[0] for a in maps]
+    assert check_thm1([], golden, 1.0, 0.2) == []
 
 
 def test_check_thm1_delta_near_rho(golden):
     # delta just under rho: few effective modes survive, everything finite
     a = ModeMap({(2, 1): 0.01, (-2, -1): 0.01})
-    rep = check_thm1(a, golden, 0.35, 0.349)
+    [rep] = check_thm1([a], golden, 0.35, 0.349)
     assert rep.verdict
     assert math.isfinite(rep.bound) and math.isfinite(rep.computed)
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from smalldivlab import smalldiv
 from smalldivlab.bounds import CLASS_BOUNDS, brj1, brj2
+from smalldivlab.cli import EXIT_CRASH, main
 from smalldivlab.contfrac import (
     DepthExhausted,
     ExpansionError,
@@ -668,18 +669,40 @@ def test_legendre_reports_a_pair_missing_from_the_table(golden, monkeypatch):
 
 
 def test_legendre_raises_where_the_per_pair_loop_raises(corpus):
-    # coarser sandwiches than the finest leave floors or sign tests unresolved:
-    # both loops must give the same result or the same first error
+    # every expansion truncated at every depth: a shallow one has too few
+    # levels for the box, and both loops must give the same result or the
+    # same first error
     raised = set()
     for cf in corpus.values():
-        for Q in range(1, 40):
-            for m in range(resolve_depth_for_box(cf, Q) + 1):
-                coarse = with_bracket(cf, m)
-                got = _legendre_outcome(verify_legendre, coarse, Q)
-                assert got == _legendre_outcome(_legendre_loop, coarse, Q), (Q, m)
+        for depth in range(1, 17):
+            shallow = expand(cf.spec, depth)
+            for Q in range(1, 40):
+                got = _legendre_outcome(verify_legendre, shallow, Q)
+                assert got == _legendre_outcome(_legendre_loop, shallow, Q), (depth, Q)
                 if got[0] == "raised":
-                    raised.add(got[1].split(" at ")[0].split("(")[0])
-    assert raised == {"floor", "legendre comparison unresolved"}
+                    raised.add(re.search("stops at q|too shallow", got[1]).group())
+    assert raised == {"stops at q", "too shallow"}
+
+
+def test_legendre_row_left_undecided_is_an_internal_error(monkeypatch, capsys):
+    # a level coarser than resolve_depth_for_box's leaves a floor (golden,
+    # q = 3 at level 2, and q = 1 at level 0, where both endpoints' residues
+    # would still give one sign) or a Legendre sign (q = 4 at level 0)
+    # undecided: a defect of the program, not an expansion to deepen
+    golden = expand(FrequencySpec.golden(), 60)
+    signs = expand(FrequencySpec.literal((30, 3, 1, 100, 1, 30, 30)), 7)
+    for cf, Q, level, q in ((golden, 2000, 2, 3), (golden, 5, 0, 1), (signs, 5, 0, 4)):
+        monkeypatch.setattr(smalldiv, "resolve_depth_for_box", lambda cf, Q: level)
+        message = f"legendre row q={q} undecided at sandwich level m={level}"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            verify_legendre(cf, Q)
+    monkeypatch.setattr(smalldiv, "resolve_depth_for_box", lambda cf, Q: 2)
+    assert main(["legendre", "--freq", "golden", "--Q", "2000"]) == EXIT_CRASH
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: RuntimeError: legendre row q=3 undecided at sandwich level m=2" in (
+        captured.err
+    )
 
 
 def _legendre_argmax(cf, lo, hi, Q):
@@ -700,75 +723,40 @@ def _legendre_argmax(cf, lo, hi, Q):
 
 @st.composite
 def _legendre_cases(draw):
-    """(quotients, Q, bracket level) with a level deep enough to resolve Q."""
+    """(quotients, Q, depth): the expansion of the quotients cut at depth."""
     quotients = draw(
         st.lists(st.sampled_from((1, 1, 2, 3, 5, 10, 30, 100)), min_size=4, max_size=12)
     )
     cf = expand(FrequencySpec.literal(quotients), len(quotients))
     Q = draw(st.integers(1, min(1500, max(1, cf.q[-2] // 2))))
-    return tuple(quotients), Q, draw(st.integers(0, cf.depth - 1))
+    return tuple(quotients), Q, draw(st.integers(1, cf.depth))
 
 
-def test_legendre_matches_the_loop_on_random_quotients(monkeypatch):
-    # brackets at every sandwich level: a level below the resolving one
-    # leaves rows undecided for the bracket re-read, the expansion's own
-    # bracket none; the coarse level's own maximum often sits at another pair
-    # than the bracket's
-    reread_rows = []
-    reread = smalldiv._legendre_reread
-
-    def spy(cf, rows, table):
-        reread_rows.extend(rows)
-        return reread(cf, rows, table)
-
-    monkeypatch.setattr(smalldiv, "_legendre_reread", spy)
+def test_legendre_matches_the_loop_on_random_quotients():
+    # real expansions cut at every depth: a shallow one raises in both loops;
+    # the resolving level's own maximum often sits at another pair than the
+    # bracket's
     argmax_moved = []
+    outcomes = set()
 
     @given(case=_legendre_cases())
-    @example(case=((1,) * 8, 5, 0)).via("floors undecided at level 0")
-    @example(case=((10, 10, 5, 1, 3, 100), 134, 5)).via("the maximum moves")
+    @example(case=((1,) * 8, 5, 5)).via("too shallow for the box")
+    @example(case=((10, 10, 5, 1, 3, 100), 134, 6)).via("the maximum moves")
     @settings(max_examples=80, deadline=None)
     def check(case):
-        quotients, Q, level = case
-        cf = expand(FrequencySpec.literal(quotients), len(quotients))
-        bracket = with_bracket(cf, level)
-        reread_before = len(reread_rows)
-        got = _legendre_outcome(verify_legendre, bracket, Q)
-        assert got == _legendre_outcome(_legendre_loop, bracket, Q)
-        if level == cf.depth - 1:  # the expansion's own bracket
-            assert len(reread_rows) == reread_before
-            if got[0] != "raised":
-                coarse = cf.sandwich(resolve_depth_for_box(cf, Q))
-                argmax_moved.append(
-                    _legendre_argmax(cf, *coarse, Q)
-                    != _legendre_argmax(cf, *cf.bracket, Q)
-                )
+        quotients, Q, depth = case
+        cf = expand(FrequencySpec.literal(quotients), depth)
+        got = _legendre_outcome(verify_legendre, cf, Q)
+        assert got == _legendre_outcome(_legendre_loop, cf, Q)
+        outcomes.add(got[0] == "raised")
+        if got[0] != "raised":
+            coarse = cf.sandwich(resolve_depth_for_box(cf, Q))
+            argmax_moved.append(
+                _legendre_argmax(cf, *coarse, Q) != _legendre_argmax(cf, *cf.bracket, Q)
+            )
 
     check()
-    assert reread_rows and any(argmax_moved)
-
-
-def test_legendre_reports_a_violation_found_by_the_reread(monkeypatch):
-    # the bracket is sandwich level 8 and the box resolves at level 7, so row
-    # 65 is left to the re-read; with no Brjuno table every convergent is
-    # checked, and (65, 34) sorts before the coarse (86, 45)
-    cf = expand(FrequencySpec.literal((1, 1, 10, 3, 1, 1, 2, 3, 1, 10, 1)), 11)
-    assert resolve_depth_for_box(cf, 86) == 7
-    bracket = with_bracket(cf, 8)
-    empty = brjuno_pairs_up_to(cf, 86)._replace(pairs={})
-    monkeypatch.setattr(smalldiv, "brjuno_pairs_up_to", lambda cf, Q: empty)
-    reread_rows = []
-    reread = smalldiv._legendre_reread
-
-    def spy(cf, rows, table):
-        reread_rows.extend(rows)
-        return reread(cf, rows, table)
-
-    monkeypatch.setattr(smalldiv, "_legendre_reread", spy)
-    got = _legendre_outcome(verify_legendre, bracket, 86)
-    assert got[2] == [(1, 1), (2, 1), (4, 2), (21, 11), (65, 34), (86, 45)]
-    assert reread_rows == [65]
-    assert got == _legendre_loop(bracket, 86)
+    assert outcomes == {True, False} and any(argmax_moved)
 
 
 def test_legendre_evaluates_every_pair_within_the_margin(monkeypatch):
