@@ -296,12 +296,8 @@ def brjuno_partial_sum(cf: ContinuedFraction, depth: int) -> BrjunoPartialSum:
     cf.require_depth(depth + 1, f"brjuno_partial_sum(depth={depth})")
     terms = []
     for n in range(1, depth + 1):
-        q_n = cf.q[n]
-        log_next = math.log(cf.q[n + 1])
-        if q_n.bit_length() > 1020:
-            terms.append(0.0)  # log(q_{n+1})/q_n underflows to 0 at this size
-        else:
-            terms.append(log_next / q_n)
+        # rounded once at any size of q_n, down to 0.0 past the float range
+        terms.append(float(Fraction(math.log(cf.q[n + 1])) / cf.q[n]))
     return BrjunoPartialSum(value=math.fsum(terms), last_term=terms[-1], depth=depth)
 
 

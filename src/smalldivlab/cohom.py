@@ -181,13 +181,20 @@ def _shifted_exponent(R: float, k: int, k_max: int, shift: float) -> float:
 
 
 def _times_exp(x: float, shift: float) -> float:
-    """x e^shift, saturating to inf where the product leaves the float range."""
-    if x == 0.0:
-        return x
-    try:
-        return x * math.exp(shift)
-    except OverflowError:
-        return math.inf
+    """x e^shift for x, shift >= 0; inf only where the product leaves the float range.
+
+    e^shift alone overflows past 709.78, so a larger shift is applied in 2^k
+    exact halves; past 1456 even 2^-1074 e^shift overflows.
+    """
+    if x == 0.0 or shift > 1456.0:
+        return math.inf if x else x
+    parts = 1
+    while shift > 709.0:
+        shift, parts = shift / 2.0, 2 * parts
+    factor = math.exp(shift)
+    for _ in range(parts):
+        x *= factor
+    return x
 
 
 def _coef_upper(items, R: float) -> float:
@@ -341,16 +348,11 @@ def _alpha_data(cf: ContinuedFraction, n_max: int) -> AlphaReport:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     cf.require_depth(n_max, f"counterexample_modes(n_max={n_max})")
-    partial = math.fsum(
-        1.0 / cf.q[n] if cf.q[n].bit_length() <= 1020 else 0.0
-        for n in range(1, n_max + 1)
-    )
+    # int/int division rounds once at any size, down to 0.0 past the float range
+    partial = math.fsum(1 / cf.q[n] for n in range(1, n_max + 1))
     s1 = cf.q[n_max] + cf.q[n_max - 1]
     s2 = s1 + cf.q[n_max]
-    tail = 2.0 * (
-        (1.0 / s1 if s1.bit_length() <= 1020 else 0.0)
-        + (1.0 / s2 if s2.bit_length() <= 1020 else 0.0)
-    )
+    tail = 2.0 * (1 / s1 + 1 / s2)
     abar = partial + tail
     two_sum = partial / abar
     # deficit is tail/abar up to a rounding ulp; defining it as the exact

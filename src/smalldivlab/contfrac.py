@@ -271,15 +271,16 @@ class ContinuedFraction(Record):
 
 
 def mul_big_float(big: int, x: float) -> float:
-    """big * x with one exact rounding; +-inf instead of OverflowError.
+    """big * x rounded once at any size of big; +-inf past the float range.
 
-    Plain int * float converts the integer first and blows up beyond
-    1e308 even when the product itself is representable.
+    Plain int * float rounds big to a float first: inexact past 53 bits, and
+    an OverflowError beyond 1e308 even when the product is representable.
     """
-    if big.bit_length() <= 1020:
+    if big.bit_length() <= 53:
         return big * x
+    num, den = x.as_integer_ratio()
     try:
-        return float(Fraction(big) * Fraction(x))
+        return big * num / den
     except OverflowError:
         return math.copysign(math.inf, x)
 

@@ -324,32 +324,33 @@ def _residue_rows(lo: Fraction, hi: Fraction, Q: int):
 
 def _box_rows(cf: ContinuedFraction, Q: int):
     """Exact per-row data of a box: the Brjuno table, then floor(q omega),
-    f = q omega - floor(q omega) and 1 - f for q = 0..Q.
+    f = q omega - floor(q omega) and 1 - f for q = 0..Q, in one walk.
 
-    Both bracket endpoints give floor(q omega) for q <= Q once some sandwich
-    level has q_m > 2Q, which ``resolve_depth_for_box`` checks first.  Every
-    floor is checked before any divisor.  f and 1 - f are the divisors at
-    p = floor and p = floor + 1, read from the endpoints' residues over their
-    denominators, each rounded once.
+    Both ends of sandwich level m = ``resolve_depth_for_box(cf, Q)`` give
+    floor(q omega) for q <= Q, and the bracket lies inside that level, so
+    its two ends give it too: a row where they differ is a defect of the
+    program, not a shallow expansion, and raises RuntimeError.  f and 1 - f
+    are the divisors at p = floor and p = floor + 1, read from the
+    endpoints' residues over their denominators, each rounded once.
     """
     table = brjuno_pairs_up_to(cf, Q)
-    resolve_depth_for_box(cf, Q)
+    m = resolve_depth_for_box(cf, Q)
     lo, hi = cf.bracket
-    floors = [0]  # row q = 0: floor 0, so the divisors are |p| exactly
-    for q, fl, _, f_hi, _ in _residue_rows(lo, hi, Q):
-        if f_hi != fl:
-            raise DepthExhausted(
-                f"floor({q}*omega) unresolved at depth {cf.depth}; expand deeper"
-            )
-        floors.append(fl)
     lod, hid = lo.denominator, hi.denominator
     # no L of the box exceeds 1/min(f, g), and a box sum adds fewer than
     # (2Q + 1)^2 of them: above this floor, which leaves a factor 2 for
     # rounding, every sum stays finite
     d_floor = 2.0 * (2 * Q + 1) ** 2 / sys.float_info.max
+    floors = [0]  # row q = 0: floor 0, so the divisors are |p| exactly
     f = [0.0]
     g = [1.0]
-    for q, fl, r_lo, _, r_hi in _residue_rows(lo, hi, Q):
+    for q, fl, r_lo, f_hi, r_hi in _residue_rows(lo, hi, Q):
+        if f_hi != fl:
+            raise RuntimeError(
+                f"box row q={q}: the bracket ends give two floors, inside"
+                f" sandwich level m={m}, the level chosen for box radius {Q}"
+            )
+        floors.append(fl)
         f.append(_divisor_midpoint(r_lo, lod, r_hi, hid, q, fl))
         g.append(_divisor_midpoint(hid - r_hi, hid, lod - r_lo, lod, q, fl + 1))
         if min(f[q], g[q]) < d_floor:
@@ -572,25 +573,6 @@ def partition_dump(cf: ContinuedFraction, delta: float, Q: int, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-# a pair's coarse lower end within this relative margin of the least coarse
-# upper end makes it a candidate for the Legendre maximum; see verify_legendre
-_LEGENDRE_MARGIN = 2.0**-40
-
-
-def _critical_pairs(q: int, fl: int, r_lo: int, r_hi: int, lod: int, hid: int, table):
-    """(p, x_lo, x_hi) of the critical-strip pairs (q, fl) and (q, fl + 1)
-    that are not in the Brjuno table: |q omega - p| is x_lo / lod and x_hi /
-    hid at the endpoints whose residues of q omega are r_lo and r_hi."""
-    pairs = ((fl, r_lo, r_hi), (fl + 1, lod - r_lo, hid - r_hi))
-    return [pair for pair in pairs if (q, pair[0]) not in table.pairs]
-
-
-def _legendre_ratio(cf: ContinuedFraction, q: int, p: int) -> float:
-    """1/(2q |q omega - p|) in floats at the bracket endpoint nearer to p/q."""
-    _, x_lo, d_lo, _, _ = _divisor_ends(cf, q, p, zero_end=True)
-    return 1.0 / (2.0 * q * (x_lo / d_lo))
-
-
 def verify_legendre(cf: ContinuedFraction, Q: int) -> BoundReport:
     """For every critical-strip pair with 0 < q <= Q that is not a convergent
     multiple, verify |q omega - p| >= 1/(2q) by exact integer comparison.
@@ -608,14 +590,14 @@ def verify_legendre(cf: ContinuedFraction, Q: int) -> BoundReport:
     defect of the program, not a shallow expansion: it raises RuntimeError,
     since expanding deeper would not change m.
 
-    ``computed`` is the bracket expression of ``_legendre_ratio``, whose
-    three roundings put it within 3.01 2^-53 relative of 1/(2v), with
-    v = q x_lo / d_lo exact (the lower end from ``_divisor_ends``).  The
-    level encloses v in a <= v <= b for each pair; let b_min be the least b,
-    at pair P0.  A pair whose a exceeds b_min (1 + 2^-40) has a value below
-    P0's: 2^-40 far exceeds the 6.02 2^-53 that the two pairs' roundings can
-    make up, plus the 2^-53 of each float a, b and b_min (1 + 2^-40).  So the
-    expression is evaluated only on the other pairs, the candidates.
+    ``computed`` is 1/v at the pair whose v = 2q x / d is least, with x / d
+    the lower end of |q omega - p| at the bracket (``_divisor_ends``): one
+    int/int division, so it is correctly rounded.  The level encloses each
+    v in [a, b] as integer fractions; let b_min be the least b.  The bracket
+    lies inside the level, so a pair whose a exceeds b_min has its v above
+    b_min, and b_min is at least the least v at the bracket.  Only the other
+    pairs, the candidates, are read at the bracket, and every comparison is
+    cross-multiplied.  No candidate is a bracket endpoint, since q <= Q < q_m.
     """
     _check_radius(Q)
     if cf.exact is not None:
@@ -628,10 +610,10 @@ def verify_legendre(cf: ContinuedFraction, Q: int) -> BoundReport:
 
     checked = 0
     violations = []
-    candidates = []  # (a, q, p)
-    least = math.inf  # b_min; a, b and b_min are doubled here
-    # a pair whose a exceeds the integer K >= max(1, least (1 + margin)) is
-    # decided and no candidate; these hold K lod and K hid
+    candidates = []  # (q, p, a numerator, a denominator)
+    bn, bd = 1, 0  # b_min = bn / bd, infinite before the first pair
+    # a pair whose a exceeds K = ceil(b_min) >= 1 is decided and no
+    # candidate; these hold K lod and K hid
     klod = khid = math.inf
     for q, fl, r_lo, f_hi, r_hi in _residue_rows(lo, hi, Q):
         q2 = q + q
@@ -639,32 +621,37 @@ def verify_legendre(cf: ContinuedFraction, Q: int) -> BoundReport:
         if fl == f_hi and q2 * r_lo > klod and q2 * (hid - r_hi) > khid and q not in table_rows:
             checked += 2
             continue
-        pairs = _critical_pairs(q, fl, r_lo, r_hi, lod, hid, table)
-        # is 2q |q omega - p| below 1 at each endpoint of the level?
-        below = [(q2 * x_lo < lod, q2 * x_hi < hid) for _, x_lo, x_hi in pairs]
-        if fl != f_hi or any(lo_below != hi_below for lo_below, hi_below in below):
+        # (p, x_a, d_a, x_b, d_b) with x_a / d_a <= |q omega - p| <= x_b / d_b
+        # at the level, for the critical pairs outside the Brjuno table
+        pairs = ((fl, r_lo, lod, r_hi, hid), (fl + 1, hid - r_hi, hid, lod - r_lo, lod))
+        pairs = [pair for pair in pairs if (q, pair[0]) not in table.pairs]
+        # is 2q |q omega - p| below 1 at each end of the level's enclosure?
+        below = [(q2 * x_a < d_a, q2 * x_b < d_b) for _, x_a, d_a, x_b, d_b in pairs]
+        if fl != f_hi or any(a_below != b_below for a_below, b_below in below):
             raise RuntimeError(
                 f"legendre row q={q} undecided at sandwich level m={m}, the"
                 f" level chosen for box radius {Q}"
             )
         checked += len(pairs)
-        for (p, x_lo, x_hi), (short, _) in zip(pairs, below):
+        for (p, x_a, d_a, x_b, d_b), (short, _) in zip(pairs, below):
             if short:
                 violations.append((q, p))
-            a, b = sorted((q2 * x_lo / lod, q2 * x_hi / hid))
-            if b < least:
-                least = b
-                K = max(1, math.ceil(least * (1.0 + _LEGENDRE_MARGIN)))
+            if q2 * x_b * bd < bn * d_b:
+                bn, bd = q2 * x_b, d_b
+                K = -(-bn // bd)
                 klod, khid = K * lod, K * hid
-            if a <= least * (1.0 + _LEGENDRE_MARGIN):
-                candidates.append((a, q, p))
+            if q2 * x_a * bd <= bn * d_a:
+                candidates.append((q, p, q2 * x_a, d_a))
 
-    cutoff = least * (1.0 + _LEGENDRE_MARGIN)
-    evaluated = [(q, p) for a, q, p in candidates if a <= cutoff]
-    worst = max((_legendre_ratio(cf, q, p) for q, p in evaluated), default=0.0)
+    vn, vd = 0, 1  # the least v = vn / vd at the bracket among the candidates
+    for q, p, an, ad in candidates:
+        if an * bd <= bn * ad:
+            _, x, d, _, _ = _divisor_ends(cf, q, p)
+            if not vn or 2 * q * x * vd < vn * d:
+                vn, vd = 2 * q * x, d
     return BoundReport(
         quantity="max of 1/(2 q |q omega - p|) over non-convergent critical pairs",
-        computed=worst,
+        computed=vd / vn if vn else 0.0,
         bound=1.0,
         params={"Q": Q, "checked": checked, "violations": violations},
     )

@@ -1,6 +1,7 @@
 """Weighted convergent series, closed-form bounds, gamma evaluators."""
 
 import math
+import random
 import re
 
 import mpmath as mp
@@ -181,6 +182,20 @@ def test_mul_big_float_exact():
         assert mul_big_float(big, x) == pytest.approx(float(exact), rel=0)
     assert math.isinf(mul_big_float(2**2000, 1.0))
     assert mul_big_float(2**2000, -1.0) == -math.inf
+
+
+@pytest.mark.parametrize("bits", [53, 54, 1020])
+def test_mul_big_float_rounds_once(bits):
+    # past 53 bits int * float rounds the integer first and the product again
+    from fractions import Fraction
+
+    from smalldivlab.contfrac import mul_big_float
+
+    rng = random.Random(bits)
+    for _ in range(500):
+        big = rng.getrandbits(bits) | 1 << (bits - 1)
+        x = rng.uniform(0.5, 1.0) * 2.0 ** rng.randint(-bits - 40, -bits + 40)
+        assert mul_big_float(big, x) == float(Fraction(big) * Fraction(x))
 
 
 def test_brj_errors(golden):

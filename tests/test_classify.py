@@ -181,6 +181,17 @@ def test_brjuno_partial_sum_single_term():
     assert got.last_term == got.value
 
 
+@pytest.mark.parametrize("e", [60, 1030, 1100])
+def test_brjuno_partial_sum_rounds_each_term_once(e):
+    # q_2 = 3 (2^e + 1) + 1 runs from 62 bits (once rounded twice) past 1020 bits
+    # (once dropped, though log(q_3)/q_2 is a subnormal up to 1074 bits)
+    cf = expand(FrequencySpec.literal([3, 2**e + 1, 2, 5, 7]), 5)
+    got = brjuno_partial_sum(cf, 4)
+    terms = [float(Fraction(math.log(cf.q[n + 1])) / cf.q[n]) for n in range(1, 5)]
+    assert got.value == math.fsum(terms) and got.last_term == terms[-1]
+    assert (terms[1] > 0.0) == (cf.q[2].bit_length() < 1070)
+
+
 def test_brjuno_partial_sum_omega_star_grows(omega_star):
     # the slow-decay rule keeps the increments near 1/n: divergence diagnostic
     values = [brjuno_partial_sum(omega_star, d).value for d in range(1, 7)]

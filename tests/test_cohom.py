@@ -4,7 +4,9 @@ import json
 import math
 import re
 import sys
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,23 @@ def test_strip_norm_shift_keeps_in_range_values():
     assert est.upper == pytest.approx(math.exp(705), rel=1e-14)
     assert est.sampled_lower == pytest.approx(math.exp(705), rel=1e-2)
     assert est.sampled_lower <= est.upper * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("k", [1400, 1420, 1430, 1450])
+def test_strip_norm_past_e709_bounds_the_true_norm(k):
+    # c (e^(ix k) + e^(-ix k)) with c = 1e-320: e^k alone overflows past
+    # k = 709.78, yet the norm 2c cosh(k) stays a float up to k = 1444
+    c = 1e-320
+    est = strip_norm(ModeMap({(k, 0): c, (-k, 0): c}), 1.0, 8)
+    with mp.workdps(30):
+        true = 2 * mp.mpf(c) * mp.cosh(k)
+        upper = 2 * mp.mpf(c) * mp.exp(k)
+    assert est.sampled_lower <= true * (1 + 1e-15) and true <= est.upper
+    if true < sys.float_info.max:
+        assert abs(est.sampled_lower - true) <= 1e-15 * true
+        assert abs(est.upper - upper) <= 1e-15 * upper
+    else:
+        assert est.upper == math.inf and est.sampled_lower == sys.float_info.max
 
 
 def _direct_sampled_lower(modes, R, n):
@@ -404,6 +423,18 @@ def test_check_thm1_delta_near_rho(golden):
 # ---------------------------------------------------------------------------
 # blow-up construction
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("e", [60, 1030, 1100])
+def test_alpha_data_rounds_each_reciprocal_once(e):
+    # 1/q_n and the tail's 1/s1, 1/s2 past 53 bits and past 1020 bits
+    cf = expand(FrequencySpec.literal([3, 2**e + 1, 2, 5, 7]), 5)
+    for n_max in (2, 3):
+        alpha = cohom._alpha_data(cf, n_max)
+        s1 = cf.q[n_max] + cf.q[n_max - 1]
+        s2 = s1 + cf.q[n_max]
+        assert alpha.partial == math.fsum(float(Fraction(1, cf.q[n])) for n in range(1, n_max + 1))
+        assert alpha.tail == 2.0 * (float(Fraction(1, s1)) + float(Fraction(1, s2)))
 
 
 def test_counterexample_normalization(golden):

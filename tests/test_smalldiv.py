@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smalldivlab import smalldiv
+from smalldivlab import cli, smalldiv
 from smalldivlab.bounds import CLASS_BOUNDS, brj1, brj2
 from smalldivlab.cli import EXIT_CRASH, main
 from smalldivlab.contfrac import (
@@ -391,20 +391,38 @@ def _raises_depth(call) -> bool:
 @settings(max_examples=25, deadline=None)
 @given(frequencies, st.integers(min_value=1, max_value=6))
 def test_box_kernel_raises_where_the_scalar_reads_raise(spec, Q):
-    # the kernel reads each row's floor and its two least divisors; the
-    # scalar reads take every floor and every divisor of the half box
-    cf = expand(spec, 60)
+    # real expansions cut at every depth: the kernel reads each row's floor
+    # and its two least divisors; the scalar reads take the box's sandwich
+    # level and every floor and every divisor of the half box
     outcomes = set()
-    for level in range(cf._levels):
-        coarse = with_bracket(cf, level)
-        scalar = any(
-            _raises_depth(lambda: floor_mult(coarse, q))
-            or any(_raises_depth(lambda: L_value(q, p, 0.2, coarse)) for p in range(-Q, Q + 1))
+    for depth in range(1, 61):
+        cf = expand(spec, depth)
+        scalar = _raises_depth(lambda: resolve_depth_for_box(cf, Q)) or any(
+            _raises_depth(lambda: floor_mult(cf, q))
+            or any(_raises_depth(lambda: L_value(q, p, 0.2, cf)) for p in range(-Q, Q + 1))
             for q in range(1, Q + 1)
         )
-        assert _raises_depth(lambda: partition_sums(coarse, 0.2, Q)) == scalar, level
+        assert _raises_depth(lambda: partition_sums(cf, 0.2, Q)) == scalar, depth
         outcomes.add(scalar)
     assert outcomes == {True, False}
+
+
+def test_box_row_with_two_floors_is_an_internal_error(monkeypatch, capsys):
+    # omega = [3, A, ...] lies just below 1/3: a bracket with the endpoint
+    # 1/3, coarser than the level the box resolves at, is fine enough for
+    # the divisors of rows 1 and 2 but gives row 3 two floors
+    freq = f"quotients:[3,{10**15},1,1,1,1,1,1]"
+    cf = expand(parse_frequency(freq), 8)
+    assert resolve_depth_for_box(cf, 5) == 2
+    coarse = with_bracket(cf, 1)
+    message = "box row q=3: the bracket ends give two floors, inside sandwich level m=2"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        partition_sums(coarse, 0.2, 5)
+    monkeypatch.setattr(cli, "expand", lambda spec, depth: with_bracket(expand(spec, depth), 1))
+    assert main(["partition", "--freq", freq, "--delta", "0.2", "--Q", "5"]) == EXIT_CRASH
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"internal error: RuntimeError: {message}" in captured.err
 
 
 # zeros, subnormals and exponents from 2^-1074 up to 2^1000, of either sign
@@ -592,7 +610,8 @@ def test_partition_dump_bytes_match_the_csv_writer(tmp_path, freq, Q, delta):
 def _legendre_loop(cf, Q):
     """The per-pair loop that ``verify_legendre`` replaced, kept as its oracle:
     (computed, checked, violations).  Every floor and residue is read at the
-    bracket by multiplication and floor division."""
+    bracket by multiplication and floor division, and the maximum is taken
+    in Fractions and rounded once."""
     table = smalldiv.brjuno_pairs_up_to(cf, Q)  # as patched by a test
     resolve_depth_for_box(cf, Q)
     lo, hi = cf.bracket
@@ -604,7 +623,7 @@ def _legendre_loop(cf, Q):
             raise DepthExhausted(
                 f"floor({q}*omega) unresolved at depth {cf.depth}; expand deeper"
             )
-    worst = 0.0
+    worst = Fraction(0)
     checked = 0
     violations = []
     for q in range(1, Q + 1):
@@ -626,12 +645,12 @@ def _legendre_loop(cf, Q):
                 raise DepthExhausted(
                     f"legendre comparison unresolved at (q={q}, p={p}); expand deeper"
                 )
-            d_lo = abs(q * lon - p * lod) / lod
-            d_hi = abs(q * hin - p * hid) / hid
-            worst = max(worst, 1.0 / (2.0 * q * min(d_lo, d_hi)))
+            d_lo = Fraction(abs(q * lon - p * lod), lod)
+            d_hi = Fraction(abs(q * hin - p * hid), hid)
+            worst = max(worst, 1 / (2 * q * min(d_lo, d_hi)))
             if not ok:
                 violations.append((q, p))
-    return worst, checked, violations
+    return float(worst), checked, violations
 
 
 def _legendre_outcome(fn, cf, Q):
@@ -709,13 +728,12 @@ def _legendre_argmax(cf, lo, hi, Q):
     """The checked pair whose 1/(2q |q omega - p|), read between lo and hi
     as ``verify_legendre`` reads it at the bracket, is largest."""
     table = brjuno_pairs_up_to(cf, Q)
-    best, argmax = 0.0, None
+    best, argmax = 0, None
     for q in range(1, Q + 1):
         fl = q * lo.numerator // lo.denominator
         for p in (fl, fl + 1):
             if (q, p) not in table.pairs:
-                d = min(abs(q * lo - p), abs(q * hi - p))
-                ratio = 1.0 / (2.0 * q * (d.numerator / d.denominator))
+                ratio = 1 / (2 * q * min(abs(q * lo - p), abs(q * hi - p)))
                 if ratio > best:
                     best, argmax = ratio, (q, p)
     return argmax
@@ -759,21 +777,32 @@ def test_legendre_matches_the_loop_on_random_quotients():
     assert outcomes == {True, False} and any(argmax_moved)
 
 
-def test_legendre_evaluates_every_pair_within_the_margin(monkeypatch):
-    # omega just above 2/5 = [2, 2]: q |q omega - p| is 3/5 - eps at (1, 1)
-    # and 3/5 + 9 eps at (3, 1), about 1e-14 relative apart, well inside the
-    # 2^-40 margin; the pairs (2, 0) and (3, 2) lie far above it
+def test_legendre_takes_the_exact_maximum_of_a_near_tie(monkeypatch):
+    # omega just above 2/5 = [2, 2]: 2q |q omega - p| is 6/5 - 2 eps at (1, 1)
+    # and 6/5 + 18 eps at (3, 1), about 1e-14 relative apart; the box's level
+    # already orders them exactly, so only (1, 1) is read at the bracket
     cf = expand(FrequencySpec.literal((2, 2, 67 * 10**12, 1, 1, 1, 1)), 7)
-    evaluated = []
-    ratio = smalldiv._legendre_ratio
+    read = []
+    divisor_ends = smalldiv._divisor_ends
 
     def spy(cf, q, p):
-        evaluated.append((q, p))
-        return ratio(cf, q, p)
+        read.append((q, p))
+        return divisor_ends(cf, q, p)
 
-    monkeypatch.setattr(smalldiv, "_legendre_ratio", spy)
+    monkeypatch.setattr(smalldiv, "_divisor_ends", spy)
+    rep = verify_legendre(cf, 3)
+    assert read == [(1, 1)]
+    lo, hi = cf.bracket
+    near, far = (1 / (2 * q * min(abs(q * lo - p), abs(q * hi - p))) for q, p in ((1, 1), (3, 1)))
+    assert 0 < near / far - 1 < 2e-14
+    assert rep.computed == float(near) > float(far)
     assert _legendre_outcome(verify_legendre, cf, 3) == _legendre_loop(cf, 3)
-    assert sorted(evaluated) == [(1, 1), (3, 1)]
+
+
+def test_legendre_maximum_is_rounded_once(pi_like):
+    # three float roundings gave 0.8966361971968256, one below the exact value
+    rep = verify_legendre(pi_like, 2000)
+    assert rep.computed == 0.8966361971968257
 
 
 def test_legendre_golden(golden):
