@@ -31,12 +31,6 @@ LOG_PHI = math.log(PHI)
 _UNDERFLOW_LOG = -746.0
 _OVERFLOW_LOG = 709.0
 
-
-def _exp_sat(lt: float) -> float:
-    """exp with saturation to +inf instead of OverflowError."""
-    return math.exp(lt) if lt < _OVERFLOW_LOG else math.inf
-
-
 # ---------------------------------------------------------------------------
 # Euler Gamma and its derivative
 # ---------------------------------------------------------------------------
@@ -137,38 +131,36 @@ class BrjunoValue(Record):
         return self.value + self.tail_bound
 
 
-def _term_log(qn: int, Delta: float, log_weight: float):
-    """log of W e^(-q_n Delta) for log W = ``log_weight`` >= -800, or None
-    when it underflows doubles.  The one place a series term or a tail
-    majorant meets q_n Delta: the product is rounded once from the big
-    integer, so huge q_n can neither cancel catastrophically nor overflow
-    the conversion.  A tail's log weight log(1/C) + tau log s is negative
-    when C > 1, but never below -log(max float) > -710.
+def _term(s: int, Delta: float, log_weight: float, factor: float = 1.0):
+    """factor * W e^(-s Delta) for log W = ``log_weight`` >= -800.
+
+    The one place a series term or a tail majorant is formed: 0.0 for a
+    factor <= 0, None when W e^(-s Delta) underflows doubles, +inf past the
+    float range.  The product s Delta is rounded once from the big integer,
+    so huge s can neither cancel catastrophically nor overflow the
+    conversion.  A tail's log weight log(1/C) + tau log s is negative when
+    C > 1, but never below -log(max float) > -710.
     """
-    b = qn.bit_length()
+    if factor <= 0.0:
+        return 0.0
+    b = s.bit_length()
     if b > 64 and (b - 1) * 0.6931 + math.log(Delta) > math.log(log_weight + 800.0):
-        return None  # q_n Delta >= 2^(b-1) Delta already kills the term
-    lt = log_weight - mul_big_float(qn, Delta)
-    return None if lt < _UNDERFLOW_LOG else lt
+        return None  # s Delta >= 2^(b-1) Delta already kills the term
+    lt = log_weight - mul_big_float(s, Delta)
+    if lt < _UNDERFLOW_LOG:
+        return None
+    lt += math.log(factor)
+    return math.exp(lt) if lt < _OVERFLOW_LOG else math.inf
 
 
 def _brj_terms(cf: ContinuedFraction, Delta: float, depth: int, weighted: bool):
-    """List of series terms for n = 1..depth (0.0 where dropped/vanishing)."""
+    """Series terms for n = 1..depth (0.0 where dropped or vanishing) and
+    the number dropped by underflow."""
     terms = []
-    dropped = 0
     for n in range(1, depth + 1):
-        a_next = cf.quotients[n]  # a_{n+1}
-        if weighted and a_next == 1:
-            terms.append(0.0)
-            continue
-        lt = _term_log(cf.q[n], Delta, math.log(cf.q[n + 1]))
-        if lt is None:
-            terms.append(0.0)
-            dropped += 1
-        else:
-            # a_{n+1} >= 2 here, so log log a_{n+1} is finite
-            terms.append(_exp_sat(lt + math.log(math.log(a_next)) if weighted else lt))
-    return terms, dropped
+        factor = math.log(cf.quotients[n]) if weighted else 1.0  # log a_{n+1}
+        terms.append(_term(cf.q[n], Delta, math.log(cf.q[n + 1]), factor))
+    return [0.0 if t is None else t for t in terms], terms.count(None)
 
 
 def _tail_bound(
@@ -179,50 +171,44 @@ def _tail_bound(
     Denominators beyond the expansion are lower-bounded through the
     recurrence (s1 = q_d + q_{d-1}, s2 = s1 + q_d, then doubling every two
     steps), and each certified term majorant must decay by at least 1/2
-    per doubling for the geometric closure to apply.  A majorant W e^(-s
-    Delta) is formed as ``_brj_terms`` forms a term, through ``_term_log``,
-    so s of any size takes the same path.  Returns (bound, note) or None
-    when the domination conditions fail at this depth.
+    per doubling for the geometric closure to apply.  The majorants of the
+    terms at s1 and s2 are formed by ``_term``, as the series terms are, so
+    s of any size takes the same path.  Returns (bound, note) or None when
+    the domination conditions fail at this depth.
     """
     q_d = cf.q[depth]
     s1 = q_d + (cf.q[depth - 1] if depth >= 1 else 0)
     s2 = s1 + q_d
     x1 = mul_big_float(s1, Delta)
 
-    def majorant(s: int, log_weight: float, weight: float) -> float:
-        """e^(log_weight - s Delta), times ``weight`` for the weighted series."""
-        lt = _term_log(s, Delta, log_weight)
-        if lt is None or (weighted and weight <= 0):
-            return 0.0
-        return _exp_sat(lt + math.log(weight) if weighted else lt)
-
     if isinstance(growth, DiophGrowth):
         C, tau = growth.C, growth.tau
-        if x1 < tau:  # majorant not yet decreasing
-            return None
-        weight_growth = 1.0 + (
-            (tau - 1.0) * math.log(2.0) / math.log(1.0 / C) if C < 1.0 and tau > 1.0 else 0.0
-        )
-        if (2.0**tau) * weight_growth * math.exp(-x1) > 0.5:
-            return None
         log_c = math.log(1.0 / C)
-        bound = 2.0 * sum(
-            majorant(s, log_c + tau * math.log(s), log_c + (tau - 1.0) * math.log(s))
-            for s in (s1, s2)
+        weight_growth = 1.0 + (
+            (tau - 1.0) * math.log(2.0) / log_c if C < 1.0 and tau > 1.0 else 0.0
         )
-        return bound, f"diophantine growth certificate (C={C}, tau={tau})"
-
-    if isinstance(growth, KLGrowth):
+        # the majorant must have started decreasing, and each doubling of s
+        # scales it by 2^tau weight_growth e^(-x1) <= 1/2, decided in logs
+        if x1 < tau or (tau + 1.0) * math.log(2.0) + math.log(weight_growth) > x1:
+            return None
+        # (s, log C^-1 s^tau bounding q_{n+1}, log C^-1 s^(tau-1) bounding a_{n+1})
+        majorants = [
+            (s, log_c + tau * math.log(s), log_c + (tau - 1.0) * math.log(s)) for s in (s1, s2)
+        ]
+        note = f"diophantine growth certificate (C={C}, tau={tau})"
+    elif isinstance(growth, KLGrowth):
         bp = growth.beta_prime
         extra = 2.0 * math.log(2.0) if weighted else 0.0
         if x1 < 2.0 * bp + math.log(2.0) + extra:
             return None
         # term n = d + 1 has q_n >= s1 and log q_{n+1} <= beta' (d + 2)
         w1, w2 = bp * (depth + 2), bp * (depth + 3)
-        bound = 2.0 * (majorant(s1, w1, w1) + majorant(s2, w2, w2))
-        return bound, f"upper-band growth certificate (beta'={bp})"
-
-    return None
+        majorants = [(s1, w1, w1), (s2, w2, w2)]
+        note = f"upper-band growth certificate (beta'={bp})"
+    else:
+        return None
+    terms = (_term(s, Delta, lw, w if weighted else 1.0) for s, lw, w in majorants)
+    return 2.0 * sum(t or 0.0 for t in terms), note
 
 
 def _brj_eval(
@@ -556,10 +542,7 @@ def brj_fin_diff(cf: ContinuedFraction, m: int, Delta: float, params: KLParams):
     cf.require_depth(m, f"brj_fin_diff(m={m})")
     b, bp = params.beta, params.beta_prime
     t1, t2 = (math.fsum(_brj_terms(cf, Delta, m - 1, w)[0]) for w in (False, True))
-    s1, s2 = (
-        eval_majorant_series(kind, Delta, m - 1, beta=b, beta_prime=bp)
-        for kind in ("Sigma1", "Sigma2")
-    )
+    s1, s2 = (sigma_series(b, bp, Delta, m - 1, w) for w in (False, True))
     return t1 - math.exp(bp) * s1, t2 - math.exp(bp) * ((bp - b) * s2 + bp * s1)
 
 
@@ -612,50 +595,38 @@ def format_table1_csv(rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-def eval_majorant_series(
-    kind: str,
-    Delta: float,
-    n_max: int,
-    cf: Optional[ContinuedFraction] = None,
-    tau: Optional[float] = None,
-    beta: Optional[float] = None,
-    beta_prime: Optional[float] = None,
+def dph_series(
+    cf: ContinuedFraction, tau: float, Delta: float, n_max: int, weighted: bool = False
 ) -> float:
-    """Direct numeric evaluation of the majorant series for cross-validation.
-
-    Kinds: "Dph1" = sum e^(-q_n Delta) q_n^tau, "Dph2" adds a log q_n
-    weight (both need ``cf`` and ``tau``); "Sigma1" = sum e^(beta' n -
-    e^(beta n) Delta), "Sigma2" adds an n weight (both need ``beta`` and
-    ``beta_prime``).
-    """
+    """Dph1 = sum_{n=1}^{n_max} e^(-q_n Delta) q_n^tau, or Dph2 with a
+    log q_n weight when ``weighted``: the Diophantine majorant series,
+    evaluated directly for cross-validation."""
     _require_rate("Delta", Delta)
-    if kind in ("Dph1", "Dph2"):
-        if cf is None or tau is None:
-            raise ValueError(f"{kind} needs cf and tau")
-        cf.require_depth(n_max, f"eval_majorant_series({kind}, n_max={n_max})")
-        terms = []
-        for n in range(1, n_max + 1):
-            log_qn = math.log(cf.q[n])
-            lt = _term_log(cf.q[n], Delta, tau * log_qn)
-            if lt is None or (kind == "Dph2" and log_qn == 0.0):
-                terms.append(0.0)
-            else:
-                terms.append(_exp_sat(lt + math.log(log_qn) if kind == "Dph2" else lt))
-        return math.fsum(terms)
-    if kind in ("Sigma1", "Sigma2"):
-        if beta is None or beta_prime is None:
-            raise ValueError(f"{kind} needs beta and beta_prime")
-        terms = []
-        for n in range(1, n_max + 1):
-            if beta * n > 700.0:  # inner exponential alone kills the term
-                terms.append(0.0)
-                continue
-            lt = beta_prime * n - math.exp(beta * n) * Delta
-            if kind == "Sigma2" and lt > _UNDERFLOW_LOG:
-                lt += math.log(n)
-            terms.append(math.exp(lt) if lt > _UNDERFLOW_LOG else 0.0)
-        return math.fsum(terms)
-    raise ValueError(f"unknown majorant kind {kind!r}")
+    cf.require_depth(n_max, f"dph_series(n_max={n_max})")
+    terms = []
+    for n in range(1, n_max + 1):
+        log_q = math.log(cf.q[n])
+        terms.append(_term(cf.q[n], Delta, tau * log_q, log_q if weighted else 1.0) or 0.0)
+    return math.fsum(terms)
+
+
+def sigma_series(
+    beta: float, beta_prime: float, Delta: float, n_max: int, weighted: bool = False
+) -> float:
+    """Sigma1 = sum_{n=1}^{n_max} e^(beta' n - e^(beta n) Delta), or Sigma2
+    with an n weight when ``weighted``: the band majorant series, evaluated
+    directly for cross-validation."""
+    _require_rate("Delta", Delta)
+    terms = []
+    for n in range(1, n_max + 1):
+        if beta * n > 700.0:  # inner exponential alone kills the term
+            terms.append(0.0)
+            continue
+        lt = beta_prime * n - math.exp(beta * n) * Delta
+        if weighted and lt > _UNDERFLOW_LOG:
+            lt += math.log(n)
+        terms.append(math.exp(lt) if lt > _UNDERFLOW_LOG else 0.0)
+    return math.fsum(terms)
 
 
 def sigma1_integral_bound_check(
@@ -669,14 +640,9 @@ def sigma1_integral_bound_check(
     bounded by the sum of the two.
     """
     g = beta_prime / beta
-    computed = eval_majorant_series(
-        "Sigma1", Delta, n_max, beta=beta, beta_prime=beta_prime
-    )
+    computed = sigma_series(beta, beta_prime, Delta, n_max)
     if N > 1:
-        head = eval_majorant_series(
-            "Sigma1", Delta, N - 1, beta=beta, beta_prime=beta_prime
-        )
-        computed -= head
+        computed -= sigma_series(beta, beta_prime, Delta, N - 1)
     peak = (g / math.e) ** g * Delta ** (-g)
     integral = gamma_eul(g) / beta * Delta ** (-g)
     return BoundReport(

@@ -183,8 +183,9 @@ class DiophantineCert(Record):
     """Empirical and certified Diophantine constants for a fixed exponent.
 
     ``C_empirical_lo/hi`` enclose min_n q_n^tau |q_n omega - p_n| over the
-    tested depth (exact Fractions for integer tau, otherwise floats from
-    the logs of the integers, conservatively widened).  ``C_certified``
+    tested depth (exact Fractions for an integer tau with tau
+    bits(q_{depth+1}) <= 2^16, otherwise floats from the logs of the
+    integers, conservatively widened).  ``C_certified``
     comes from the recursive inequalities q_{n+1} <= C^-1 q_n^tau and
     a_{n+1} <= C^-1 q_n^(tau-1) via C -> C/(2+C) and is always <=
     C_empirical.
@@ -208,11 +209,13 @@ def _exp_outward(logs, sign: int) -> float:
     The logs of integers stay finite where the integers or their ratios
     leave the float range.  The move is 1e-12 plus a bound on the
     rounding of the logs and of their sum, which grows with their size;
-    +inf past the float range.
+    +inf for either sign past the float range.
     """
     total = math.fsum(logs)
+    if total >= 709.0:
+        return math.inf
     slack = 1e-12 + 2.0**-48 * math.fsum(map(abs, logs))
-    return (math.exp(total) if total < 709.0 else math.inf) * (1.0 + sign * slack)
+    return math.exp(total) * (1.0 + sign * slack)
 
 
 def diophantine_constant(
@@ -229,7 +232,10 @@ def diophantine_constant(
         raise ValueError("depth must be >= 1")
     cf.require_depth(depth + 1, f"diophantine_constant(depth={depth})")
 
-    tau_int = int(tau) if float(tau).is_integer() else None
+    # exact products for an integer tau while they stay small, tau
+    # bits(q_{depth+1}) <= 2^16; past that q_n^tau is compared in logs
+    small = tau * cf.q[depth + 1].bit_length() <= 1 << 16
+    tau_int = int(tau) if small and float(tau).is_integer() else None
     emp_lo = None
     emp_hi = None
     for n in range(0, depth + 1):

@@ -378,11 +378,14 @@ def counterexample_modes(
     _require_rate("epsilon", epsilon)
     _require_rate("rho", rho)
     alpha = _alpha_data(cf, n_max)
+    # alpha_n = 1/(2 abar q_n) = den/(2 num q_n): one int/int division, so
+    # it is rounded once at any size, down to 0.0 past the float range
+    num, den = alpha.abar.as_integer_ratio()
     entries = {}
     for n in range(1, n_max + 1):
         pn, qn = cf.p[n], cf.q[n]
         expo = -mul_big_float(pn + qn, rho)
-        alpha_n = 1.0 / (2.0 * alpha.abar * cf.q[n]) if qn.bit_length() <= 1020 else 0.0
+        alpha_n = den / (2 * num * qn)
         c = epsilon * math.exp(expo) * alpha_n if expo > -745.0 else 0.0
         entries[(pn, qn)] = complex(c, 0.0)
         entries[(-pn, -qn)] = complex(c, 0.0)

@@ -20,7 +20,7 @@ from smalldivlab.bounds import (
     brj_fin_diff,
     dioph_bound_rhs,
     dioph_smallness_threshold,
-    eval_majorant_series,
+    dph_series,
     format_table1_csv,
     gamma_delta,
     gamma_eul,
@@ -28,6 +28,7 @@ from smalldivlab.bounds import (
     kl_bound_constants,
     kl_bound_rhs,
     sigma1_integral_bound_check,
+    sigma_series,
     table1_rows,
 )
 from smalldivlab.classify import kl_params, levy_example_bound
@@ -169,7 +170,7 @@ def test_huge_quotient_series_saturate():
     cf = expand(FrequencySpec.literal([3, big, 2, big, 5]), 5)
     v = brj1(cf, 0.5, 4)  # the n = 1 term alone is e^-1.5 q_2 ~ 10^600
     assert math.isinf(v.value) and v.value > 0
-    assert eval_majorant_series("Dph1", 0.5, 5, cf=cf, tau=2.0) > 2.0
+    assert dph_series(cf, 2.0, 0.5, 5) > 2.0
 
 
 def test_mul_big_float_exact():
@@ -592,7 +593,7 @@ def test_sigma1_ideal_sequence_consistency():
     # series of the ideal geometric sequence, bounded by G/Delta
     ell, G = levy_example_bound()
     Delta = 0.01
-    s1 = eval_majorant_series("Sigma1", Delta, 3000, beta=ell, beta_prime=ell)
+    s1 = sigma_series(ell, ell, Delta, 3000)
     assert s1 <= math.exp(-ell) * G / Delta
     mp.mp.dps = 30
     oracle = mp.fsum(
@@ -604,22 +605,22 @@ def test_sigma1_ideal_sequence_consistency():
 def test_dph1_majorizes_brj1(golden):
     cert_C = 0.5  # recursive constant for the all-ones expansion
     Delta = 0.2
-    d1 = eval_majorant_series("Dph1", Delta, 30, cf=golden, tau=1.0)
+    d1 = dph_series(golden, 1.0, Delta, 30)
     b1 = brj1(golden, Delta, 30).value
     assert b1 <= d1 / cert_C + 1e-12
 
 
 def test_sigma2_dominates_sigma1():
     for Delta in (0.01, 0.3, 1.0):
-        s1 = eval_majorant_series("Sigma1", Delta, 500, beta=0.9, beta_prime=1.5)
-        s2 = eval_majorant_series("Sigma2", Delta, 500, beta=0.9, beta_prime=1.5)
+        s1 = sigma_series(0.9, 1.5, Delta, 500)
+        s2 = sigma_series(0.9, 1.5, Delta, 500, weighted=True)
         assert s2 >= s1
 
 
 def test_dph2_oracle(sqrt2m1):
     mp.mp.dps = 30
     Delta = 0.3
-    got = eval_majorant_series("Dph2", Delta, 12, cf=sqrt2m1, tau=2.0)
+    got = dph_series(sqrt2m1, 2.0, Delta, 12, weighted=True)
     oracle = mp.fsum(
         mp.exp(-sqrt2m1.q[n] * mp.mpf("0.3")) * sqrt2m1.q[n] ** 2 * mp.log(sqrt2m1.q[n])
         for n in range(1, 13)
@@ -639,17 +640,10 @@ def test_dph_against_mpmath_past_the_float_range():
                 terms = [mp.exp(-cf.q[n] * D) * mp.mpf(cf.q[n]) ** t for n in range(1, 6)]
                 dph1 = mp.fsum(terms)
                 dph2 = mp.fsum(x * mp.log(cf.q[n]) for n, x in enumerate(terms, 1))
-            got1 = eval_majorant_series("Dph1", Delta, 5, cf=cf, tau=tau)
-            got2 = eval_majorant_series("Dph2", Delta, 5, cf=cf, tau=tau)
+            got1 = dph_series(cf, tau, Delta, 5)
+            got2 = dph_series(cf, tau, Delta, 5, weighted=True)
             assert got1 == pytest.approx(float(dph1), rel=1e-14), (Delta, tau)
             assert got2 == pytest.approx(float(dph2), rel=1e-14), (Delta, tau)
-
-
-def test_majorant_errors(golden):
-    with pytest.raises(ValueError):
-        eval_majorant_series("Dph1", 0.1, 10)
-    with pytest.raises(ValueError):
-        eval_majorant_series("nope", 0.1, 10, beta=1.0, beta_prime=1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smalldivlab import classify
 from smalldivlab.classify import (
     brjuno_partial_sum,
     certified_from_recursive,
@@ -149,6 +150,18 @@ def test_diophantine_forward_inequality(golden, sqrt2m1, large_quot):
             for n in range(0, 20):
                 assert cf.q[n + 1] <= (1.0 / cert.C_recursive) * float(cf.q[n]) ** tau + 1e-9
             assert cert.C_certified <= cert.C_empirical
+
+
+@pytest.mark.parametrize("tau", [1e5, 1e6, 1e308])
+def test_diophantine_large_integer_tau_is_compared_in_logs(golden, tau):
+    # past tau bits(q_{depth+1}) <= 2^16 the exact Fraction(q_n) ** tau is
+    # not formed (at tau = 1e5 it took 38 s on golden); the logs enclose
+    # the minimum, attained at q_1 = 1, and q_n^tau leaves the float range
+    cert = diophantine_constant(golden, tau, 20)
+    assert 0.0 < cert.C_empirical_lo <= 1.0 - golden.omega_float() <= cert.C_empirical_hi
+    assert 0.0 < cert.C_recursive <= 0.5  # q_1^tau / q_2 = 1/2
+    for sign in (-1, 1):
+        assert classify._exp_outward((tau * math.log(3), -math.log(5)), sign) == math.inf
 
 
 def test_diophantine_depth_error(golden):

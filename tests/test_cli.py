@@ -727,6 +727,27 @@ def test_denominator_past_the_float_range_is_no_crash(tmp_path, capsys, argv, co
         assert out == "" and message in err and "internal error" not in err
 
 
+def test_brj_certificate_with_tau_past_1024_exits_0():
+    # the decay test 2^tau (weight growth) e^(-x1) <= 1/2 is decided in
+    # logs: 2.0 ** 1100 raised OverflowError (exit 3)
+    proc = run_cli("brj", "--freq", "golden", "--Delta", "0.3", "--C", "0.5", "--tau", "1100",
+                   timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    for name in ("brj1", "brj2", "brj_combined"):
+        assert results[name]["tail_kind"] == "rigorous"
+
+
+@pytest.mark.parametrize("tau", ["100000", "1e308"])
+def test_classify_with_a_huge_integer_tau_finishes(tau):
+    # Fraction(q_n) ** tau took 38 s at tau = 1e5 and never ended at 1e308
+    proc = run_cli("classify", "--freq", "golden", "--tau", tau, timeout=30)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    cert = json.loads(proc.stdout)["results"]["diophantine"]
+    omega = (5**0.5 - 1) / 2
+    assert 0.0 <= cert["C_empirical_lo"] <= 1.0 - omega <= cert["C_empirical_hi"]
+
+
 def test_truncation_reported_on_stderr(capsys):
     argv = ["brj", "--freq", "rule:exp-liouville(c=0.5,a1=1)", "--Delta", "0.3"]
     assert main(argv) == EXIT_OK

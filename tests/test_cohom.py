@@ -437,6 +437,17 @@ def test_alpha_data_rounds_each_reciprocal_once(e):
         assert alpha.tail == 2.0 * (float(Fraction(1, s1)) + float(Fraction(1, s2)))
 
 
+def test_counterexample_alpha_n_is_rounded_once():
+    # rho = 5e-324 makes e^(-rho(p+q)) exactly 1.0, so at epsilon = 1 the
+    # coefficient is alpha_n = 1/(2 abar q_n); 19 of these q_n have more
+    # than 53 bits
+    cf = expand(FrequencySpec.periodic((), (2,)), 64)
+    ce = counterexample_modes(cf, 5e-324, 1.0, 60)
+    for n in range(1, 61):
+        want = float(1 / (2 * Fraction(ce.alpha.abar) * cf.q[n]))
+        assert ce.modes.entries[(cf.p[n], cf.q[n])] == complex(want, 0.0), n
+
+
 def test_counterexample_normalization(golden):
     ce = counterexample_modes(golden, 1.0, 1.0, 10)
     assert 1.0 - ce.alpha.deficit <= ce.alpha.two_sum_alpha <= 1.0

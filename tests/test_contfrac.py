@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smalldivlab
-from smalldivlab.bounds import brj1, brj2, brj_fin_diff, eval_majorant_series, gamma_delta
+from smalldivlab.bounds import brj1, brj2, brj_fin_diff, dph_series, gamma_delta
 from smalldivlab.classify import (
     brjuno_partial_sum,
     diophantine_constant,
@@ -450,10 +450,7 @@ _DEPTH_CALLS = {
     "brj1(depth=5)": (lambda cf: brj1(cf, 0.1, 5), 6),
     "brj2(depth=5)": (lambda cf: brj2(cf, 0.1, 5), 6),
     "brj_fin_diff(m=6)": (lambda cf: brj_fin_diff(cf, 6, 0.1, _KL), 6),
-    "eval_majorant_series(Dph1, n_max=6)": (
-        lambda cf: eval_majorant_series("Dph1", 0.1, 6, cf=cf, tau=2.0),
-        6,
-    ),
+    "dph_series(n_max=6)": (lambda cf: dph_series(cf, 2.0, 0.1, 6), 6),
     "counterexample_modes(n_max=6)": (lambda cf: counterexample_modes(cf, 1.0, 0.1, 6), 6),
     "blowup_witness(n_max=5)": (lambda cf: blowup_witness(cf, 1.0, 0.5, 0.1, 5), 6),
 }
