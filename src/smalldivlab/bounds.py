@@ -131,6 +131,15 @@ class BrjunoValue(Record):
         return self.value + self.tail_bound
 
 
+def _sum(terms) -> float:
+    """Exactly rounded sum of non-negative terms; +inf past the float range,
+    where math.fsum raises even when some term is already inf."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 def _term(s: int, Delta: float, log_weight: float, factor: float = 1.0):
     """factor * W e^(-s Delta) for log W = ``log_weight`` >= -800.
 
@@ -225,7 +234,7 @@ def _brj_eval(
         return BrjunoValue(0.0, 0, 0.0, "heuristic", 0.0, "empty sum")
     cf.require_depth(depth + 1, f"{'brj2' if weighted else 'brj1'}(depth={depth})")
     terms, dropped = _brj_terms(cf, Delta, depth, weighted)
-    value = math.fsum(terms)
+    value = _sum(terms)
     last_term = terms[-1]
     tail = _tail_bound(cf, Delta, depth, growth, weighted) if growth else None
     if tail is not None:
@@ -234,7 +243,7 @@ def _brj_eval(
             note += f"; {dropped} underflowed terms absorbed"
         return BrjunoValue(value, depth, last_term, "rigorous", bound, note)
     k = min(3, depth)
-    trailing = math.fsum(terms[-k:])
+    trailing = _sum(terms[-k:])
     note = f"last {k}-term sum" + (f"; {dropped} terms underflowed" if dropped else "")
     return BrjunoValue(value, depth, last_term, "heuristic", trailing, note)
 
@@ -292,7 +301,7 @@ def _away_box_bound(cf: ContinuedFraction, delta: float, mu: float) -> float:
 
 def _const_type_box_bound(cf: ContinuedFraction, delta: float, mu: float) -> float:
     """Const-type class bound mu 8/(1+omega)^2 delta^-2."""
-    return _const_type_leading(cf.omega_float(), mu) / delta**2
+    return _const_type_leading(cf.omega_float(), mu) / (delta * delta)
 
 
 def _brjuno_box_bound(cf: ContinuedFraction, delta: float, mu: float) -> float:
@@ -541,7 +550,7 @@ def brj_fin_diff(cf: ContinuedFraction, m: int, Delta: float, params: KLParams):
         raise ValueError("m must be >= 1")
     cf.require_depth(m, f"brj_fin_diff(m={m})")
     b, bp = params.beta, params.beta_prime
-    t1, t2 = (math.fsum(_brj_terms(cf, Delta, m - 1, w)[0]) for w in (False, True))
+    t1, t2 = (_sum(_brj_terms(cf, Delta, m - 1, w)[0]) for w in (False, True))
     s1, s2 = (sigma_series(b, bp, Delta, m - 1, w) for w in (False, True))
     return t1 - math.exp(bp) * s1, t2 - math.exp(bp) * ((bp - b) * s2 + bp * s1)
 
@@ -607,7 +616,7 @@ def dph_series(
     for n in range(1, n_max + 1):
         log_q = math.log(cf.q[n])
         terms.append(_term(cf.q[n], Delta, tau * log_q, log_q if weighted else 1.0) or 0.0)
-    return math.fsum(terms)
+    return _sum(terms)
 
 
 def sigma_series(
@@ -615,18 +624,23 @@ def sigma_series(
 ) -> float:
     """Sigma1 = sum_{n=1}^{n_max} e^(beta' n - e^(beta n) Delta), or Sigma2
     with an n weight when ``weighted``: the band majorant series, evaluated
-    directly for cross-validation."""
+    directly for cross-validation.  A term past the float range is +inf."""
     _require_rate("Delta", Delta)
     terms = []
     for n in range(1, n_max + 1):
-        if beta * n > 700.0:  # inner exponential alone kills the term
-            terms.append(0.0)
-            continue
-        lt = beta_prime * n - math.exp(beta * n) * Delta
+        if beta * n < _OVERFLOW_LOG:
+            inner = math.exp(beta * n) * Delta
+        else:  # e^(beta n) alone overflows, but a tiny Delta can bring it back
+            log_inner = beta * n + math.log(Delta)
+            inner = math.exp(log_inner) if log_inner < _OVERFLOW_LOG else math.inf
+        lt = beta_prime * n - inner
         if weighted and lt > _UNDERFLOW_LOG:
             lt += math.log(n)
-        terms.append(math.exp(lt) if lt > _UNDERFLOW_LOG else 0.0)
-    return math.fsum(terms)
+        if lt <= _UNDERFLOW_LOG:
+            terms.append(0.0)
+        else:
+            terms.append(math.exp(lt) if lt < _OVERFLOW_LOG else math.inf)
+    return _sum(terms)
 
 
 def sigma1_integral_bound_check(

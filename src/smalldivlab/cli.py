@@ -146,7 +146,7 @@ def _report(command: str, params: dict, results: dict, verdicts: dict) -> dict:
 
 
 def _expand_freq(args) -> ContinuedFraction:
-    spec = parse_frequency(args.freq, args.depth_cap, args.bit_cap)
+    spec = parse_frequency(args.freq, args.bit_cap)
     cf = expand(spec, args.depth)
     if cf.truncated:
         sys.stderr.write(
@@ -458,7 +458,6 @@ def _add_io_opts(sp):
 def _add_freq_opts(sp):
     sp.add_argument("--freq", required=True, help="frequency mini-language string")
     sp.add_argument("--depth", type=int, default=64)
-    sp.add_argument("--depth-cap", dest="depth_cap", type=int, default=None)
     sp.add_argument("--bit-cap", dest="bit_cap", type=int, default=None)
 
 

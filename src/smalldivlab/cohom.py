@@ -139,7 +139,11 @@ def solve_modes(a: ModeMap, cf: ContinuedFraction) -> SolveResult:
             divisors[key] = -sign * mid
             max_rel_err = max(max_rel_err, (hi_f - lo_f) / mid + 4.0 * 2.3e-16)
         d = divisors[key] if canonical else -divisors[key]
-        g[(p, q)] = complex(c) / complex(0.0, d)
+        g[(p, q)] = z = complex(c) / complex(0.0, d)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise ValueError(
+                f"mode (p={p}, q={q}): the solution a / (i(p - q omega)) leaves the float range"
+            )
     return SolveResult(modes=ModeMap(g), max_rel_err=max_rel_err)
 
 
@@ -162,22 +166,31 @@ _EXP_ROOM = 700.0
 
 
 def _exp_shift(items, R: float):
-    """(s, k_max): k_max is the largest |p|+|q| of a nonzero coefficient and
-    s = max(0, R k_max - _EXP_ROOM), inf once R k_max leaves the float range."""
-    k_max = max((abs(p) + abs(q) for (p, q), c in items if c), default=0)
-    return max(0.0, R * k_max - _EXP_ROOM), k_max
+    """(s, k_top, top): each nonzero term |c| e^(R k) of the items, k = |p|+|q|,
+    is formed as |c| e^(R k - s) with R k - s = top - R (k_top - k).
 
-
-def _shifted_exponent(R: float, k: int, k_max: int, shift: float) -> float:
-    """R k - s for an integer k <= k_max, at most _EXP_ROOM.
-
-    While s > 0 it is _EXP_ROOM - R (k_max - k) with k_max - k taken exactly
-    in integers: R k - s would round at the size of R k (by up to 2048 at
+    s is the least shift >= 0 under which neither e^(R k - s) nor
+    |c| e^(R k - s) passes e^_EXP_ROOM; it is inf once R k_max leaves the
+    float range.  With s = 0, k_top = 0 and top = 0, so the exponent is R k
+    itself.  Otherwise k_top = k_max, and k_max - k is taken exactly in
+    integers: R k - s would round at the size of R k (by up to 2048 at
     2^63) or be inf - inf past the float range.
     """
-    if shift == 0.0:
-        return R * k
-    return _EXP_ROOM - R * (k_max - k)
+    k_max = max((abs(p) + abs(q) for (p, q), c in items if c), default=0)
+    # how far log|c| + R k rises above R k_max, through the exact k_max - k;
+    # only |c| > 1 can rise, and abs(c / 2) cannot overflow where abs(c) can
+    rise = max(
+        [0.0]
+        + [
+            math.log(abs(0.5 * c)) + math.log(2.0) - R * (k_max - abs(p) - abs(q))
+            for (p, q), c in items
+            if abs(c.real) + abs(c.imag) > 1.0
+        ]
+    )
+    shift = R * k_max + rise - _EXP_ROOM
+    if shift <= 0.0:
+        return 0.0, 0, 0.0
+    return shift, k_max, _EXP_ROOM - rise
 
 
 def _times_exp(x: float, shift: float) -> float:
@@ -205,10 +218,10 @@ def _coef_upper(items, R: float) -> float:
     Zero coefficients are skipped: they neither add nor set the shift.
     """
     items = list(items)
-    shift, k_max = _exp_shift(items, R)
+    shift, k_top, top = _exp_shift(items, R)
     try:
         total = math.fsum(
-            abs(c) * math.exp(_shifted_exponent(R, abs(p) + abs(q), k_max, shift))
+            abs(c) * math.exp(top - R * (k_top - abs(p) - abs(q)))
             for (p, q), c in items
             if c
         )
@@ -247,7 +260,7 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
     import numpy as np
 
     upper = _coef_upper(items, R)
-    shift, k_max = _exp_shift(items, R)
+    shift, k_top, top = _exp_shift(items, R)
     n = grid_n
     # residues from the Python ints: indices may be far beyond int64
     cell = np.array([(p % n) * n + (-q) % n for (p, q), _ in items], dtype=np.intp)
@@ -260,12 +273,7 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
             if shift == 0.0:
                 expo = R * (-P * sx + Q * sy)
             else:
-                expo = np.array(
-                    [
-                        _shifted_exponent(R, q * sy - p * sx, k_max, shift)
-                        for (p, q), _ in items
-                    ]
-                )
+                expo = np.array([top - R * (k_top - q * sy + p * sx) for (p, q), _ in items])
             w = C * np.exp(expo)
             folded = np.zeros((n, n), dtype=np.complex128)
             np.add.at(folded.reshape(-1), cell, w)

@@ -25,7 +25,8 @@ from typing import Optional
 
 from ._record import Record
 
-DEFAULT_DEPTH_CAP = 10_000
+# expand() reads at most this many quotients, whatever depth is asked for
+DEPTH_CAP = 10_000
 DEFAULT_BIT_CAP = 1_000_000
 
 _RULE_KEYS = {"omega-star": ("a1", "alpha"), "exp-liouville": ("a1", "c")}
@@ -60,12 +61,11 @@ class FrequencySpec(Record):
     rule: str = ""
     c: Optional[Fraction] = None
     exact: Optional[Fraction] = None
-    depth_cap: int = DEFAULT_DEPTH_CAP
     bit_cap: int = DEFAULT_BIT_CAP
 
     def __post_init__(self):
-        if self.depth_cap < 1 or self.bit_cap < 8:
-            raise ExpansionError("depth_cap/bit_cap too small")
+        if self.bit_cap < 8:
+            raise ExpansionError("bit_cap too small")
         for a in (*self.head, *self.period):
             if not isinstance(a, int) or a < 1:
                 raise ExpansionError(f"partial quotients must be integers >= 1, got {a!r}")
@@ -96,13 +96,12 @@ class FrequencySpec(Record):
         return cls.periodic((), (1,), **caps)
 
     @classmethod
-    def make_rule(cls, name, **params) -> "FrequencySpec":
+    def make_rule(cls, name, /, bit_cap=DEFAULT_BIT_CAP, **params) -> "FrequencySpec":
         """a_1 = ``a1`` (default 1), then the rule ``name``.
 
         omega-star also takes ``alpha`` (only 1/n), exp-liouville the rate
-        ``c`` > 0 (default 0.5); any other key is an error.
+        ``c`` > 0 (default 0.5); any other key, ``name`` included, is an error.
         """
-        caps = {k: params.pop(k) for k in ("depth_cap", "bit_cap") if k in params}
         keys = _RULE_KEYS.get(name)
         if keys is None:
             raise ExpansionError(f"unknown rule {name!r}; known: {tuple(_RULE_KEYS)}")
@@ -118,7 +117,7 @@ class FrequencySpec(Record):
             raise ExpansionError(f"bad parameter of rule {name}: {exc}")
         if c is not None and c <= 0:
             raise ExpansionError("exp-liouville needs c > 0")
-        return cls(head=(a1,), rule=name, c=c, **caps)
+        return cls(head=(a1,), rule=name, c=c, bit_cap=bit_cap)
 
     @classmethod
     def rational(cls, numerator, denominator, **caps) -> "FrequencySpec":
@@ -162,15 +161,14 @@ def _parse_int_list(body: str):
         raise ExpansionError(f"bad integer list {body!r}: {exc}; {_GRAMMAR_HINT}")
 
 
-def parse_frequency(text: str, depth_cap=None, bit_cap=None) -> FrequencySpec:
+def parse_frequency(text: str, bit_cap=None) -> FrequencySpec:
     """Parse the frequency mini-language; ``FrequencySpec.describe`` inverts it.
 
     ``golden``, ``surd:[pre;per]`` (e.g. ``surd:[;2]``),
     ``quotients:[a1,a2,...]``, ``rational:P/Q``,
     ``rule:omega-star(alpha=1/n,a1=2)``, ``rule:exp-liouville(c=0.5,a1=1)``.
     """
-    caps = {"depth_cap": depth_cap, "bit_cap": bit_cap}
-    caps = {k: v for k, v in caps.items() if v is not None}
+    caps = {} if bit_cap is None else {"bit_cap": bit_cap}
     text = text.strip()
     if text == "golden":
         return FrequencySpec.golden(**caps)
@@ -194,7 +192,7 @@ def parse_frequency(text: str, depth_cap=None, bit_cap=None) -> FrequencySpec:
         params = {}
         for item in body.split(",") if body.strip() else ():
             key, equals, value = item.partition("=")
-            if not equals or key.strip() in ("depth_cap", "bit_cap"):
+            if not equals or key.strip() == "bit_cap":
                 raise ExpansionError(f"bad rule parameter {item!r}; {_GRAMMAR_HINT}")
             params[key.strip()] = value.strip()
         return FrequencySpec.make_rule(name, **params, **caps)
@@ -371,15 +369,15 @@ def expand(spec: FrequencySpec, depth: int) -> ContinuedFraction:
     """Expand a frequency spec to ``depth`` partial quotients.
 
     Quotients come from the head, then the period or the rule.  All
-    invariant lists are filled to min(depth, cap-limited length); the
-    ``truncated`` flag is set whenever a cap fired.  A rule producing a
-    quotient < 1 after clamping raises RuleDefect; exceeding ``bit_cap``
-    truncates gracefully.
+    invariant lists are filled to min(depth, DEPTH_CAP, the length
+    ``bit_cap`` allows); the ``truncated`` flag is set whenever a cap
+    fired.  A rule producing a quotient < 1 after clamping raises
+    RuleDefect; exceeding ``bit_cap`` truncates gracefully.
     """
     if depth < 1:
         raise ExpansionError("depth must be >= 1")
-    target = min(depth, spec.depth_cap)
-    hit_cap = depth > spec.depth_cap
+    target = min(depth, DEPTH_CAP)
+    hit_cap = depth > DEPTH_CAP
 
     a_list: list = []
     p_list, q_list = [0], [1]

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 
 import mpmath as mp
 import pytest
@@ -615,6 +616,35 @@ def test_sigma2_dominates_sigma1():
         s1 = sigma_series(0.9, 1.5, Delta, 500)
         s2 = sigma_series(0.9, 1.5, Delta, 500, weighted=True)
         assert s2 >= s1
+
+
+@pytest.mark.parametrize(
+    "beta, beta_prime, Delta, n_max",
+    [
+        (0.9, 1.5, 1e-300, 500),
+        (2.0, 4.0, 1e-300, 500),
+        (1.0, 1.2, 1e-300, 3000),
+        (0.3, 0.35, 1e-300, 3000),
+        # e^(beta n) overflows from n = 710, yet 5e-324 e^(beta n) stays below
+        # 1 up to n = 744: those terms are alive, past the float range in the
+        # first case and about e^372 in the second
+        (1.0, 1.01, 5e-324, 800),
+        (1.0, 0.5, 5e-324, 800),
+    ],
+)
+@pytest.mark.parametrize("weighted", [False, True])
+def test_sigma_series_saturates_past_the_float_range(beta, beta_prime, Delta, n_max, weighted):
+    mp.mp.dps = 30
+    b, bp, D = mp.mpf(beta), mp.mpf(beta_prime), mp.mpf(Delta)
+    oracle = mp.fsum(
+        (n if weighted else 1) * mp.exp(bp * n - mp.exp(b * n) * D)
+        for n in range(1, n_max + 1)
+    )
+    got = sigma_series(beta, beta_prime, Delta, n_max, weighted)
+    if oracle > sys.float_info.max:
+        assert got == math.inf
+    else:
+        assert got == pytest.approx(float(oracle), rel=1e-12)
 
 
 def test_dph2_oracle(sqrt2m1):

@@ -95,6 +95,9 @@ def test_parse_rejects_with_hint(bad):
         ("rule:omega-star(a1=2,typo=1)", "typo"),
         ("rule:omega-star(c=1)", "c"),
         ("rule:exp-liouville(alpha=1/n)", "alpha"),
+        # keys that name make_rule's own arguments
+        ("rule:omega-star(name=1)", "name"),
+        ("rule:exp-liouville(cls=1)", "cls"),
     ],
 )
 def test_rule_rejects_a_key_it_does_not_take(text, key):
@@ -391,6 +394,16 @@ def test_report_is_strict_json_with_non_finite_values(capsys):
     assert data["results"]["brj_combined"]["value"] == "inf"
 
 
+def test_brj_sum_of_finite_terms_past_the_float_range_is_inf(capsys):
+    # terms 2.7e307, 2.7e307, 5.4e307 and 8.1e307 are each finite, but their
+    # sum is not: math.fsum raises there instead of returning inf
+    freq = f"quotients:[1,{27 * 10**306},1,1,1,1,1]"
+    assert main(["brj", "--freq", freq, "--Delta", "5e-324"]) == EXIT_OK
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["brj1"]["value"] == "inf"
+    assert results["brj_combined"]["value"] == "inf"
+
+
 def test_crash_exits_with_its_own_code(monkeypatch, capsys):
     # an unexpected exception in a handler is a defect, not a failed verdict
     def crash(args):
@@ -414,6 +427,34 @@ def test_solve_past_the_float_range_saturates(tmp_path, capsys):
     for norm in (results["data_norm"], results["solution_norm"]):
         assert norm["upper"] == "inf"
         assert norm["sampled_lower"] == sys.float_info.max
+
+
+def test_solve_large_coefficients_saturate_without_overflow(tmp_path, capsys):
+    # R k_max = 286 alone needs no shift, but |c| e^(R k) = 1.4e300 e^140
+    # overflows; a RuntimeWarning is an error in this suite
+    rows = [
+        {"p": 0, "q": 700, "re": 1e300, "im": 1e300},
+        {"p": 0, "q": -700, "re": 1e300, "im": -1e300},
+        {"p": 1430, "q": 0, "re": 1e-320, "im": 0.0},
+        {"p": -1430, "q": 0, "re": 1e-320, "im": 0.0},
+    ]
+    modes = tmp_path / "modes.json"
+    modes.write_text(json.dumps(rows))
+    code = main(["solve", "--freq", "surd:[;2]", "--modes", str(modes), "--R", "0.2"])
+    assert code == EXIT_OK
+    norm = json.loads(capsys.readouterr().out)["results"]["data_norm"]
+    assert norm["upper"] == "inf" and norm["sampled_lower"] == sys.float_info.max
+
+
+def test_solve_solution_past_the_float_range_is_an_input_error(tmp_path, capsys):
+    # 1.7e308 / |0 - 1 omega| with omega = sqrt(2) - 1 = 0.41 overflows
+    c = 1.7e308
+    rows = [{"p": 0, "q": 1, "re": c, "im": c}, {"p": 0, "q": -1, "re": c, "im": -c}]
+    modes = tmp_path / "modes.json"
+    modes.write_text(json.dumps(rows))
+    code = main(["solve", "--freq", "surd:[;2]", "--modes", str(modes), "--R", "0.2"])
+    assert code == EXIT_INPUT
+    assert "mode (p=0, q=1): the solution" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", [2**60 + 1, 2**63], ids=["2^60+1", "2^63"])
@@ -756,3 +797,21 @@ def test_truncation_reported_on_stderr(capsys):
     assert "warning" not in out and json.loads(out)["params"]["depth"] == 4
     assert main(["brj", "--freq", "golden", "--Delta", "0.3"]) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+def test_depth_past_the_ceiling_reads_10000_quotients(capsys):
+    # --depth is the one way to ask for quotients; past the fixed ceiling
+    # the expansion stops there and says so
+    argv = ["gamma", "--freq", "golden", "--delta", "0.1"]
+    assert main(argv + ["--depth", "20000"]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "truncated: 10000 of the 20000 requested" in err
+    assert main(argv + ["--depth", "20000", "--depth-cap", "6"]) == EXIT_INPUT
+    assert "unrecognized arguments: --depth-cap" in capsys.readouterr().err
+
+
+def test_sweep_delta_whose_square_overflows_is_no_crash(capsys):
+    # 1e300 squared is past the float range: the bound is 0.0, as is the sum
+    argv = ["sweep", "--freq", "golden", "--check", "const_type", "--deltas", "1e300", "--Q", "5"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1] == "1e+300,0.0,0.0,0.0,True"

@@ -206,6 +206,29 @@ def test_strip_norm_past_e709_bounds_the_true_norm(k):
         assert est.upper == math.inf and est.sampled_lower == sys.float_info.max
 
 
+@pytest.mark.parametrize("c", [1e240, 1e300])
+def test_strip_norm_large_coefficient_bounds_the_true_norm(c):
+    # c (e^(iy k) + e^(-iy k)) at R k = 140: e^140 is a float, but
+    # 1e300 e^140 is not, so the shift must come from |c| e^(R k), not R k
+    k, R = 700, 0.2
+    est = strip_norm(ModeMap({(0, k): complex(c), (0, -k): complex(c)}), R, 8)
+    with mp.workdps(30):
+        true = 2 * mp.mpf(c) * mp.cosh(R * k)
+        upper = 2 * mp.mpf(c) * mp.exp(R * k)
+    if true < sys.float_info.max:
+        assert abs(est.sampled_lower - true) <= 1e-13 * true
+        assert abs(est.upper - upper) <= 1e-13 * upper
+    else:
+        assert est.upper == math.inf and est.sampled_lower == sys.float_info.max
+
+
+def test_strip_norm_coefficient_whose_abs_overflows():
+    # |c| = 2.4e308: abs(c) itself overflows, and the norm is past the float range
+    c = complex(1.7e308, 1.7e308)
+    est = strip_norm(ModeMap({(0, 1): c, (0, -1): c.conjugate()}), 0.2, 8)
+    assert est.upper == math.inf and est.sampled_lower == sys.float_info.max
+
+
 def _direct_sampled_lower(modes, R, n):
     """Oracle: max over the four boundary grids of |sum w e^(i(p x - q y))|.
 

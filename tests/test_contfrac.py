@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smalldivlab
+from smalldivlab import contfrac
 from smalldivlab.bounds import brj1, brj2, brj_fin_diff, dph_series, gamma_delta
 from smalldivlab.classify import (
     brjuno_partial_sum,
@@ -108,8 +109,9 @@ def test_rational_exact_at_its_own_length():
     assert expand(FrequencySpec.rational(2, 5), 1).exact is None
 
 
-def test_depth_cap_truncates():
-    cf = expand(FrequencySpec.golden(depth_cap=6), 10)
+def test_depth_cap_truncates(monkeypatch):
+    monkeypatch.setattr(contfrac, "DEPTH_CAP", 6)
+    cf = expand(FrequencySpec.golden(), 10)
     assert cf.depth == 6
     assert cf.truncated
 
