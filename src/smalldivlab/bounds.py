@@ -456,6 +456,8 @@ def dioph_bound_rhs(C: float, tau: float, Delta: float) -> DiophBound:
     """Evaluate both Diophantine right-hand sides and their coefficients."""
     DiophGrowth(C, tau)  # the certificate's rules for C and tau
     _require_rate("Delta", Delta)
+    # before (tau / e) ** tau, which overflows a float from tau = 172
+    _check_gamma_domain(tau)
     thr = dioph_smallness_threshold(tau)
     if Delta > thr:
         raise ValueError(

@@ -210,15 +210,16 @@ def _times_exp(x: float, shift: float) -> float:
     return x
 
 
-def _coef_upper(items, R: float) -> float:
+def _coef_upper(items, R: float, scale=None) -> float:
     """sum |c| e^(R(|p|+|q|)) over ((p, q), c) items; inf past the float range.
 
     The terms are summed as |c| e^(R(|p|+|q|) - s) with s from _exp_shift
     and multiplied by e^s once, so the sum is exactly rounded while s = 0.
+    ``scale`` is ``_exp_shift(items, R)`` where the caller has it already.
     Zero coefficients are skipped: they neither add nor set the shift.
     """
     items = list(items)
-    shift, k_top, top = _exp_shift(items, R)
+    shift, k_top, top = _exp_shift(items, R) if scale is None else scale
     try:
         total = math.fsum(
             abs(c) * math.exp(top - R * (k_top - abs(p) - abs(q)))
@@ -259,8 +260,9 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
         return StripNormEstimate(R=R, upper=0.0, sampled_lower=0.0, grid_n=grid_n)
     import numpy as np
 
-    upper = _coef_upper(items, R)
-    shift, k_top, top = _exp_shift(items, R)
+    scale = _exp_shift(items, R)
+    upper = _coef_upper(items, R, scale)
+    shift, k_top, top = scale
     n = grid_n
     # residues from the Python ints: indices may be far beyond int64
     cell = np.array([(p % n) * n + (-q) % n for (p, q), _ in items], dtype=np.intp)

@@ -21,11 +21,10 @@ Summand: L(q, p) = e^(-(|p|+|q|) delta) / |q omega - p|, evaluated at the
 midpoint of the divisor interval, whose relative width must be below
 1e-12.  Box scans evaluate the canonical half q >= 1 (plus q = 0, p < 0)
 once and count its mirror through the symmetry.  They run over blocks of
-about 2^16 cells (a few rows), so memory stays flat in Q, and sum each
-block exactly into integer buckets per class and binary exponent.  Each
-sum is rounded once at the end, so it is the correctly rounded exact sum,
-bit-identical to ``math.fsum`` of the same values in any grouping and for
-any block size.
+a few rows, so memory stays flat in Q, and sum each block exactly into
+integer buckets per class and binary exponent.  Each sum is rounded once
+at the end, so it is the correctly rounded exact sum, bit-identical to
+``math.fsum`` of the same values in any grouping and for any block size.
 """
 
 from __future__ import annotations
@@ -215,8 +214,10 @@ def L_value(q: int, p: int, delta: float, cf: ContinuedFraction) -> float:
 # _MIRROR marks row-0 cells outside the half
 _AWAY, _CONST, _BRJUNO, _MIRROR = 0, 1, 2, 3
 
-# box cells per block of rows: a block's arrays take a few MB at any Q
-_BLOCK_CELLS = 2**16
+# box cells per block of rows (at least one row): about 1 MB of arrays.
+# Of 2^12 ... 2^16, 2^14 scanned fastest at Q = 300 ... 800, and 2^15 and
+# 2^16 raised the peak RSS of a Q = 800 scan by 1.3 and 4.0 MB over it
+_BLOCK_CELLS = 2**14
 
 # the kernel is checked against classify_index and L_value on the canonical
 # cells with max(|q|, |p|) <= this radius, plus every Brjuno pair
@@ -381,9 +382,7 @@ class _Block(Record):
     brjuno: np.ndarray
 
 
-def _half_box(
-    cf: ContinuedFraction, delta: float, Q: int, block_cells: Optional[int] = None
-):
+def _half_box(cf: ContinuedFraction, delta: float, Q: int):
     """The box kernel: classify and evaluate the canonical half, yielding _Blocks.
 
     The exact per-row work (``_box_rows``) runs once, before the first
@@ -391,11 +390,13 @@ def _half_box(
     divisors at p = floor and p = floor + 1, the smallest in the row (whose
     interval width is the same for every p), so checking their sign and
     relative width checks the whole row.  Then, as arrays over blocks of
-    max(1, block_cells // (2Q + 1)) rows (``block_cells`` defaults to
-    _BLOCK_CELLS, so memory stays flat in Q), |q omega - p| is n + f for
-    n >= 0 and (-n - 1) + (1 - f) for n <= -1, free of cancellation;
-    numerators come from one table of e^(-k delta).  A cell's values do not
-    depend on the block it falls in.
+    max(1, _BLOCK_CELLS // (2Q + 1)) rows, so memory stays flat in Q,
+    |q omega - p| is n + f for n >= 0 and (-n - 1) + (1 - f) for n <= -1,
+    free of cancellation; numerators come from one table of e^(-k delta).
+    The blocks run from the top row down, the order in which the audit dump
+    writes the mirrored rows q <= -1.  A cell's values do not depend on the
+    block it falls in.  The input checks and the row work run when
+    ``_half_box`` is called, so a bad input raises before any block is read.
     """
     _check_delta(delta)
     _check_radius(Q)
@@ -409,23 +410,27 @@ def _half_box(
     ).reshape(-1, 4)
 
     p = np.arange(-Q, Q + 1)
-    rows = max(1, (block_cells or _BLOCK_CELLS) // (2 * Q + 1))
-    for q0 in range(0, Q + 1, rows):
-        q1 = min(q0 + rows, Q + 1)
-        n = floors[q0:q1] - p
-        neg = n < 0
-        d = np.where(neg, g[q0:q1], f[q0:q1])
-        d += np.where(neg, ~n, n)  # ~n == -n - 1
-        label = np.full(n.shape, _AWAY, dtype=np.int8)
-        label[(n == 0) | (n == -1)] = _CONST
-        brj = brjuno[(q0 <= brjuno[:, 0]) & (brjuno[:, 0] < q1)]
-        label[brj[:, 0] - q0, brj[:, 1] + Q] = _BRJUNO
-        if q0 == 0:
-            d[0, Q] = math.inf  # (0, 0) has no divisor
-            label[0, Q:] = _MIRROR
-        L = weights[np.arange(q0, q1)[:, None] + np.abs(p)]
-        L /= d
-        yield _Block(q0=q0, label=label, n=n, L=L, brjuno=brj)
+    rows = max(1, _BLOCK_CELLS // (2 * Q + 1))
+
+    def blocks():
+        for q0 in reversed(range(0, Q + 1, rows)):
+            q1 = min(q0 + rows, Q + 1)
+            n = floors[q0:q1] - p
+            neg = n < 0
+            d = np.where(neg, g[q0:q1], f[q0:q1])
+            d += np.where(neg, ~n, n)  # ~n == -n - 1
+            label = np.full(n.shape, _AWAY, dtype=np.int8)
+            label[(n == 0) | (n == -1)] = _CONST
+            brj = brjuno[(q0 <= brjuno[:, 0]) & (brjuno[:, 0] < q1)]
+            label[brj[:, 0] - q0, brj[:, 1] + Q] = _BRJUNO
+            if q0 == 0:
+                d[0, Q] = math.inf  # (0, 0) has no divisor
+                label[0, Q:] = _MIRROR
+            L = weights[np.arange(q0, q1)[:, None] + np.abs(p)]
+            L /= d
+            yield _Block(q0=q0, label=label, n=n, L=L, brjuno=brj)
+
+    return blocks()
 
 
 def _kernel_sample(block: _Block, Q: int) -> list:
@@ -521,20 +526,26 @@ def partition_dump(cf: ContinuedFraction, delta: float, Q: int, path) -> None:
 
     Written as ``csv.writer`` writes it: comma-separated, ``\\r\\n`` line
     ends, an empty field for a missing value and ``repr`` of each float.
-    """
-    # one block of every row: the box rows below read the half in both directions
-    half = next(_half_box(cf, delta, Q, block_cells=(Q + 1) * (2 * Q + 1)))
-    ka = {(q, p + Q): f"{k},{a}" for q, p, k, a in half.brjuno.tolist()}
 
+    The file runs from row q = -Q up, and the kernel's blocks from half row
+    Q down, so the mirrored rows q <= -1 go straight to the file.  Rows
+    q >= 1 come in reverse order: each waits, as bytes, in a temporary file
+    and is copied back after row 0.  Memory stays flat in Q, and ``repr``
+    runs once per L.
+    """
+    import tempfile
+
+    blocks = _half_box(cf, delta, Q)  # checks the input before the file opens
     side = [str(p) for p in range(-Q, Q + 1)]
 
-    def lines(cq: int):
-        """The lines of every cell of half row ``cq``, written as the cell
-        itself and as its mirror (-q, -p): ``repr`` runs once per L."""
+    def lines(block: _Block, i: int, ka: dict):
+        """The lines of every cell of the block's row ``i``, written as the
+        cell itself and as its mirror (-q, -p)."""
         own, mirror = [], []
+        cq = block.q0 + i
         q, mq = str(cq), str(-cq)
         cells = zip(
-            side, side[::-1], half.label[cq].tolist(), half.n[cq].tolist(), half.L[cq].tolist()
+            side, side[::-1], block.label[i].tolist(), block.n[i].tolist(), block.L[i].tolist()
         )
         for j, (p, mp, label, n, L) in enumerate(cells):
             if label == _AWAY:
@@ -554,18 +565,25 @@ def partition_dump(cf: ContinuedFraction, delta: float, Q: int, path) -> None:
                 mirror.append("")
         return own, mirror
 
-    with open(path, "w", newline="") as fh:
-        fh.write("q,p,class,k,a,strip_n,L\r\n")
-        # row q <= -1 holds the mirrors of half row -q in reversed column
-        # order; row q >= 1 is half row q, written after row 0
-        kept = []
-        for cq in range(Q, 0, -1):
-            own, mirror = lines(cq)
-            fh.write("".join(reversed(mirror)))
-            kept.append("".join(own))
-        own, mirror = lines(0)  # canonical for p < 0, mirrored for p > 0
-        fh.write("".join(own[:Q] + mirror[Q - 1 :: -1]))
-        fh.writelines(reversed(kept))
+    with open(path, "wb") as fh, tempfile.TemporaryFile() as spill:
+        fh.write(b"q,p,class,k,a,strip_n,L\r\n")
+        spans = []  # (offset, length) in spill of half rows Q, Q - 1, ..., 1
+        for block in blocks:
+            ka = {(q, p + Q): f"{k},{a}" for q, p, k, a in block.brjuno.tolist()}
+            for i in reversed(range(block.label.shape[0])):
+                own, mirror = lines(block, i, ka)
+                if block.q0 + i:
+                    # row -q holds the mirrors of half row q in reversed
+                    # column order
+                    fh.write("".join(reversed(mirror)).encode())
+                    row = "".join(own).encode()
+                    spans.append((spill.tell(), len(row)))
+                    spill.write(row)
+                else:  # canonical for p < 0, mirrored for p > 0
+                    fh.write("".join(own[:Q] + mirror[Q - 1 :: -1]).encode())
+        for offset, length in reversed(spans):
+            spill.seek(offset)
+            fh.write(spill.read(length))
 
 
 # ---------------------------------------------------------------------------

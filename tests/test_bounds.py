@@ -441,6 +441,14 @@ def test_dioph_rhs_rejects_unusable_inputs(C, tau, Delta, message):
         dioph_bound_rhs(C, tau, Delta)
 
 
+@pytest.mark.parametrize("tau", [11.0, 200.0, 1e308])
+def test_dioph_rhs_rejects_tau_outside_the_gamma_domain(tau):
+    # at the smallness threshold, tau = 200 and 1e308 once overflowed
+    # (tau / e) ** tau before gamma_eul checked its domain
+    with pytest.raises(ValueError, match=re.escape("gamma evaluator domain is [0.5, 10]")):
+        dioph_bound_rhs(0.2, tau, dioph_smallness_threshold(tau))
+
+
 def test_dioph_rhs_oracle_tau2():
     # high-precision recomputation of the general-branch polynomial
     C, tau, Delta = 0.3, 2.0, 0.15

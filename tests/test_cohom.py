@@ -229,6 +229,30 @@ def test_strip_norm_coefficient_whose_abs_overflows():
     assert est.upper == math.inf and est.sampled_lower == sys.float_info.max
 
 
+@pytest.mark.parametrize(
+    "entries, R",
+    [
+        ({(1, 1): 0.5 + 0.25j, (-1, -1): 0.5 - 0.25j, (2, -1): 0.1}, 0.5),
+        ({(705, 0): 1.0}, 1.0),
+        ({(1430, 0): 1e-320, (-1430, 0): 1e-320}, 1.0),
+        ({(0, 700): 1e300 + 1e300j, (0, -700): 1e300 - 1e300j}, 0.2),
+    ],
+)
+def test_strip_norm_takes_one_shift_pass(monkeypatch, entries, R):
+    # the upper bound and the sampled grids share one shift, found once
+    shift_pass = cohom._exp_shift
+    calls = []
+
+    def counted(items, R):
+        calls.append(R)
+        return shift_pass(items, R)
+
+    monkeypatch.setattr(cohom, "_exp_shift", counted)
+    est = strip_norm(ModeMap(entries), R, 16)
+    assert calls == [R]
+    assert est.upper == cohom._coef_upper(sorted(entries.items()), R)
+
+
 def _direct_sampled_lower(modes, R, n):
     """Oracle: max over the four boundary grids of |sum w e^(i(p x - q y))|.
 

@@ -30,6 +30,9 @@ def _instances(golden) -> list:
     example = cohom.counterexample_modes(golden, 1.0, 0.1, 4)
     sums = smalldiv.partition_sums(golden, 0.2, 12)
     table = smalldiv.brjuno_pairs_up_to(golden, 12)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smalldiv, "_BLOCK_CELLS", 20)  # one row per block
+        blocks = list(smalldiv._half_box(golden, 0.2, 6))
     return [
         golden.spec,
         rule.spec,
@@ -62,7 +65,7 @@ def _instances(golden) -> list:
         smalldiv.classify_index(5, 1, golden, table),
         sums,
         table,
-        *smalldiv._half_box(golden, 0.2, 6, block_cells=20),
+        *blocks,
     ]
 
 

@@ -306,17 +306,18 @@ def test_away_tail_majorant_contains_growth(golden):
         (-0.5, "must be > 0"),
     ],
 )
-def test_unusable_delta_is_rejected_before_the_scan(golden, delta, message):
+def test_unusable_delta_is_rejected_before_the_scan(tmp_path, golden, delta, message):
     # 1e-17 used to fail with ZeroDivisionError in the tail majorant after
     # the scan, nan and inf with FloatingPointError in the exact sums
     for call in (
         lambda: partition_sums(golden, delta, 5),
-        lambda: partition_dump(golden, delta, 5, "unused.csv"),
+        lambda: partition_dump(golden, delta, 5, tmp_path / "unused.csv"),
         lambda: away_tail_majorant(delta, 5),
         lambda: L_value(1, 0, delta, golden),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
+    assert not (tmp_path / "unused.csv").exists()  # the dump opens no file
 
 
 def test_partition_k0_subset(golden):
@@ -337,8 +338,12 @@ def test_half_box_matches_scalar_oracle(spec, Q, delta, rows):
     cf = expand(spec, 60)
     table = brjuno_pairs_up_to(cf, Q)
     # blocks of a few rows, so the scan crosses block edges
-    blocks = list(_half_box(cf, delta, Q, block_cells=rows * (2 * Q + 1)))
-    assert [block.q0 for block in blocks] == list(range(0, Q + 1, rows))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smalldiv, "_BLOCK_CELLS", rows * (2 * Q + 1))
+        blocks = list(_half_box(cf, delta, Q))
+    # from the top row down, the order in which the dump writes rows q <= -1
+    assert [block.q0 for block in blocks] == list(range(0, Q + 1, rows))[::-1]
+    blocks.reverse()
     assert sum(block.label.shape[0] for block in blocks) == Q + 1
     assert sum(len(block.brjuno) for block in blocks) == len(table.pairs)
     brjuno = {(q, p): (k, a) for b in blocks for q, p, k, a in b.brjuno.tolist()}
@@ -492,27 +497,46 @@ def test_box_scans_do_not_depend_on_the_block_size(golden, large_quot, monkeypat
 
 
 def test_partition_sums_memory_stays_flat(golden):
-    # whole-box arrays of the Q = 1600 half box take about 160 MB
+    # whole-box arrays of the Q = 1600 half box take about 160 MB; measured
+    # on 64-bit CPython 3.11 with numpy 2.4, the peak is 1.7 MB with blocks
+    # of 2^14 cells and 5.2 MB with blocks of 2^16
     tracemalloc.start()
     try:
         partition_sums(golden, 0.1, 1600)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6, peak
+    assert peak < 3e6, peak
 
 
 def test_partition_dump_memory_stays_bounded(tmp_path, golden):
-    # measured on 64-bit CPython 3.11: a 4.9 MB peak at Q = 200, the half
-    # box and the rows q >= 1 held as one joined string each until row 0 is
-    # written; held as lists of lines, those rows raise it to 9.5 MB
-    tracemalloc.start()
-    try:
-        partition_dump(golden, 0.1, 200, tmp_path / "dump.csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 7e6, peak
+    # measured on 64-bit CPython 3.11: peaks of 1.0 and 1.5 MB at Q = 200
+    # and 800, where holding the whole half box and the rows q >= 1 until
+    # row 0 is written took 4.9 and 77.6 MB
+    for Q in (200, 800):
+        tracemalloc.start()
+        try:
+            partition_dump(golden, 0.1, Q, tmp_path / "dump.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7e6, (Q, peak)
+
+
+def test_partition_dump_does_not_depend_on_the_block_size(
+    tmp_path, golden, large_quot, monkeypatch
+):
+    Q, delta = 60, 0.1
+
+    def dumps():
+        for name, cf in (("golden", golden), ("large_quot", large_quot)):
+            partition_dump(cf, delta, Q, tmp_path / name)
+        return [(tmp_path / name).read_bytes() for name in ("golden", "large_quot")]
+
+    monkeypatch.setattr(smalldiv, "_BLOCK_CELLS", (Q + 1) * (2 * Q + 1))  # one block
+    whole = dumps()
+    monkeypatch.setattr(smalldiv, "_BLOCK_CELLS", 1)  # one row per block
+    assert dumps() == whole
 
 
 def test_partition_dump_matches_scalar_oracle(tmp_path, large_quot):
@@ -553,7 +577,9 @@ def test_partition_dump_schema(tmp_path, golden):
 def _csv_writer_dump(cf, delta, Q, path):
     """The array and ``csv.writer`` dump writer that ``partition_dump``
     replaced, kept as its byte-level oracle."""
-    half = next(_half_box(cf, delta, Q, block_cells=(Q + 1) * (2 * Q + 1)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smalldiv, "_BLOCK_CELLS", (Q + 1) * (2 * Q + 1))  # one block
+        half = next(_half_box(cf, delta, Q))
     k = np.zeros(half.label.shape, dtype=np.int64)
     a = np.zeros(half.label.shape, dtype=np.int64)
     bq, bp, bk, ba = half.brjuno.T
