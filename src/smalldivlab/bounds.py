@@ -463,14 +463,16 @@ def dioph_bound_rhs(C: float, tau: float, Delta: float) -> DiophBound:
         raise ValueError(
             f"Delta={Delta} above the smallness threshold min(1/tau, tau/e) = {thr}"
         )
-    X = math.log(1.0 / Delta)
+    X = -math.log(Delta)  # not log(1 / Delta): 1 / 5e-324 overflows
+    # Delta^-tau saturates to inf past the float range, still an upper bound
+    power = Delta ** (-tau) if tau * X < _OVERFLOW_LOG else math.inf
     peak = (tau / math.e) ** tau
     lead = peak / LOG_PHI
     G1_0 = math.log(3.0 * tau * PHI) + gamma_eul(tau) / (2.0 * peak)
-    rhs1 = (lead / C) * Delta ** (-tau) * (X + G1_0)
+    rhs1 = (lead / C) * power * (X + G1_0)
     if tau == 1.0:
         P2 = C * math.log(1.0 / C) * X + math.log(3.0 * PHI) + math.e / 2.0
-        rhs2 = (lead / C) * Delta ** (-1.0) * P2
+        rhs2 = (lead / C) * power * P2
         return DiophBound(C, tau, Delta, rhs1, rhs2, G1_0, None, None, "tau1")
     ClogC = C * math.log(1.0 / C)
     G2_1 = ClogC / (tau - 1.0) + gamma_eul(tau) / (2.0 * peak) + math.log(
@@ -481,7 +483,7 @@ def dioph_bound_rhs(C: float, tau: float, Delta: float) -> DiophBound:
         + math.log(3.0 * PHI * (tau + 1.0)) * math.log(tau + 1.0)
         + gamma_eul_prime(tau) / peak
     )
-    rhs2 = (lead / C) * (tau - 1.0) * Delta ** (-tau) * (X * X + G2_1 * X + G2_0)
+    rhs2 = (lead / C) * (tau - 1.0) * power * (X * X + G2_1 * X + G2_0)
     return DiophBound(C, tau, Delta, rhs1, rhs2, G1_0, G2_1, G2_0, "general")
 
 

@@ -325,12 +325,12 @@ def _random_decay_modes(rng, rho: float, count: int, span: int) -> ModeMap:
     """Seeded random zero-mean hermitian data with enforced strip decay."""
     entries = {}
     while len(entries) < 2 * count:
-        p = int(rng.integers(-span, span + 1))
-        q = int(rng.integers(-span, span + 1))
+        p = rng.integers(-span, span + 1)
+        q = rng.integers(-span, span + 1)
         if (p, q) == (0, 0) or (p, q) in entries or (-p, -q) in entries:
             continue
-        magnitude = float(rng.uniform(0.1, 1.0)) * math.exp(-(abs(p) + abs(q)) * rho)
-        phase = float(rng.uniform(0.0, 2.0 * math.pi))
+        magnitude = rng.uniform(0.1, 1.0) * math.exp(-(abs(p) + abs(q)) * rho)
+        phase = rng.uniform(0.0, 2.0 * math.pi)
         c = magnitude * complex(math.cos(phase), math.sin(phase))
         entries[(p, q)] = c
         entries[(-p, -q)] = c.conjugate()
@@ -338,6 +338,11 @@ def _random_decay_modes(rng, rho: float, count: int, span: int) -> ModeMap:
 
 
 def _cmd_thm1(args) -> dict:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    if args.span >= 2**63:
+        # the modes are int64 draws in [-span, span], as through numpy
+        raise ValueError(f"--span must be below 2^63, got {args.span}")
     cells = (2 * args.span + 1) ** 2 - 1
     if 2 * args.modes_per_map > cells:
         raise ValueError(
@@ -345,10 +350,11 @@ def _cmd_thm1(args) -> dict:
             f"distinct modes, but --span {args.span} has only {cells} nonzero cells"
         )
     _check_gamma_inputs(args.rho, args.delta, args.mu)
-    import numpy as np
+    # numpy's default_rng(seed) stream, without numpy's random subpackage
+    from ._pcg64 import Generator
 
     cf = _expand_freq(args)
-    rng = np.random.default_rng(args.seed)
+    rng = Generator(args.seed)
     maps = (
         _random_decay_modes(rng, args.rho, args.modes_per_map, args.span)
         for _ in range(args.count)

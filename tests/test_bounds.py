@@ -449,6 +449,14 @@ def test_dioph_rhs_rejects_tau_outside_the_gamma_domain(tau):
         dioph_bound_rhs(0.2, tau, dioph_smallness_threshold(tau))
 
 
+@pytest.mark.parametrize("C, tau, Delta", [(0.5, 1.0, 5e-324), (0.5, 2.0, 1e-200), (0.5, 10.0, 1e-40)])
+def test_dioph_rhs_saturates_past_the_float_range(C, tau, Delta):
+    # Delta ** -tau once raised OverflowError here; inf is still an upper bound
+    b = dioph_bound_rhs(C, tau, Delta)
+    assert b.rhs1 == math.inf and b.rhs2 == math.inf
+    assert math.isfinite(b.G1_0)
+
+
 def test_dioph_rhs_oracle_tau2():
     # high-precision recomputation of the general-branch polynomial
     C, tau, Delta = 0.3, 2.0, 0.15

@@ -606,6 +606,53 @@ def test_unusable_delta_is_an_input_error_before_any_scan(monkeypatch, capsys, a
 
 
 @pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        (["--span", str(2**63)], f"--span must be below 2^63, got {2**63}"),
+        (["--span", str(2**64)], f"--span must be below 2^63, got {2**64}"),
+    ],
+    ids=["seed-negative", "span-2^63", "span-2^64"],
+)
+def test_thm1_seed_and_span_are_input_errors_before_the_expansion(
+    monkeypatch, capsys, extra, message
+):
+    # the expansion once ran first, and numpy then rejected the seed with
+    # "expected non-negative integer" and the span with "high is out of
+    # bounds for int64", naming neither option
+    def no_work(*args, **kwargs):
+        raise AssertionError("the frequency was expanded")
+
+    monkeypatch.setattr(cli, "expand", no_work)
+    for freq in ("golden", "rational:2/5"):
+        assert main(["thm1", "--freq", freq, "--delta", "0.2", *extra]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_thm1_leaves_numpy_random_unloaded(tmp_path):
+    # the maps come from smalldivlab._pcg64; numpy is loaded by the strip norm
+    script = (
+        "import json, sys\n"
+        "from smalldivlab import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, 'numpy' in sys.modules, 'numpy.random' in sys.modules]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    argv = ["--out", str(tmp_path / "report"), "thm1", "--freq", "golden", "--delta", "0.2",
+            "--count", "100"]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [EXIT_OK, True, False]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["gamma", "--delta", "1e-200"],
