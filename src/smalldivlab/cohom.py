@@ -9,13 +9,17 @@ Sup norms on complex strips are certified two-sided: an upper bound from
 the weighted coefficient sum (|e_{p,q}| peaks at e^((|p|+|q|)R) on the
 strip boundary) and a sampled lower bound from evaluating the finite
 Fourier sum on boundary grids.  On an n x n grid that sum is a 2-D
-inverse DFT of the coefficients folded onto the n x n residues
+inverse DFT of the coefficients folded onto the residues
 (p mod n, -q mod n), so each of the four boundary grids costs
 O(m + n^2 log n) for m modes, and the grid values stay exact when
-several modes fold onto one cell.  Inequality checks always compare the
-sampled lower bound of the solution against the bound times the
-coefficient-sum upper bound of the data, so a true inequality can only
-be confirmed, never falsified spuriously.
+several modes fold onto one cell.  Only the r occupied residues p mod n
+get a row: the transform runs along the -q axis on those r rows, then
+along the p axis one column block at a time, so the memory is
+O(r n + block), not n^2, and the values are the dense ifft2's, bit for
+bit.  Inequality checks always compare the sampled lower bound of the
+solution against the bound times the coefficient-sum upper bound of the
+data, so a true inequality can only be confirmed, never falsified
+spuriously.
 """
 
 from __future__ import annotations
@@ -73,29 +77,42 @@ def load_modes(path) -> ModeMap:
     The bit limit keeps every divisor q omega - p (omega in (0, 1))
     inside the float range.
     """
+    # each object is checked as it is decoded, so its dict is freed at once
     with open(path) as fh:
-        rows = json.load(fh)
+        rows = json.load(fh, object_hook=_mode_record)
     if not isinstance(rows, list):
         raise ValueError(f"{path}: mode file must be a JSON list of {{p, q, re, im}} records")
     entries = {}
     for i, r in enumerate(rows):
-        if not (
-            isinstance(r, dict)
-            and type(r.get("p")) is int
-            and type(r.get("q")) is int
-            and r["p"].bit_length() < 1020
-            and r["q"].bit_length() < 1020
-            and _finite_real(r.get("re"))
-            and _finite_real(r.get("im"))
-        ):
+        # JSON decodes to no tuple, so only a good record is one
+        if type(r) is not tuple:
             raise ValueError(
                 f"{path}: record {i} needs integer p, q of under 1020 bits and finite re, im"
             )
-        mode = (r["p"], r["q"])
+        mode, c = r
         if mode in entries:
             raise ValueError(f"{path}: record {i} repeats mode {mode}")
-        entries[mode] = complex(r["re"], r["im"])
+        entries[mode] = c
     return ModeMap(entries)
+
+
+def _mode_record(r: dict):
+    """((p, q), coefficient) of a good mode record, else None.
+
+    ``load_modes`` decodes every JSON object through this hook, nested ones
+    first, so an object as ``p`` is None here and its record is bad.
+    """
+    p, q = r.get("p"), r.get("q")
+    if (
+        type(p) is int
+        and type(q) is int
+        and p.bit_length() < 1020
+        and q.bit_length() < 1020
+        and _finite_real(r.get("re"))
+        and _finite_real(r.get("im"))
+    ):
+        return (p, q), complex(r["re"], r["im"])
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +180,10 @@ class StripNormEstimate(Record):
 
 # exponents up to this leave room for summing many terms below the float maximum
 _EXP_ROOM = 700.0
+
+# cells of one column block of the strip norm's second transform: grids up
+# to 128 take one block
+_BLOCK_CELLS = 2**14
 
 
 def _exp_shift(items, R: float):
@@ -247,15 +268,21 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
     on the grid 2 pi (j, l) / n with n = grid_n, from 8 to 4096.  There
     e^(i(p x - q y)) depends only on the residues (p mod n, -q mod n), so
     the grid values are the inverse 2-D DFT of the weighted coefficients
-    folded onto the n x n residues: O(m + n^2 log n) per sign choice for
-    m modes, and exact however many modes fold onto one cell.  For a
-    single mode the sampled value is exact.  Past the float range
+    folded onto the residues: O(m + n^2 log n) per sign choice for m
+    modes, and exact however many modes fold onto one cell.  The fold
+    keeps one row for each of the r occupied residues p mod n.  The
+    transform runs along the -q axis first, as ifft2 does, on those r
+    rows; then along the p axis, one zero-filled block of at most
+    _BLOCK_CELLS cells at a time, so memory is O(r n + block) and every
+    value is the dense ifft2's float.  For a single mode the sampled
+    value is exact.  Past the float range
     ``upper`` is inf and the sampled value saturates to the largest
     float, which is still a lower bound.
     """
     _check_strip(R, grid_n)
-    # zero coefficients add nothing to either bound
-    items = [(pq, c) for pq, c in sorted(modes.entries.items()) if c]
+    # zero coefficients add nothing to either bound; modes are unique, so the
+    # sort never compares coefficients
+    items = sorted((pq, c) for pq, c in modes.entries.items() if c)
     if not items:
         return StripNormEstimate(R=R, upper=0.0, sampled_lower=0.0, grid_n=grid_n)
     import numpy as np
@@ -264,11 +291,15 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
     upper = _coef_upper(items, R, scale)
     shift, k_top, top = scale
     n = grid_n
-    # residues from the Python ints: indices may be far beyond int64
-    cell = np.array([(p % n) * n + (-q) % n for (p, q), _ in items], dtype=np.intp)
+    # residues from the Python ints: indices may be far beyond int64; only
+    # the occupied residues p mod n get a row of the folded grid
+    rows = sorted({p % n for (p, q), _ in items})
+    row_of = {res: i for i, res in enumerate(rows)}
+    cell = np.array([row_of[p % n] * n + (-q) % n for (p, q), _ in items], dtype=np.intp)
     P = np.array([p for (p, q), _ in items], dtype=np.float64)
     Q = np.array([q for (p, q), _ in items], dtype=np.float64)
     C = np.array([c for _, c in items], dtype=np.complex128)
+    width = max(1, _BLOCK_CELLS // n)
     lower = 0.0
     for sx in (-1, 1):
         for sy in (-1, 1):
@@ -277,10 +308,17 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
             else:
                 expo = np.array([top - R * (k_top - q * sy + p * sx) for (p, q), _ in items])
             w = C * np.exp(expo)
-            folded = np.zeros((n, n), dtype=np.complex128)
+            folded = np.zeros((len(rows), n), dtype=np.complex128)
             np.add.at(folded.reshape(-1), cell, w)
-            # norm="forward" leaves the inverse transform unscaled: its values are the sums
-            lower = max(lower, float(np.abs(np.fft.ifft2(folded, norm="forward")).max()))
+            # norm="forward" leaves the inverse transform unscaled: its values
+            # are the sums.  ifft2 runs the last axis first, as here, and the
+            # rows left out would transform to zeros; both run in place
+            np.fft.ifft(folded, axis=1, norm="forward", out=folded)
+            for j in range(0, n, width):
+                block = np.zeros((n, min(width, n - j)), dtype=np.complex128)
+                block[rows] = folded[:, j : j + width]
+                np.fft.ifft(block, axis=0, norm="forward", out=block)
+                lower = max(lower, float(np.abs(block).max()))
     lower = min(_times_exp(lower, shift), sys.float_info.max)
     return StripNormEstimate(R=R, upper=upper, sampled_lower=lower, grid_n=grid_n)
 

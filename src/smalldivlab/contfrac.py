@@ -448,8 +448,10 @@ def _divisor_ends(cf: ContinuedFraction, q: int, p: int, zero_end: bool = False)
     over their denominators.  Raises when the residues have opposite signs
     or one is 0 (p/q is an endpoint).  With ``zero_end`` an endpoint p/q is
     read too: omega lies strictly inside an irrational bracket, so the
-    other endpoint carries the sign, and x_lo is 0; both residues 0
-    (q omega = p for a rational omega) still raise.
+    other endpoint carries the sign, and x_lo is 0.  Both residues are 0
+    only for the exact bracket of a rational omega = p/q: that mode is
+    resonant, no depth resolves it, and it raises ExpansionError, not
+    DepthExhausted.
     """
     lo, hi = cf.bracket
     lod, hid = lo.denominator, hi.denominator
@@ -458,6 +460,10 @@ def _divisor_ends(cf: ContinuedFraction, q: int, p: int, zero_end: bool = False)
         return 1, r_lo, lod, r_hi, hid
     if r_lo < 0 >= r_hi and (r_hi or zero_end):
         return -1, -r_hi, hid, -r_lo, lod
+    if r_lo == r_hi == 0:
+        raise ExpansionError(
+            f"resonant mode (q={q}, p={p}): q omega = p exactly, so its divisor is 0"
+        )
     raise DepthExhausted(f"divisor sign unresolved at (q={q}, p={p}); expand deeper")
 
 

@@ -457,6 +457,32 @@ def test_solve_solution_past_the_float_range_is_an_input_error(tmp_path, capsys)
     assert "mode (p=0, q=1): the solution" in capsys.readouterr().err
 
 
+# 10 (2/5) - 4 = 0: no depth resolves the divisor of the modes +-(4, 10), so
+# the message names the resonance instead of asking for a deeper expansion
+_RESONANT = "error: resonant mode (q=10, p=4): q omega = p exactly, so its divisor is 0\n"
+
+
+def test_solve_names_a_resonant_mode(tmp_path, capsys):
+    modes = tmp_path / "modes.json"
+    modes.write_text(
+        json.dumps([{"p": s * 4, "q": s * 10, "re": 1.0, "im": 0.0} for s in (1, -1)])
+    )
+    for depth in ("64", "200"):
+        argv = ["solve", "--freq", "rational:2/5", "--modes", str(modes), "--R", "0.5"]
+        assert main(argv + ["--depth", depth]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", _RESONANT)
+
+
+def test_thm1_names_a_resonant_mode(capsys):
+    # seed 2^200 + 3 draws the mode (4, 10) into its maps
+    seed = str(2**200 + 3)
+    for depth in ("64", "200"):
+        argv = ["thm1", "--freq", "rational:2/5", "--delta", "0.2", "--count", "3",
+                "--seed", seed, "--depth", depth]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr() == ("", _RESONANT)
+
+
 @pytest.mark.parametrize("p", [2**60 + 1, 2**63], ids=["2^60+1", "2^63"])
 def test_solve_index_past_int64(tmp_path, capsys, p):
     modes = tmp_path / "modes.json"
@@ -504,9 +530,13 @@ def test_solve_rejects_huge_grid_before_solving(tmp_path, capsys):
          "record 1 repeats mode (1, 1)"),
         ([{"p": 10**400, "q": 0, "re": 1.0, "im": 0.0}, {"p": -(10**400), "q": 0, "re": 1.0, "im": 0.0}],
          "record 0 "),
+        ([{"p": 1, "q": 1, "re": 1.0, "im": 0.0},
+          {"p": {"p": 2, "q": 1, "re": 1.0, "im": 0.0}, "q": 1, "re": 1.0, "im": 0.0}],
+         "record 1 "),
+        ([{"p": 1, "q": 1, "re": 1.0, "im": 0.0}, 2.5], "record 1 "),
     ],
     ids=["missing-im", "top-level-object", "fractional-p", "nan-coefficient", "duplicate-mode",
-         "huge-p"],
+         "huge-p", "object-p", "number-record"],
 )
 def test_solve_rejects_malformed_mode_file(tmp_path, capsys, rows, message):
     modes = tmp_path / "modes.json"

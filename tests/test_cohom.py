@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -72,6 +73,46 @@ def test_load_modes_rejects_indices_past_1019_bits(tmp_path, key, index):
     rows[1][key] = 2**1019 - 1  # 1019 bits still load
     path.write_text(json.dumps(rows))
     assert len(load_modes(path)) == 2
+
+
+_GOOD = '{"p": 1, "q": 1, "re": 1.0, "im": 0.0}'
+_BAD_RECORD = "needs integer p, q of under 1020 bits and finite re, im"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_GOOD, "mode file must be a JSON list of {p, q, re, im} records"),
+        (f'[{_GOOD}, {{"p": {_GOOD}, "q": 2, "re": 1.0, "im": 0.0}}]', f"record 1 {_BAD_RECORD}"),
+        (f"[{_GOOD}, 3]", f"record 1 {_BAD_RECORD}"),
+        (f"[{_GOOD}, [{_GOOD}]]", f"record 1 {_BAD_RECORD}"),
+        ("[null]", f"record 0 {_BAD_RECORD}"),
+        (f'[{_GOOD}, {{"p": 2, "q": 1, "re": 1.0, "im": 0.0}}, {_GOOD}]',
+         "record 2 repeats mode (1, 1)"),
+        # None: the file's own JSON syntax error, "Expecting ',' delimiter:
+        # line 1 column 69 (char 68)" and "Expecting property name enclosed
+        # in double quotes: line 1 column 52 (char 51)" on CPython 3.11
+        (f'[{_GOOD}, {{"p": 2, "q": 1, "re": 1.0 "im": 0.0}}]', None),
+        ('[{"p": 1.5, "q": 1, "re": 1.0, "im": 0.0}, {"p": 2,]', None),
+    ],
+    ids=["top-level-object", "object-p", "number-record", "list-record", "null-record",
+         "repeated-mode", "syntax-error", "syntax-error-after-a-bad-record"],
+)
+def test_load_modes_errors_name_the_first_bad_record(tmp_path, text, message):
+    # records are checked as they are decoded, yet a syntax error anywhere
+    # comes first and the first bad record is the one named
+    path = tmp_path / "modes.json"
+    path.write_text(text)
+    if message is None:
+        with pytest.raises(json.JSONDecodeError) as syntax:
+            json.loads(text)
+        with pytest.raises(json.JSONDecodeError) as raised:
+            load_modes(path)
+        assert str(raised.value) == str(syntax.value)
+        return
+    with pytest.raises(ValueError) as raised:
+        load_modes(path)
+    assert str(raised.value) == f"{path}: {message}"
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +298,10 @@ def _direct_sampled_lower(modes, R, n):
     """Oracle: max over the four boundary grids of |sum w e^(i(p x - q y))|.
 
     The plain m x n x n sum, with the weights shifted down by e^s and the
-    maximum scaled back once, where s = max(0, R max(|p|+|q|) - 700).
+    maximum scaled back once, where s = max(0, R max(|p|+|q|) - 700) over
+    the nonzero coefficients: a zero one adds nothing to the sum.
     """
-    items = list(modes.entries.items())
+    items = [(pq, c) for pq, c in modes.entries.items() if c]
     P = np.array([p for (p, q), _ in items], dtype=np.float64)
     Q = np.array([q for (p, q), _ in items], dtype=np.float64)
     C = np.array([c for _, c in items], dtype=np.complex128)
@@ -280,7 +322,7 @@ def _assert_matches_direct_sum(modes, R, n):
     assert abs(got - want) <= 1e-13 * want, (got, want)
 
 
-@pytest.mark.parametrize("grid_n", [8, 16, 64])
+@pytest.mark.parametrize("grid_n", [8, 16, 64, 256])
 @pytest.mark.parametrize("span_per_grid", [0.5, 1, 3])  # modes fold onto one cell past 1
 def test_strip_norm_fft_matches_direct_sum(grid_n, span_per_grid):
     rng = np.random.default_rng(grid_n)
@@ -322,6 +364,92 @@ def _sparse_maps(draw):
 def test_strip_norm_fft_matches_direct_sum_random(map_and_grid, R):
     modes, grid_n = map_and_grid
     _assert_matches_direct_sum(modes, R, grid_n)
+
+
+def _dense_strip_norm(modes, R, grid_n):
+    """The dense strip norm that the row-compacted one replaced, kept as its
+    byte-level oracle: the weights are folded onto all n x n residues and
+    each sign choice takes one ifft2."""
+    items = [(pq, c) for pq, c in sorted(modes.entries.items()) if c]
+    if not items:
+        return cohom.StripNormEstimate(R=R, upper=0.0, sampled_lower=0.0, grid_n=grid_n)
+    scale = cohom._exp_shift(items, R)
+    upper = cohom._coef_upper(items, R, scale)
+    shift, k_top, top = scale
+    n = grid_n
+    cell = np.array([(p % n) * n + (-q) % n for (p, q), _ in items], dtype=np.intp)
+    P = np.array([p for (p, q), _ in items], dtype=np.float64)
+    Q = np.array([q for (p, q), _ in items], dtype=np.float64)
+    C = np.array([c for _, c in items], dtype=np.complex128)
+    lower = 0.0
+    for sx in (-1, 1):
+        for sy in (-1, 1):
+            if shift == 0.0:
+                expo = R * (-P * sx + Q * sy)
+            else:
+                expo = np.array([top - R * (k_top - q * sy + p * sx) for (p, q), _ in items])
+            folded = np.zeros((n, n), dtype=np.complex128)
+            np.add.at(folded.reshape(-1), cell, C * np.exp(expo))
+            lower = max(lower, float(np.abs(np.fft.ifft2(folded, norm="forward")).max()))
+    lower = min(cohom._times_exp(lower, shift), sys.float_info.max)
+    return cohom.StripNormEstimate(R=R, upper=upper, sampled_lower=lower, grid_n=grid_n)
+
+
+@st.composite
+def _oracle_maps(draw):
+    # grids past 128 take several column blocks, and 12, 100 and 300 are no
+    # powers of two; spans past n fold several residues onto one row; a far
+    # mode at 800 puts R k past the 700 room (the shifted path), and
+    # 2^63 + 5 is past int64 (with R = 1e-300 its value stays a float)
+    grid_n = draw(st.sampled_from([8, 12, 16, 64, 100, 128, 256, 300, 512]))
+    span = draw(st.integers(min_value=1, max_value=3 * grid_n))
+    index = st.integers(min_value=-span, max_value=span)
+    part = st.floats(min_value=-2.0, max_value=2.0)
+    coefficient = st.one_of(st.just(0j), st.builds(complex, part, part))
+    entries = draw(
+        st.dictionaries(
+            st.tuples(index, index).filter(lambda k: k != (0, 0)),
+            coefficient,
+            min_size=1,
+            max_size=40,
+        )
+    )
+    far = draw(st.sampled_from([None, 800, 2**63 + 5]))
+    if far is not None:
+        c = draw(coefficient)
+        entries[(far, 1)], entries[(-far, -1)] = c, c.conjugate()
+    R = draw(st.one_of(st.floats(min_value=0.05, max_value=3.0), st.just(1e-300)))
+    return ModeMap(entries), R, grid_n
+
+
+@settings(max_examples=150, deadline=None)
+@given(_oracle_maps())
+def test_strip_norm_matches_the_dense_transform_bit_for_bit(case):
+    modes, R, grid_n = case
+    assert strip_norm(modes, R, grid_n) == _dense_strip_norm(modes, R, grid_n)
+
+
+@pytest.mark.parametrize("count, span, grids", [(1000, 20, (256, 1024)), (4000, 40, (64, 128))])
+def test_strip_norm_matches_the_dense_transform_on_large_maps(count, span, grids):
+    # the sizes of the strip-norm benchmark's maps
+    modes = _random_hermitian(np.random.default_rng(count), 1.0, count // 2, span=span)
+    assert len(modes) == count
+    for grid_n in grids:
+        assert strip_norm(modes, 0.5, grid_n) == _dense_strip_norm(modes, 0.5, grid_n)
+
+
+def test_strip_norm_memory_stays_flat():
+    # measured on 64-bit CPython 3.11 with numpy 2.4: a peak of 2.0 MB for
+    # 1000 modes at grid 1024, where the dense n x n grids took 50.4 MB
+    modes = _random_hermitian(np.random.default_rng(7), 1.0, 500, span=20)
+    strip_norm(modes, 0.5, 1024)  # numpy's fft module is loaded before the trace
+    tracemalloc.start()
+    try:
+        strip_norm(modes, 0.5, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 def test_strip_norm_index_beyond_int64():

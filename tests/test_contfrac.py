@@ -321,7 +321,14 @@ def test_divisor_ends_match_the_fraction_enclosure(corpus):
                     lo, hi = divisor_interval(level, q, p)
                     for zero_end in (False, True):
                         on_end = lo * hi == 0
-                        if lo < 0 < hi or (on_end and (lo == hi or not zero_end)):
+                        if lo == hi == 0:  # q omega = p for an exact rational bracket
+                            with pytest.raises(ExpansionError, match=re.escape(
+                                f"resonant mode (q={q}, p={p}): q omega = p exactly"
+                            )) as raised:
+                                _divisor_ends(level, q, p, zero_end)
+                            assert not isinstance(raised.value, DepthExhausted)
+                            continue
+                        if lo < 0 < hi or (on_end and not zero_end):
                             with pytest.raises(DepthExhausted, match=re.escape(
                                 f"divisor sign unresolved at (q={q}, p={p}); expand deeper"
                             )):
@@ -419,9 +426,11 @@ def test_bracket_rational_is_plain_fraction_arithmetic(num, den):
         assert floor_mult(cf, q) == (q * num) // den
         for p in (-3, 0, (q * num) // den, 9):
             v = q * omega - p
-            if not v:
-                with pytest.raises(DepthExhausted, match="divisor sign unresolved"):
-                    _divisor_ends(cf, q, p)
+            if not v:  # resonant: no depth resolves it
+                for zero_end in (False, True):
+                    with pytest.raises(ExpansionError, match="resonant mode") as raised:
+                        _divisor_ends(cf, q, p, zero_end)
+                    assert not isinstance(raised.value, DepthExhausted)
                 continue
             sign, x_lo, d_lo, x_hi, d_hi = _divisor_ends(cf, q, p)
             assert sign * Fraction(x_lo, d_lo) == sign * Fraction(x_hi, d_hi) == v

@@ -190,6 +190,10 @@ def _L_fraction(q, p, delta, cf):
         d_mid = float(abs(p))
     else:
         d_lo, d_hi = divisor_interval(cf, q, p)
+        if d_lo == d_hi == 0:
+            raise ExpansionError(
+                f"resonant mode (q={q}, p={p}): q omega = p exactly, so its divisor is 0"
+            )
         if d_lo <= 0 <= d_hi:
             raise DepthExhausted(f"divisor sign unresolved at (q={q}, p={p}); expand deeper")
         a_lo, a_hi = (d_lo, d_hi) if d_lo > 0 else (-d_hi, -d_lo)
@@ -201,7 +205,8 @@ def _L_fraction(q, p, delta, cf):
 
 def test_L_matches_the_fraction_divisor_at_every_sandwich_level(corpus):
     # coarse brackets leave signs unresolved (an endpoint p_m/q_m itself) or
-    # intervals too wide; a rational's exact bracket hits zero divisors
+    # intervals too wide; a rational's exact bracket hits zero divisors,
+    # which no depth resolves
     raised = Counter()
     brackets = [(expand(FrequencySpec.rational(5, 13), 10), None)]
     for cf in corpus.values():
@@ -217,11 +222,13 @@ def test_L_matches_the_fraction_divisor_at_every_sandwich_level(corpus):
                 for fn in (L_value, _L_fraction):
                     try:
                         outcomes.append(fn(q, p, 0.15, cf).hex())
-                    except DepthExhausted as exc:
-                        outcomes.append(str(exc))
+                    except ExpansionError as exc:
+                        outcomes.append(f"{type(exc).__name__}: {exc}")
                 assert outcomes[0] == outcomes[1], (m, q, p)
-                raised[outcomes[0].split(" at ")[0]] += 1
-    assert raised["divisor sign unresolved"] > 0 and raised["divisor interval too wide"] > 0
+                raised[outcomes[0].split(" at ")[0].split(" (")[0]] += 1
+    assert raised["DepthExhausted: divisor sign unresolved"] > 0
+    assert raised["DepthExhausted: divisor interval too wide"] > 0
+    assert raised["ExpansionError: resonant mode"] > 0  # (13, 5) and (-13, -5) at 5/13
 
 
 # ---------------------------------------------------------------------------
