@@ -299,7 +299,7 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
     P = np.array([p for (p, q), _ in items], dtype=np.float64)
     Q = np.array([q for (p, q), _ in items], dtype=np.float64)
     C = np.array([c for _, c in items], dtype=np.complex128)
-    width = max(1, _BLOCK_CELLS // n)
+    width = _BLOCK_CELLS // n  # at least 4: _check_strip keeps n <= 4096
     lower = 0.0
     for sx in (-1, 1):
         for sy in (-1, 1):
@@ -312,12 +312,12 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
             np.add.at(folded.reshape(-1), cell, w)
             # norm="forward" leaves the inverse transform unscaled: its values
             # are the sums.  ifft2 runs the last axis first, as here, and the
-            # rows left out would transform to zeros; both run in place
-            np.fft.ifft(folded, axis=1, norm="forward", out=folded)
+            # rows left out would transform to zeros
+            folded = np.fft.ifft(folded, axis=1, norm="forward")
             for j in range(0, n, width):
                 block = np.zeros((n, min(width, n - j)), dtype=np.complex128)
                 block[rows] = folded[:, j : j + width]
-                np.fft.ifft(block, axis=0, norm="forward", out=block)
+                block = np.fft.ifft(block, axis=0, norm="forward")
                 lower = max(lower, float(np.abs(block).max()))
     lower = min(_times_exp(lower, shift), sys.float_info.max)
     return StripNormEstimate(R=R, upper=upper, sampled_lower=lower, grid_n=grid_n)
