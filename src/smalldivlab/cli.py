@@ -304,7 +304,9 @@ def _cmd_solve(args) -> dict:
     cf = _expand_freq(args)
     a = load_modes(args.modes)
     a_norm = strip_norm(a, args.R, args.grid_n)
+    mode_count = len(a)
     solved = solve_modes(a, cf)
+    del a  # the solution's norm runs with one mode map alive
     g_norm = strip_norm(solved.modes, args.R, args.grid_n)
     if args.out_modes:
         save_modes(solved.modes, args.out_modes)
@@ -312,7 +314,7 @@ def _cmd_solve(args) -> dict:
         "solve",
         {"freq": args.freq, "modes": args.modes, "R": args.R},
         {
-            "mode_count": len(a),
+            "mode_count": mode_count,
             "max_rel_err": solved.max_rel_err,
             "data_norm": a_norm,
             "solution_norm": g_norm,

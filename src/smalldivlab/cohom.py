@@ -61,13 +61,6 @@ def save_modes(modes: ModeMap, path) -> None:
         fh.write("\n")
 
 
-def _finite_real(v) -> bool:
-    try:
-        return type(v) in (int, float) and math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 def load_modes(path) -> ModeMap:
     """Read a save_modes file, checking every record before any solve.
 
@@ -96,22 +89,29 @@ def load_modes(path) -> ModeMap:
     return ModeMap(entries)
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def _mode_record(r: dict):
     """((p, q), coefficient) of a good mode record, else None.
 
     ``load_modes`` decodes every JSON object through this hook, nested ones
     first, so an object as ``p`` is None here and its record is bad.
     """
-    p, q = r.get("p"), r.get("q")
+    p, q, re, im = r.get("p"), r.get("q"), r.get("re"), r.get("im")
+    # the comparisons with the largest float also reject nan, inf and the
+    # integers past the float range
     if (
         type(p) is int
         and type(q) is int
         and p.bit_length() < 1020
         and q.bit_length() < 1020
-        and _finite_real(r.get("re"))
-        and _finite_real(r.get("im"))
+        and type(re) in (int, float)
+        and -_FLOAT_MAX <= re <= _FLOAT_MAX
+        and type(im) in (int, float)
+        and -_FLOAT_MAX <= im <= _FLOAT_MAX
     ):
-        return (p, q), complex(r["re"], r["im"])
+        return (p, q), complex(re, im)
     return None
 
 
@@ -139,9 +139,11 @@ def solve_modes(a: ModeMap, cf: ContinuedFraction) -> SolveResult:
     divisors = {}
     max_rel_err = 0.0
     g = {}
-    for (p, q), c in a.entries.items():
+    # the solution and the divisor table share the data's key tuples
+    for pq, c in a.entries.items():
+        p, q = pq
         canonical = (q, p) >= (0, 0)
-        key = (p, q) if canonical else (-p, -q)
+        key = pq if canonical else (-p, -q)
         if key not in divisors:
             cp, cq = key
             # p - q*omega = -(q*omega - p); int / int is correctly rounded
@@ -156,7 +158,7 @@ def solve_modes(a: ModeMap, cf: ContinuedFraction) -> SolveResult:
             divisors[key] = -sign * mid
             max_rel_err = max(max_rel_err, (hi_f - lo_f) / mid + 4.0 * 2.3e-16)
         d = divisors[key] if canonical else -divisors[key]
-        g[(p, q)] = z = complex(c) / complex(0.0, d)
+        g[pq] = z = complex(c) / complex(0.0, d)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError(
                 f"mode (p={p}, q={q}): the solution a / (i(p - q omega)) leaves the float range"
@@ -186,9 +188,10 @@ _EXP_ROOM = 700.0
 _BLOCK_CELLS = 2**14
 
 
-def _exp_shift(items, R: float):
-    """(s, k_top, top): each nonzero term |c| e^(R k) of the items, k = |p|+|q|,
-    is formed as |c| e^(R k - s) with R k - s = top - R (k_top - k).
+def _exp_shift(ks, cs, R: float):
+    """(s, k_top, top): each term |c| e^(R k) of the columns ks (k = |p|+|q|)
+    and cs (the nonzero coefficients c, in the same order) is formed as
+    |c| e^(R k - s) with R k - s = top - R (k_top - k).
 
     s is the least shift >= 0 under which neither e^(R k - s) nor
     |c| e^(R k - s) passes e^_EXP_ROOM; it is inf once R k_max leaves the
@@ -197,14 +200,14 @@ def _exp_shift(items, R: float):
     integers: R k - s would round at the size of R k (by up to 2048 at
     2^63) or be inf - inf past the float range.
     """
-    k_max = max((abs(p) + abs(q) for (p, q), c in items if c), default=0)
+    k_max = max(ks, default=0)
     # how far log|c| + R k rises above R k_max, through the exact k_max - k;
     # only |c| > 1 can rise, and abs(c / 2) cannot overflow where abs(c) can
     rise = max(
         [0.0]
         + [
-            math.log(abs(0.5 * c)) + math.log(2.0) - R * (k_max - abs(p) - abs(q))
-            for (p, q), c in items
+            math.log(abs(0.5 * c)) + math.log(2.0) - R * (k_max - k)
+            for k, c in zip(ks, cs)
             if abs(c.real) + abs(c.imag) > 1.0
         ]
     )
@@ -231,22 +234,18 @@ def _times_exp(x: float, shift: float) -> float:
     return x
 
 
-def _coef_upper(items, R: float, scale=None) -> float:
-    """sum |c| e^(R(|p|+|q|)) over ((p, q), c) items; inf past the float range.
+def _coef_upper(ks, cs, R: float, scale=None) -> float:
+    """sum |c| e^(R k) over the columns of ``_exp_shift``; inf past the float range.
 
-    The terms are summed as |c| e^(R(|p|+|q|) - s) with s from _exp_shift
-    and multiplied by e^s once, so the sum is exactly rounded while s = 0.
-    ``scale`` is ``_exp_shift(items, R)`` where the caller has it already.
-    Zero coefficients are skipped: they neither add nor set the shift.
+    The terms are summed as |c| e^(R k - s) with s from _exp_shift and
+    multiplied by e^s once, so the sum is exactly rounded while s = 0.
+    ``scale`` is ``_exp_shift(ks, cs, R)`` where the caller has it already.
+    Each distinct k takes one exp: the modes of one k share its argument.
     """
-    items = list(items)
-    shift, k_top, top = _exp_shift(items, R) if scale is None else scale
+    shift, k_top, top = _exp_shift(ks, cs, R) if scale is None else scale
     try:
-        total = math.fsum(
-            abs(c) * math.exp(top - R * (k_top - abs(p) - abs(q)))
-            for (p, q), c in items
-            if c
-        )
+        e = {k: math.exp(top - R * (k_top - k)) for k in set(ks)}
+        total = math.fsum(abs(c) * e[k] for k, c in zip(ks, cs))
     except OverflowError:  # the shifted sum itself leaves the float range
         return math.inf
     return _times_exp(total, shift)
@@ -270,35 +269,48 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
     the grid values are the inverse 2-D DFT of the weighted coefficients
     folded onto the residues: O(m + n^2 log n) per sign choice for m
     modes, and exact however many modes fold onto one cell.  The fold
-    keeps one row for each of the r occupied residues p mod n.  The
-    transform runs along the -q axis first, as ifft2 does, on those r
-    rows; then along the p axis, one zero-filled block of at most
-    _BLOCK_CELLS cells at a time, so memory is O(r n + block) and every
-    value is the dense ifft2's float.  For a single mode the sampled
-    value is exact.  Past the float range
-    ``upper`` is inf and the sampled value saturates to the largest
-    float, which is still a lower bound.
+    keeps one row for each of the r occupied residues p mod n and adds
+    each cell's weights in sorted mode order.  The transform runs along
+    the -q axis first, as ifft2 does, on those r rows; then along the p
+    axis, one zero-filled block of at most _BLOCK_CELLS cells at a time,
+    so memory is O(m + r n + block) and every value is the dense ifft2's
+    float.  One pass over the sorted modes builds the columns that both
+    bounds read.  For a single mode the sampled value is exact.  Past the
+    float range ``upper`` is inf and the sampled value saturates to the
+    largest float, which is still a lower bound.
     """
     _check_strip(R, grid_n)
-    # zero coefficients add nothing to either bound; modes are unique, so the
-    # sort never compares coefficients
-    items = sorted((pq, c) for pq, c in modes.entries.items() if c)
-    if not items:
+    entries = modes.entries
+    # zero coefficients add nothing to either bound; the modes are unique,
+    # so sorting them alone gives the order of the sorted (mode, c) pairs
+    keys = sorted(pq for pq, c in entries.items() if c)
+    if not keys:
         return StripNormEstimate(R=R, upper=0.0, sampled_lower=0.0, grid_n=grid_n)
     import numpy as np
 
-    scale = _exp_shift(items, R)
-    upper = _coef_upper(items, R, scale)
-    shift, k_top, top = scale
     n = grid_n
-    # residues from the Python ints: indices may be far beyond int64; only
-    # the occupied residues p mod n get a row of the folded grid
-    rows = sorted({p % n for (p, q), _ in items})
-    row_of = {res: i for i, res in enumerate(rows)}
-    cell = np.array([row_of[p % n] * n + (-q) % n for (p, q), _ in items], dtype=np.intp)
-    P = np.array([p for (p, q), _ in items], dtype=np.float64)
-    Q = np.array([q for (p, q), _ in items], dtype=np.float64)
-    C = np.array([c for _, c in items], dtype=np.complex128)
+    # residues from the Python ints: indices may be far beyond int64; each
+    # occupied residue p mod n gets a row of the fold as it first appears
+    row_of = {}
+    ks, cells, ps, qs, cs = [], [], [], [], []
+    for pq in keys:
+        p, q = pq
+        ks.append(abs(p) + abs(q))
+        cells.append(row_of.setdefault(p % n, len(row_of)) * n + (-q) % n)
+        ps.append(p)
+        qs.append(q)
+        cs.append(entries[pq])
+    scale = _exp_shift(ks, cs, R)
+    upper = _coef_upper(ks, cs, R, scale)
+    shift, k_top, top = scale
+    rows = list(row_of)
+    # the real and imaginary slots of each cell, as a complex array lays
+    # them out: w viewed as floats folds onto them in one bincount
+    slot = (2 * np.array(cells, dtype=np.intp)[:, None] + np.arange(2)).ravel()
+    P = np.array(ps, dtype=np.float64)
+    Q = np.array(qs, dtype=np.float64)
+    C = np.array(cs, dtype=np.complex128)
+    del ks, cells, ps, qs, cs  # the transforms read the arrays and keys only
     width = _BLOCK_CELLS // n  # at least 4: _check_strip keeps n <= 4096
     lower = 0.0
     for sx in (-1, 1):
@@ -306,14 +318,17 @@ def strip_norm(modes: ModeMap, R: float, grid_n: int = 64) -> StripNormEstimate:
             if shift == 0.0:
                 expo = R * (-P * sx + Q * sy)
             else:
-                expo = np.array([top - R * (k_top - q * sy + p * sx) for (p, q), _ in items])
+                expo = np.array([top - R * (k_top - q * sy + p * sx) for p, q in keys])
             w = C * np.exp(expo)
-            folded = np.zeros((len(rows), n), dtype=np.complex128)
-            np.add.at(folded.reshape(-1), cell, w)
+            # bincount adds each slot's weights in index order, as add.at
+            # adds each cell's complex weights
+            folded = np.bincount(slot, weights=w.view(np.float64), minlength=2 * len(rows) * n)
             # norm="forward" leaves the inverse transform unscaled: its values
             # are the sums.  ifft2 runs the last axis first, as here, and the
             # rows left out would transform to zeros
-            folded = np.fft.ifft(folded, axis=1, norm="forward")
+            folded = np.fft.ifft(
+                folded.view(np.complex128).reshape(len(rows), n), axis=1, norm="forward"
+            )
             for j in range(0, n, width):
                 block = np.zeros((n, min(width, n - j)), dtype=np.complex128)
                 block[rows] = folded[:, j : j + width]
@@ -344,7 +359,8 @@ def check_thm1(
     def report(a: ModeMap) -> BoundReport:
         solved = solve_modes(a, cf)
         g_norm = strip_norm(solved.modes, rho - delta)
-        a_upper = _coef_upper(a.entries.items(), rho)
+        nonzero = [(abs(p) + abs(q), c) for (p, q), c in a.entries.items() if c]
+        a_upper = _coef_upper([k for k, _ in nonzero], [c for _, c in nonzero], rho)
         return BoundReport(
             quantity="sampled lower bound of the shrunk-strip solution norm",
             computed=g_norm.sampled_lower,

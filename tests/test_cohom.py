@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smalldivlab import cohom
+from smalldivlab import cli, cohom
 from smalldivlab.bounds import gamma_delta
 from smalldivlab.cohom import (
     ModeMap,
@@ -73,6 +73,41 @@ def test_load_modes_rejects_indices_past_1019_bits(tmp_path, key, index):
     rows[1][key] = 2**1019 - 1  # 1019 bits still load
     path.write_text(json.dumps(rows))
     assert len(load_modes(path)) == 2
+
+
+@pytest.mark.parametrize("key", ["re", "im"])
+@pytest.mark.parametrize(
+    "value, ok",
+    [
+        (sys.float_info.max, True),
+        (-sys.float_info.max, True),
+        (10**308, True),
+        (5e-324, True),
+        (0, True),
+        (math.inf, False),
+        (-math.inf, False),
+        (math.nan, False),
+        (10**400, False),
+        # rounds to the largest float, but is past it
+        (int(sys.float_info.max) + 1, False),
+        (True, False),
+        ("1.0", False),
+        (None, False),
+    ],
+    ids=["max", "-max", "int-1e308", "subnormal", "int-0", "inf", "-inf", "nan", "int-1e400",
+         "int-past-max", "bool", "string", "null"],
+)
+def test_load_modes_checks_each_coefficient_part(tmp_path, key, value, ok):
+    rows = [{"p": 1, "q": 1, "re": 1.0, "im": 0.0}, {"p": 1, "q": 2, "re": 1.0, "im": 0.0}]
+    rows[1][key] = value
+    path = tmp_path / "modes.json"
+    path.write_text(json.dumps(rows))  # inf and nan are written as Infinity and NaN
+    if ok:
+        c = load_modes(path).entries[(1, 2)]
+        assert (c.real, c.imag) == ((float(value), 0.0) if key == "re" else (1.0, float(value)))
+    else:
+        with pytest.raises(ValueError, match="record 1 needs integer p, q of under 1020 bits"):
+            load_modes(path)
 
 
 _GOOD = '{"p": 1, "q": 1, "re": 1.0, "im": 0.0}'
@@ -284,14 +319,14 @@ def test_strip_norm_takes_one_shift_pass(monkeypatch, entries, R):
     shift_pass = cohom._exp_shift
     calls = []
 
-    def counted(items, R):
+    def counted(ks, cs, R):
         calls.append(R)
-        return shift_pass(items, R)
+        return shift_pass(ks, cs, R)
 
     monkeypatch.setattr(cohom, "_exp_shift", counted)
     est = strip_norm(ModeMap(entries), R, 16)
     assert calls == [R]
-    assert est.upper == cohom._coef_upper(sorted(entries.items()), R)
+    assert est.upper == _oracle_upper(sorted(entries.items()), R)
 
 
 def _direct_sampled_lower(modes, R, n):
@@ -366,16 +401,43 @@ def test_strip_norm_fft_matches_direct_sum_random(map_and_grid, R):
     _assert_matches_direct_sum(modes, R, grid_n)
 
 
+def _oracle_shift(items, R):
+    """(s, k_top, top) of the nonzero ((p, q), c) items, mode by mode: one
+    pass for k_max, a second for how far log|c| + R k rises above R k_max."""
+    k_max = max(abs(p) + abs(q) for (p, q), _ in items)
+    rise = 0.0
+    for (p, q), c in items:
+        if abs(c.real) + abs(c.imag) > 1.0:
+            k = abs(p) + abs(q)
+            rise = max(rise, math.log(abs(0.5 * c)) + math.log(2.0) - R * (k_max - k))
+    shift = R * k_max + rise - 700.0
+    if shift <= 0.0:
+        return 0.0, 0, 0.0
+    return shift, k_max, 700.0 - rise
+
+
+def _oracle_upper(items, R):
+    """sum |c| e^(R(|p|+|q|)) of the nonzero items, one exp per mode."""
+    shift, k_top, top = _oracle_shift(items, R)
+    try:
+        total = math.fsum(
+            abs(c) * math.exp(top - R * (k_top - (abs(p) + abs(q)))) for (p, q), c in items
+        )
+    except OverflowError:
+        return math.inf
+    return cohom._times_exp(total, shift)
+
+
 def _dense_strip_norm(modes, R, grid_n):
     """The dense strip norm that the row-compacted one replaced, kept as its
-    byte-level oracle: the weights are folded onto all n x n residues and
-    each sign choice takes one ifft2."""
+    byte-level oracle: the upper bound takes one exp per mode, the weights
+    are folded onto all n x n residues by add.at and each sign choice takes
+    one ifft2."""
     items = [(pq, c) for pq, c in sorted(modes.entries.items()) if c]
     if not items:
         return cohom.StripNormEstimate(R=R, upper=0.0, sampled_lower=0.0, grid_n=grid_n)
-    scale = cohom._exp_shift(items, R)
-    upper = cohom._coef_upper(items, R, scale)
-    shift, k_top, top = scale
+    upper = _oracle_upper(items, R)
+    shift, k_top, top = _oracle_shift(items, R)
     n = grid_n
     cell = np.array([(p % n) * n + (-q) % n for (p, q), _ in items], dtype=np.intp)
     P = np.array([p for (p, q), _ in items], dtype=np.float64)
@@ -450,6 +512,24 @@ def test_strip_norm_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak < 8e6, peak
+
+
+def test_solve_norms_the_solution_with_one_mode_map_alive(tmp_path):
+    # measured on 64-bit CPython 3.11 with numpy 2.4: a peak of 1.75 MB for
+    # this 4000-mode map at grid 128, where 2.33 MB kept the data map alive
+    # and built (mode, c) pairs while the solution was normed
+    modes = tmp_path / "modes.json"
+    save_modes(_random_hermitian(np.random.default_rng(4000), 1.0, 2000, span=40), modes)
+    argv = ["--out", str(tmp_path / "solve.json"), "solve", "--freq", "golden",
+            "--modes", str(modes), "--R", "0.5", "--grid-n", "128"]
+    assert cli.main(argv) == 0  # numpy's fft module is loaded before the trace
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.05e6, peak
 
 
 def test_strip_norm_index_beyond_int64():
