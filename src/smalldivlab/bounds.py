@@ -125,11 +125,6 @@ class BrjunoValue(Record):
     tail_bound: float
     tail_note: str = ""
 
-    @property
-    def upper(self) -> float:
-        """value + tail bound; a true upper bound only when tail is rigorous."""
-        return self.value + self.tail_bound
-
 
 def _sum(terms) -> float:
     """Exactly rounded sum of non-negative terms; +inf past the float range,
@@ -177,17 +172,15 @@ def _tail_bound(
 ):
     """Rigorous remainder bound past ``depth`` under a growth certificate.
 
-    Denominators beyond the expansion are lower-bounded through the
-    recurrence (s1 = q_d + q_{d-1}, s2 = s1 + q_d, then doubling every two
-    steps), and each certified term majorant must decay by at least 1/2
-    per doubling for the geometric closure to apply.  The majorants of the
+    The denominators past ``depth`` >= 1 are bounded below by
+    ``cf.q_lower_bounds(depth)``, s1 and s2, which double every two levels,
+    and each certified term majorant must decay by at least 1/2 per
+    doubling for the geometric closure to apply.  The majorants of the
     terms at s1 and s2 are formed by ``_term``, as the series terms are, so
     s of any size takes the same path.  Returns (bound, note) or None when
     the domination conditions fail at this depth.
     """
-    q_d = cf.q[depth]
-    s1 = q_d + (cf.q[depth - 1] if depth >= 1 else 0)
-    s2 = s1 + q_d
+    s1, s2 = cf.q_lower_bounds(depth)
     x1 = mul_big_float(s1, Delta)
 
     if isinstance(growth, DiophGrowth):
@@ -370,7 +363,6 @@ class GammaDelta(Record):
     margin factor ``mu`` to Gamma0.
     """
 
-    delta: float
     Delta: float
     omega: float
     omega_halfwidth: float
@@ -412,7 +404,6 @@ def gamma_delta(cf: ContinuedFraction, rho: float, delta: float) -> GammaDelta:
     omega = cf.omega_float()
     lo, hi = cf.bracket
     return GammaDelta(
-        delta=delta,
         Delta=(1.0 + omega) * delta,
         omega=omega,
         omega_halfwidth=float(hi - lo) / 2.0,

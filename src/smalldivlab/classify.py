@@ -108,11 +108,6 @@ def khintchine_constants(tolerance: float = 1e-8) -> KhintchineConstants:
     return result
 
 
-def gauss_weight_partial_sum(K: int) -> float:
-    """Telescoping partial sum of the Gauss-interval weights: log2(2(K+1)/(K+2))."""
-    return math.log2(2.0 * (K + 1) / (K + 2))
-
-
 class KLParams(Record):
     """Tolerance-band parameters for Khintchine-Levy membership.
 
@@ -187,8 +182,8 @@ class DiophantineCert(Record):
     bits(q_{depth+1}) <= 2^16, otherwise floats from the logs of the
     integers, conservatively widened).  ``C_certified``
     comes from the recursive inequalities q_{n+1} <= C^-1 q_n^tau and
-    a_{n+1} <= C^-1 q_n^(tau-1) via C -> C/(2+C) and is always <=
-    C_empirical.
+    a_{n+1} <= C^-1 q_n^(tau-1) via C -> C/(2+C) and is always <= that
+    minimum, so <= C_empirical_hi.
     """
 
     tau: float
@@ -197,10 +192,6 @@ class DiophantineCert(Record):
     C_recursive: float
     C_certified: float
     depth: int
-
-    @property
-    def C_empirical(self) -> float:
-        return 0.5 * (self.C_empirical_lo + self.C_empirical_hi)
 
 
 def _exp_outward(logs, sign: int) -> float:

@@ -111,18 +111,14 @@ def _render_text(value, indent=0) -> str:
 
 
 def _plain(value):
-    """``value`` as plain JSON data: records become dicts, tuples lists,
-    numpy scalars Python scalars, and non-finite floats the strings "inf",
-    "-inf" and "nan"."""
+    """``value`` as plain JSON data: records become dicts, tuples lists, and
+    non-finite floats the strings "inf", "-inf" and "nan"."""
     if isinstance(value, Record):
         value = value._asdict()
     if isinstance(value, dict):
         return {key: _plain(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    np = sys.modules.get("numpy")  # without numpy loaded there are no numpy scalars
-    if np is not None and isinstance(value, np.generic):
-        value = value.item()
     if isinstance(value, float) and not math.isfinite(value):
         return str(value)
     return value

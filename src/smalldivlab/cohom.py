@@ -389,9 +389,10 @@ class AlphaReport(Record):
     """Truncated normalization of the convergent-mode weights.
 
     alpha_n = 1 / (2 abar q_n) with abar an upper bound of sum 1/q_n:
-    the computed partial sum plus the rigorous tail 2(1/s1 + 1/s2) from
-    q_{n+2} >= 2 q_n.  Then 1 - tail/abar <= 2 sum alpha_n <= 1 and the
-    weighted-coefficient norm stays below epsilon.
+    the computed partial sum plus the rigorous tail 2(1/s1 + 1/s2), with
+    (s1, s2) = ``cf.q_lower_bounds(n_max)``, which double every two levels.
+    Then 1 - tail/abar <= 2 sum alpha_n <= 1 and the weighted-coefficient
+    norm stays below epsilon.
     """
 
     partial: float
@@ -414,8 +415,7 @@ def _alpha_data(cf: ContinuedFraction, n_max: int) -> AlphaReport:
     cf.require_depth(n_max, f"counterexample_modes(n_max={n_max})")
     # int/int division rounds once at any size, down to 0.0 past the float range
     partial = math.fsum(1 / cf.q[n] for n in range(1, n_max + 1))
-    s1 = cf.q[n_max] + cf.q[n_max - 1]
-    s2 = s1 + cf.q[n_max]
+    s1, s2 = cf.q_lower_bounds(n_max)
     tail = 2.0 * (1 / s1 + 1 / s2)
     abar = partial + tail
     two_sum = partial / abar

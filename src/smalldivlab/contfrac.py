@@ -231,6 +231,17 @@ class ContinuedFraction(Record):
                 f"{what} needs expansion depth >= {n}; have {self.depth} -- expand deeper"
             )
 
+    def q_lower_bounds(self, n: int) -> tuple:
+        """(s1, s2) <= (q_{n+1}, q_{n+2}) from q_n and q_{n-1} alone, for n >= 1.
+
+        Every quotient is at least 1, so q_{n+1} >= q_n + q_{n-1} = s1,
+        q_{n+2} >= q_{n+1} + q_n >= s1 + q_n = s2 and q_{k+2} > 2 q_k at
+        every k: past level n the denominators are at least s1 and s2,
+        doubled every two levels.
+        """
+        s1 = self.q[n] + self.q[n - 1]
+        return s1, s1 + self.q[n]
+
     def convergent(self, n: int) -> Fraction:
         return Fraction(self.p[n], self.q[n])
 

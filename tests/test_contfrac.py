@@ -233,6 +233,20 @@ def test_invariants_random(quotients):
     _check_invariants(expand(FrequencySpec.literal(quotients), len(quotients)))
 
 
+def test_q_lower_bounds_hold_past_the_expansion(
+    golden, pi_like, large_quot, omega_star, exp_liouville
+):
+    # each bound comes from an expansion that stops at level n, and the
+    # deeper one gives the denominators past it: s1 and s2 and their
+    # doublings every two levels stay below them
+    for deep in (golden, pi_like, large_quot, omega_star, exp_liouville):
+        for n in range(1, deep.depth - 1):
+            s1, s2 = expand(deep.spec, n).q_lower_bounds(n)
+            for first, s in ((n + 1, s1), (n + 2, s2)):
+                for j, k in enumerate(range(first, deep.depth + 1, 2)):
+                    assert 2**j * s <= deep.q[k], (deep.spec, n, k)
+
+
 # ---------------------------------------------------------------------------
 # legendre_astar
 # ---------------------------------------------------------------------------
