@@ -141,13 +141,20 @@ def _report(command: str, params: dict, results: dict, verdicts: dict) -> dict:
     }
 
 
-def _expand_freq(args) -> ContinuedFraction:
+def _expand_freq(args, need: int = 1) -> ContinuedFraction:
+    """The expansion of ``--freq``; an input error if it has fewer than
+    ``need`` partial quotients."""
     spec = parse_frequency(args.freq, args.bit_cap)
     cf = expand(spec, args.depth)
     if cf.truncated:
         sys.stderr.write(
             f"warning: --freq {args.freq} truncated: {cf.depth} of the "
             f"{args.depth} requested partial quotients\n"
+        )
+    if cf.depth < need:
+        raise ExpansionError(
+            f"{args.command} needs at least {need} partial quotients; --freq "
+            f"{args.freq} expanded to {cf.depth} of the {args.depth} requested"
         )
     return cf
 
@@ -164,7 +171,7 @@ def _bound_report_dict(rep: BoundReport) -> dict:
 def _cmd_classify(args) -> dict:
     _check_tau(args.tau)
     params = kl_params(args.T_minus, args.T_plus, args.N)
-    cf = _expand_freq(args)
+    cf = _expand_freq(args, need=2)
     depth = min(args.depth, cf.depth - 1)
     cert = diophantine_constant(cf, args.tau, depth)
     kl = kl_membership(cf, params, min(cf.depth, max(params.N, depth)))
@@ -376,7 +383,7 @@ def _cmd_thm1(args) -> dict:
 
 def _cmd_counterexample(args) -> dict:
     _check_blowup_inputs(args.rho, args.delta_prime, args.epsilon, args.n_max)
-    cf = _expand_freq(args)
+    cf = _expand_freq(args, need=2)
     n_max = min(args.n_max, cf.depth - 1)
     ce = counterexample_modes(cf, args.rho, args.epsilon, n_max)
     points = blowup_witness(cf, args.rho, args.delta_prime, args.epsilon, n_max)
@@ -413,7 +420,10 @@ def _cmd_counterexample(args) -> dict:
 
 
 def _cmd_sweep(args) -> tuple:
-    deltas = [float(tok) for tok in args.deltas.split(",") if tok]
+    try:
+        deltas = [float(tok) for tok in args.deltas.split(",") if tok]
+    except ValueError:
+        raise ValueError(f"--deltas takes comma-separated numbers, got {args.deltas!r}") from None
     if not deltas:
         raise ExpansionError("sweep needs a nonempty delta list")
     for delta in deltas:
@@ -450,21 +460,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_io_opts(sp):
-    # also accepted before the subcommand; SUPPRESS keeps the subparser
-    # from clobbering a value parsed at the top level
-    sp.add_argument("--out", default=argparse.SUPPRESS, help="output file")
-    sp.add_argument(
-        "--format", dest="fmt", choices=("json", "text"), default=argparse.SUPPRESS
-    )
-
-
-def _add_freq_opts(sp):
-    sp.add_argument("--freq", required=True, help="frequency mini-language string")
-    sp.add_argument("--depth", type=int, default=64)
-    sp.add_argument("--bit-cap", dest="bit_cap", type=int, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="smalldiv",
@@ -481,64 +476,71 @@ def build_parser() -> argparse.ArgumentParser:
         help="report style: lossless json (17 significant digits) or "
         "human-readable text (6 significant digits)",
     )
+    # the options that several subcommands share, as parent parsers: every
+    # subcommand takes io, the frequency commands freq (io included), and
+    # gamma and thm1 shrink (freq, the strip width rho, its loss delta and
+    # mu).  --out/--format are also accepted before the subcommand; SUPPRESS
+    # keeps the subparser from clobbering a value parsed at the top level
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--out", default=argparse.SUPPRESS, help="output file")
+    io.add_argument(
+        "--format", dest="fmt", choices=("json", "text"), default=argparse.SUPPRESS
+    )
+    freq = argparse.ArgumentParser(add_help=False, parents=[io])
+    freq.add_argument("--freq", required=True, help="frequency mini-language string")
+    freq.add_argument("--depth", type=int, default=64)
+    freq.add_argument("--bit-cap", dest="bit_cap", type=int, default=None)
+    shrink = argparse.ArgumentParser(add_help=False, parents=[freq])
+    shrink.add_argument("--rho", type=float, default=1.0)
+    shrink.add_argument("--delta", type=float, required=True)
+    shrink.add_argument("--mu", type=float, default=1.25)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("classify", help="diophantine / band-membership diagnostics")
-    _add_io_opts(sp)
-    _add_freq_opts(sp)
+    sp = sub.add_parser(
+        "classify", parents=[freq], help="diophantine / band-membership diagnostics"
+    )
+    sp.set_defaults(handler=_cmd_classify)
     sp.add_argument("--tau", type=float, default=1.0)
     sp.add_argument("--T-minus", dest="T_minus", type=float, default=0.1)
     sp.add_argument("--T-plus", dest="T_plus", type=float, default=0.1)
     sp.add_argument("--N", type=int, default=1)
 
-    sp = sub.add_parser("brj", help="weighted convergent series values and tails")
-    _add_io_opts(sp)
-    _add_freq_opts(sp)
+    sp = sub.add_parser("brj", parents=[freq], help="weighted convergent series values and tails")
+    sp.set_defaults(handler=_cmd_brj)
     sp.add_argument("--Delta", type=float, required=True)
     sp.add_argument("--C", type=float, default=None, help="attach a growth certificate")
     sp.add_argument("--tau", type=float, default=1.0)
 
-    sp = sub.add_parser("gamma", help="loss-of-domain factor components")
-    _add_io_opts(sp)
-    _add_freq_opts(sp)
-    sp.add_argument("--rho", type=float, default=1.0)
-    sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--mu", type=float, default=1.25)
+    sp = sub.add_parser("gamma", parents=[shrink], help="loss-of-domain factor components")
+    sp.set_defaults(handler=_cmd_gamma)
 
-    sp = sub.add_parser("table1", help="band-constant grid as CSV")
-    _add_io_opts(sp)
+    sp = sub.add_parser("table1", parents=[io], help="band-constant grid as CSV")
+    sp.set_defaults(handler=_cmd_table1)
     sp.add_argument("--tolerance", type=float, default=1e-8)
 
-    sp = sub.add_parser("constants", help="universal constants")
-    _add_io_opts(sp)
+    sp = sub.add_parser("constants", parents=[io], help="universal constants")
+    sp.set_defaults(handler=_cmd_constants)
     sp.add_argument("--tolerance", type=float, default=1e-8)
 
-    sp = sub.add_parser("partition", help="partitioned box sums + oracle check")
-    _add_io_opts(sp)
-    _add_freq_opts(sp)
+    sp = sub.add_parser("partition", parents=[freq], help="partitioned box sums + oracle check")
+    sp.set_defaults(handler=_cmd_partition)
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--Q", type=int, required=True)
     sp.add_argument("--dump", default=None, help="write the per-pair audit CSV here")
 
-    sp = sub.add_parser("legendre", help="exact critical-strip divisor check")
-    _add_io_opts(sp)
-    _add_freq_opts(sp)
+    sp = sub.add_parser("legendre", parents=[freq], help="exact critical-strip divisor check")
+    sp.set_defaults(handler=_cmd_legendre)
     sp.add_argument("--Q", type=int, required=True)
 
-    sp = sub.add_parser("solve", help="solve modes and report strip norms")
-    _add_io_opts(sp)
-    _add_freq_opts(sp)
+    sp = sub.add_parser("solve", parents=[freq], help="solve modes and report strip norms")
+    sp.set_defaults(handler=_cmd_solve)
     sp.add_argument("--modes", required=True, help="input ModeMap JSON")
     sp.add_argument("--R", type=float, required=True)
     sp.add_argument("--grid-n", dest="grid_n", type=int, default=64)
     sp.add_argument("--out-modes", dest="out_modes", default=None)
 
-    sp = sub.add_parser("thm1", help="end-to-end shrunk-strip bound check")
-    _add_io_opts(sp)
-    _add_freq_opts(sp)
-    sp.add_argument("--rho", type=float, default=1.0)
-    sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--mu", type=float, default=1.25)
+    sp = sub.add_parser("thm1", parents=[shrink], help="end-to-end shrunk-strip bound check")
+    sp.set_defaults(handler=_cmd_thm1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=_positive_int, default=20)
     sp.add_argument(
@@ -546,9 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--span", type=_positive_int, default=12)
 
-    sp = sub.add_parser("counterexample", help="blow-up data and witness")
-    _add_io_opts(sp)
-    _add_freq_opts(sp)
+    sp = sub.add_parser("counterexample", parents=[freq], help="blow-up data and witness")
+    sp.set_defaults(handler=_cmd_counterexample)
     sp.add_argument("--rho", type=float, default=1.0)
     sp.add_argument("--delta-prime", dest="delta_prime", type=float, required=True)
     sp.add_argument("--epsilon", type=float, default=1.0)
@@ -556,9 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--witness-csv", dest="witness_csv", default=None)
     sp.add_argument("--out-modes", dest="out_modes", default=None)
 
-    sp = sub.add_parser("sweep", help="bound check over a delta grid, CSV out")
-    _add_io_opts(sp)
-    _add_freq_opts(sp)
+    sp = sub.add_parser("sweep", parents=[freq], help="bound check over a delta grid, CSV out")
+    sp.set_defaults(handler=_cmd_sweep)
     sp.add_argument(
         "--check", required=True, choices=("away", "const_type", "brjuno")
     )
@@ -567,21 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu", type=float, default=1.25)
 
     return ap
-
-
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "brj": _cmd_brj,
-    "gamma": _cmd_gamma,
-    "table1": _cmd_table1,
-    "constants": _cmd_constants,
-    "partition": _cmd_partition,
-    "legendre": _cmd_legendre,
-    "solve": _cmd_solve,
-    "thm1": _cmd_thm1,
-    "counterexample": _cmd_counterexample,
-    "sweep": _cmd_sweep,
-}
 
 
 def main(argv=None) -> int:
@@ -599,7 +584,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        result = _HANDLERS[args.command](args)
+        result = args.handler(args)
         if isinstance(result, tuple):
             text, ok = result
         else:

@@ -490,8 +490,12 @@ def resolve_depth_for_box(cf: ContinuedFraction, box_radius: int) -> int:
         if cf.q[m] > 2 * box_radius:
             return m
     raise DepthExhausted(
-        f"expansion of depth {cf.depth} too shallow for box radius {box_radius};"
-        " expand deeper"
+        f"expansion of depth {cf.depth} too shallow for box radius {box_radius}"
+        + (
+            "; expand deeper"
+            if cf.exact is None
+            else f": the exact expansion of {cf.exact} ends there, so no deeper one helps"
+        )
     )
 
 

@@ -619,7 +619,7 @@ def verify_legendre(cf: ContinuedFraction, Q: int) -> BoundReport:
     """
     _check_radius(Q)
     if cf.exact is not None:
-        raise ExpansionError("verify_legendre needs an irrational frequency")
+        raise ExpansionError(f"legendre needs an irrational frequency; {cf.exact} is rational")
     table = brjuno_pairs_up_to(cf, Q)
     m = resolve_depth_for_box(cf, Q)
     lo, hi = cf.sandwich(m)

@@ -409,7 +409,7 @@ def test_crash_exits_with_its_own_code(monkeypatch, capsys):
     def crash(args):
         raise RuntimeError("handler defect")
 
-    monkeypatch.setitem(cli._HANDLERS, "gamma", crash)
+    monkeypatch.setattr(cli, "_cmd_gamma", crash)
     code = main(["gamma", "--freq", "golden", "--delta", "0.1"])
     assert code == EXIT_CRASH
     err = capsys.readouterr().err
@@ -892,3 +892,62 @@ def test_sweep_delta_whose_square_overflows_is_no_crash(capsys):
     argv = ["sweep", "--freq", "golden", "--check", "const_type", "--deltas", "1e300", "--Q", "5"]
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[1] == "1e+300,0.0,0.0,0.0,True"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--freq", "rational:1/2"],
+         "classify needs at least 2 partial quotients; "
+         "--freq rational:1/2 expanded to 1 of the 64 requested"),
+        (["classify", "--freq", "quotients:[3]"],
+         "classify needs at least 2 partial quotients; "
+         "--freq quotients:[3] expanded to 1 of the 64 requested"),
+        (["classify", "--freq", "golden", "--depth", "1"],
+         "classify needs at least 2 partial quotients; "
+         "--freq golden expanded to 1 of the 1 requested"),
+        (["counterexample", "--freq", "rational:1/2", "--delta-prime", "0.05"],
+         "counterexample needs at least 2 partial quotients; "
+         "--freq rational:1/2 expanded to 1 of the 64 requested"),
+        (["sweep", "--freq", "golden", "--check", "away", "--deltas", "0.1,abc", "--Q", "5"],
+         "--deltas takes comma-separated numbers, got '0.1,abc'"),
+        (["partition", "--freq", "rational:1/20", "--delta", "0.2", "--Q", "5"],
+         "expansion of depth 1 too shallow for box radius 5: "
+         "the exact expansion of 1/20 ends there, so no deeper one helps"),
+        (["sweep", "--freq", "rational:1/3", "--check", "away", "--deltas", "0.1", "--Q", "5"],
+         "expansion of depth 1 too shallow for box radius 5: "
+         "the exact expansion of 1/3 ends there, so no deeper one helps"),
+        (["legendre", "--freq", "rational:1/2", "--Q", "5"],
+         "legendre needs an irrational frequency; 1/2 is rational"),
+    ],
+    ids=["classify-rational", "classify-quotients", "classify-depth1", "counterexample",
+         "sweep-deltas", "partition-rational", "sweep-rational", "legendre-rational"],
+)
+def test_input_error_names_the_cause(capsys, argv, message):
+    # these once read "depth must be >= 1" and "n_max must be >= 1" (the
+    # depth and --n-max clipped to the expansion's length less one), "could
+    # not convert string to float", "verify_legendre needs ..." and, for a
+    # rational whose expansion has ended, "expand deeper"
+    assert main(argv) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: {message}\n")
+
+
+def test_every_subcommand_help_names_its_options(capsys):
+    # each subcommand gets the shared options from the parent parsers of
+    # build_parser: a subcommand left without them would not show them here
+    (action,) = (a for a in cli.build_parser()._actions if a.dest == "command")
+    helps = {}
+    for command in action.choices:
+        assert main([command, "-h"]) == EXIT_OK
+        helps[command] = capsys.readouterr().out
+        assert "--out" in helps[command] and "--format" in helps[command]
+    freq_commands = {
+        command for command, text in helps.items()
+        if all(opt in text for opt in ("--freq", "--depth", "--bit-cap"))
+    }
+    assert freq_commands == set(helps) - {"table1", "constants"}
+    assert len(freq_commands) == 9
+    # the module docstring lists the subcommands in the parser's order
+    listed = " ".join(cli.__doc__.split("Subcommands: ")[1].split(".")[0].split())
+    assert listed.split(", ") == list(action.choices)

@@ -359,8 +359,18 @@ def test_resolve_depth_for_box(golden):
     assert golden.q[m] > 200
     assert golden.q[m - 1] <= 200
     shallow = expand(FrequencySpec.golden(), 5)
-    with pytest.raises(DepthExhausted):
+    with pytest.raises(DepthExhausted, match="expand deeper"):
         resolve_depth_for_box(shallow, 100)
+    # 13/21 = [0; 1, 1, 1, 1, 1, 2] ends with the convergent 13/21 itself, so
+    # its sandwich levels stop at q_4 = 5 and no deeper expansion exists
+    cf = expand(FrequencySpec.rational(13, 21), 64)
+    assert resolve_depth_for_box(cf, 2) == 4
+    message = (
+        "expansion of depth 6 too shallow for box radius 3: "
+        "the exact expansion of 13/21 ends there, so no deeper one helps"
+    )
+    with pytest.raises(DepthExhausted, match=re.escape(message)):
+        resolve_depth_for_box(cf, 3)
 
 
 # ---------------------------------------------------------------------------
