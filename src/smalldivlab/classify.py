@@ -170,8 +170,10 @@ def _check_tau(tau: float) -> None:
 
 
 def certified_from_recursive(C_recursive: float) -> float:
-    """Map the recursive-inequality constant to a certified Diophantine one."""
-    return C_recursive / (2.0 + C_recursive)
+    """Map the recursive-inequality constant to a certified Diophantine one:
+    C / (2 + C), rounded down."""
+    c = Fraction(C_recursive)
+    return _float_outward(c / (2 + c), -1)
 
 
 class DiophantineCert(Record):
@@ -180,7 +182,8 @@ class DiophantineCert(Record):
     ``C_empirical_lo/hi`` enclose min_n q_n^tau |q_n omega - p_n| over the
     tested depth (exact Fractions for an integer tau with tau
     bits(q_{depth+1}) <= 2^16, otherwise floats from the logs of the
-    integers, conservatively widened).  ``C_certified``
+    integers, conservatively widened), rounded outward to floats.
+    ``C_recursive`` and ``C_certified`` are rounded down.  ``C_certified``
     comes from the recursive inequalities q_{n+1} <= C^-1 q_n^tau and
     a_{n+1} <= C^-1 q_n^(tau-1) via C -> C/(2+C) and is always <= that
     minimum, so <= C_empirical_hi.
@@ -192,6 +195,17 @@ class DiophantineCert(Record):
     C_recursive: float
     C_certified: float
     depth: int
+
+
+def _float_outward(x, sign: int) -> float:
+    """x as a float, rounded down for sign -1 and up for +1.
+
+    A float (the log path's ends, already moved outward) passes unchanged;
+    float() of a Fraction rounds to nearest, which may be inward.
+    """
+    f = float(x)
+    inward = f > x if sign < 0 else f < x
+    return math.nextafter(f, sign * math.inf) if inward else f
 
 
 def _exp_outward(logs, sign: int) -> float:
@@ -259,12 +273,12 @@ def diophantine_constant(
             )
         if C_rec is None or cand < C_rec:
             C_rec = cand
-    C_rec = float(C_rec)
+    C_rec = _float_outward(C_rec, -1)
 
     return DiophantineCert(
         tau=tau,
-        C_empirical_lo=float(emp_lo),
-        C_empirical_hi=float(emp_hi),
+        C_empirical_lo=_float_outward(emp_lo, -1),
+        C_empirical_hi=_float_outward(emp_hi, 1),
         C_recursive=C_rec,
         C_certified=certified_from_recursive(C_rec),
         depth=depth,

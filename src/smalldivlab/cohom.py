@@ -29,7 +29,7 @@ import math
 import sys
 
 from ._record import Record
-from .bounds import BoundReport, _check_gamma_inputs, _require_rate, gamma_delta
+from .bounds import BoundReport, _check_gamma_inputs, _require_rate, _sum, gamma_delta
 from .contfrac import ContinuedFraction, _divisor_ends, mul_big_float
 
 
@@ -243,12 +243,8 @@ def _coef_upper(ks, cs, R: float, scale=None) -> float:
     Each distinct k takes one exp: the modes of one k share its argument.
     """
     shift, k_top, top = _exp_shift(ks, cs, R) if scale is None else scale
-    try:
-        e = {k: math.exp(top - R * (k_top - k)) for k in set(ks)}
-        total = math.fsum(abs(c) * e[k] for k, c in zip(ks, cs))
-    except OverflowError:  # the shifted sum itself leaves the float range
-        return math.inf
-    return _times_exp(total, shift)
+    e = {k: math.exp(top - R * (k_top - k)) for k in set(ks)}
+    return _times_exp(_sum(abs(c) * e[k] for k, c in zip(ks, cs)), shift)
 
 
 def _check_strip(R: float, grid_n: int) -> None:

@@ -132,6 +132,20 @@ def test_diophantine_recursive_scan(golden):
     assert cert.C_certified <= cert.C_empirical_lo
 
 
+def test_diophantine_ends_round_outward():
+    # float() of an exact end rounds to nearest, which can be inward.  With
+    # 64 quotients the minimum over q_n <= q_20 is q_1 |q_1 omega - 1| =
+    # (3 - sqrt 5) / 2; C_recursive = q_1 / q_2 = 1/2 gives C_certified 1/5,
+    # and 0.2 is above it
+    cert = diophantine_constant(expand(FrequencySpec.golden(), 64), 1.0, 20)
+    lo = Fraction(cert.C_empirical_lo)
+    assert (3 - 2 * lo) ** 2 >= 5
+    assert cert.C_recursive == 0.5 and Fraction(cert.C_certified) <= Fraction(1, 5)
+    # with 8 quotients the bracket is [21/34, 13/21]: at q_1 the upper end is 13/34
+    cert = diophantine_constant(expand(FrequencySpec.golden(), 8), 1.0, 1)
+    assert Fraction(cert.C_empirical_hi) >= Fraction(13, 34)
+
+
 def test_diophantine_forward_inequality(golden, sqrt2m1, large_quot):
     # with the recursive constant, q_{n+1} <= C^-1 q_n^tau at every level
     for cf in (golden, sqrt2m1, large_quot):
