@@ -688,6 +688,33 @@ def test_thm1_seed_and_span_are_input_errors_before_the_expansion(
         assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
+def test_thm1_leaves_numpy_random_unloaded(tmp_path):
+    # the maps come from smalldivlab._pcg64; numpy is loaded by the strip norm.
+    # numpy 1.x imports numpy.random together with numpy, so only numpy 2
+    # can show that thm1 leaves it unloaded
+    script = (
+        "import json, sys\n"
+        "from smalldivlab import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, 'numpy' in sys.modules, 'numpy.random' in sys.modules]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    argv = ["--out", str(tmp_path / "report"), "thm1", "--freq", "golden", "--delta", "0.2",
+            "--count", "100"]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, numpy_loaded, random_loaded = json.loads(proc.stdout)
+    assert [code, numpy_loaded] == [EXIT_OK, True]
+    if int(metadata.version("numpy").split(".")[0]) >= 2:
+        assert not random_loaded
+
+
 @pytest.mark.parametrize(
     "argv",
     [
