@@ -13,10 +13,9 @@ generated per class.  These behave as ``@dataclass(frozen=True)`` does:
   an ``AttributeError``; ``functools.cached_property`` still works, as it
   writes the instance ``__dict__`` directly;
 * ``==`` holds only between instances of the same class with equal
-  compared fields, and ``hash`` hashes the same tuple of fields.
+  fields, and ``hash`` hashes the same tuple of fields.
 
-``class R(Record, hidden=("name",))`` leaves the field ``name`` out of
-``repr``, ``==`` and ``hash``.  A record may not subclass another record.
+A record may not subclass another record.
 """
 
 from __future__ import annotations
@@ -33,10 +32,9 @@ class Record:
 
     _fields: tuple = ()  # every field, in annotation order
     _defaults: dict = {}
-    _compared: tuple = ()  # the fields in repr, == and hash
-    _key = staticmethod(lambda state: ())  # instance __dict__ -> compared values
+    _key = staticmethod(lambda state: ())  # instance __dict__ -> field values
 
-    def __init_subclass__(cls, hidden: tuple = (), **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         for base in cls.__mro__[1:]:
             if base is not Record and issubclass(base, Record):
@@ -51,18 +49,12 @@ class Record:
                 raise TypeError(
                     f"{cls.__name__}: field {name!r} without a default follows one with a default"
                 )
-        unknown = set(hidden) - set(fields)
-        if unknown:
-            raise TypeError(
-                f"{cls.__name__}: hidden names that are not fields: {sorted(unknown)}"
-            )
         cls._fields = fields
         cls._defaults = defaults
-        cls._compared = compared = tuple(name for name in fields if name not in hidden)
-        if len(compared) > 1:
-            cls._key = staticmethod(operator.itemgetter(*compared))
+        if len(fields) > 1:
+            cls._key = staticmethod(operator.itemgetter(*fields))
         else:  # itemgetter of one name gives the value, not a 1-tuple
-            cls._key = staticmethod(lambda state: tuple([state[name] for name in compared]))
+            cls._key = staticmethod(lambda state: tuple([state[name] for name in fields]))
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
@@ -102,7 +94,7 @@ class Record:
 
     def __repr__(self) -> str:
         state = self.__dict__
-        shown = ", ".join([f"{name}={state[name]!r}" for name in self._compared])
+        shown = ", ".join([f"{name}={state[name]!r}" for name in self._fields])
         return f"{type(self).__qualname__}({shown})"
 
     def _asdict(self) -> dict:

@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 from ._record import Record
 from .classify import PHI, KLParams, _check_tau, kl_params
-from .contfrac import ContinuedFraction, mul_big_float
+from .contfrac import ContinuedFraction, ExpansionError, mul_big_float
 
 LOG_PHI = math.log(PHI)
 _UNDERFLOW_LOG = -746.0
@@ -398,9 +398,15 @@ def gamma_delta(cf: ContinuedFraction, rho: float, delta: float) -> GammaDelta:
     """Assemble Gamma0(delta) for a strip shrink of delta inside radius rho.
 
     Its three terms are the class bounds at mu = 1; the Brjuno series run
-    to the full depth cf.depth - 1 with heuristic tails.
+    to the full depth cf.depth - 1 with heuristic tails.  A terminated
+    rational omega = p/q raises ExpansionError: its Gamma0 is infinite.
     """
     _check_gamma_inputs(rho, delta, 1.0)
+    if cf.exact is not None:
+        raise ExpansionError(
+            f"resonant mode (q={cf.exact.denominator}, p={cf.exact.numerator}):"
+            " q omega = p exactly, so Gamma0 is infinite"
+        )
     omega = cf.omega_float()
     lo, hi = cf.bracket
     return GammaDelta(

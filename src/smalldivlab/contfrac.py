@@ -65,7 +65,7 @@ class FrequencySpec(Record):
 
     def __post_init__(self):
         if self.bit_cap < 8:
-            raise ExpansionError("bit_cap too small")
+            raise ExpansionError(f"bit_cap must be at least 8, got {self.bit_cap}")
         for a in (*self.head, *self.period):
             if not isinstance(a, int) or a < 1:
                 raise ExpansionError(f"partial quotients must be integers >= 1, got {a!r}")

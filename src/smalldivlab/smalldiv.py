@@ -67,7 +67,7 @@ class IndexClass(Record):
     a: Optional[int] = None
 
 
-class PartitionSums(Record, hidden=("kernel_sample",)):
+class PartitionSums(Record):
     """Per-class sums over a box 0 < max(|q|, |p|) <= Q, plus counts.
 
     ``brjuno_k0`` is the level-0 part of the brjuno sum (multiples of
@@ -75,11 +75,9 @@ class PartitionSums(Record, hidden=("kernel_sample",)):
     separately because the weighted series it is compared against start
     at level 1.  ``total`` is exactly away + const_type + brjuno;
     ``box_total`` is the unclassified sum of every cell from the same exact
-    buckets, rounded once.  ``kernel_sample`` holds the kernel's class and
-    L at the cells that ``oracle_mismatches`` checks against the scalar
-    oracle; it is left out of ``repr`` and ``==``.  ``away_tail_bound``
-    majorizes the away mass outside the box (every away summand is below
-    e^(-(|q|+|p|) delta), whose lattice sum has a closed geometric form).
+    buckets, rounded once.  ``away_tail_bound`` majorizes the away mass
+    outside the box (every away summand is below e^(-(|q|+|p|) delta), whose
+    lattice sum has a closed geometric form).
     """
 
     away: float
@@ -88,10 +86,7 @@ class PartitionSums(Record, hidden=("kernel_sample",)):
     brjuno_k0: float
     total: float
     counts: dict
-    delta: float
-    Q: int
     box_total: float
-    kernel_sample: tuple
     away_tail_bound: float = 0.0
 
 
@@ -433,12 +428,14 @@ def _half_box(cf: ContinuedFraction, delta: float, Q: int):
     return blocks()
 
 
-def _kernel_sample(block: _Block, Q: int) -> list:
-    """(q, p, IndexClass, L) of the block's cells in the oracle sub-box.
-
-    The sub-box is the canonical cells with max(|q|, |p|) <= _ORACLE_RADIUS
-    (or Q), plus every Brjuno pair.
-    """
+def _check_oracle(block: _Block, cf: ContinuedFraction, delta: float, table: BrjunoTable) -> None:
+    """Raise RuntimeError at the first cell of the block where the kernel
+    disagrees with ``classify_index`` (class, strip, k and a, from its own
+    Brjuno ``table``) or ``L_value`` (beyond 1e-12 relative), among the
+    canonical cells with max(|q|, |p|) <= _ORACLE_RADIUS (or Q) and every
+    Brjuno pair.  These scalar functions take each floor and divisor from the
+    bracket per pair, not from the kernel's row tables and arrays."""
+    Q = table.Q  # the table spans the box
     r = min(Q, _ORACLE_RADIUS)
     rows = range(block.q0, min(r + 1, block.q0 + block.label.shape[0]))
     cells = [(q, p) for q in rows for p in range(-r, r + 1) if q or p < 0]
@@ -447,19 +444,19 @@ def _kernel_sample(block: _Block, Q: int) -> list:
         ka[q, p] = (k, a)
         if q > r or abs(p) > r:
             cells.append((q, p))
-    sample = []
     for q, p in cells:
         i, j = q - block.q0, p + Q
         label = int(block.label[i, j])
-        if label == _AWAY:
-            cls = IndexClass(kind="away", strip=int(block.n[i, j]))
-        elif label == _CONST:
-            cls = IndexClass(kind="const_type")
-        else:
-            k, a = ka[q, p]
-            cls = IndexClass(kind="brjuno_pos", k=k, a=a)
-        sample.append((q, p, cls, float(block.L[i, j])))
-    return sample
+        kind = ("away", "const_type", "brjuno_pos", "mirror")[label]
+        strip = int(block.n[i, j]) if label == _AWAY else None
+        cls = IndexClass(kind, strip, *ka.get((q, p), ()))
+        L, oracle_L = float(block.L[i, j]), L_value(q, p, delta, cf)
+        oracle = classify_index(q, p, cf, table)
+        if oracle != cls or abs(L - oracle_L) > _REL_WIDTH_TOL * oracle_L:
+            raise RuntimeError(
+                f"box kernel at (q={q}, p={p}): {cls} and L = {L!r}, where the"
+                f" scalar oracle gives {oracle} and L = {oracle_L!r}"
+            )
 
 
 def partition_sums(cf: ContinuedFraction, delta: float, Q: int) -> PartitionSums:
@@ -470,19 +467,21 @@ def partition_sums(cf: ContinuedFraction, delta: float, Q: int) -> PartitionSums
     rounded once at the end.  So it equals ``math.fsum`` of the class's
     values bit for bit, whatever the block size, and memory stays flat in
     Q.  Each class sum is twice the sum over the half, and doubling a float
-    is exact.
+    is exact.  Each block is checked against the scalar oracle
+    (``_check_oracle``) as it comes, so a kernel defect raises RuntimeError.
     """
+    blocks = _half_box(cf, delta, Q)
+    table = brjuno_pairs_up_to(cf, Q)
     sums = _ExactSums(4)
     counts = [0, 0, 0]  # _AWAY, _CONST, _BRJUNO
     level0 = []  # L of the level-0 Brjuno pairs
-    sample = []
-    for block in _half_box(cf, delta, Q):
+    for block in blocks:
+        _check_oracle(block, cf, delta, table)
         sums.add(block.label, block.L)
         for label in (_AWAY, _CONST, _BRJUNO):
             counts[label] += int((block.label == label).sum())
         k0 = block.brjuno[block.brjuno[:, 2] == 0]
         level0 += block.L[k0[:, 0] - block.q0, k0[:, 1] + Q].tolist()
-        sample += _kernel_sample(block, Q)
     away_sum = 2.0 * sums.value(_AWAY)
     const_sum = 2.0 * sums.value(_CONST)
     brj_sum = 2.0 * sums.value(_BRJUNO)
@@ -498,27 +497,9 @@ def partition_sums(cf: ContinuedFraction, delta: float, Q: int) -> PartitionSums
             "brjuno_pos": counts[_BRJUNO],
             "brjuno_neg": counts[_BRJUNO],
         },
-        delta=delta,
-        Q=Q,
         box_total=2.0 * sums.value(_AWAY, _CONST, _BRJUNO),
-        kernel_sample=tuple(sample),
         away_tail_bound=away_tail_majorant(delta, Q),
     )
-
-
-def oracle_mismatches(cf: ContinuedFraction, sums: PartitionSums) -> list:
-    """The (q, p) of ``sums.kernel_sample`` where the kernel disagrees with
-    ``classify_index`` (class, strip, k and a) or with ``L_value`` (beyond
-    1e-12 relative).  These scalar functions take each floor and divisor
-    from the bracket per pair, not from the kernel's row tables and arrays.
-    """
-    table = brjuno_pairs_up_to(cf, sums.Q)
-    bad = []
-    for q, p, cls, L in sums.kernel_sample:
-        oracle = L_value(q, p, sums.delta, cf)
-        if classify_index(q, p, cf, table) != cls or abs(L - oracle) > _REL_WIDTH_TOL * oracle:
-            bad.append((q, p))
-    return bad
 
 
 def partition_dump(cf: ContinuedFraction, delta: float, Q: int, path) -> None:

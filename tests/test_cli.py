@@ -374,10 +374,19 @@ def test_every_command_deterministic_and_exit_matches_verdicts(tmp_path, name):
     assert code == (EXIT_OK if all(verdicts) else EXIT_VERDICT)
 
 
-def test_partition_oracle_catches_a_kernel_defect(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partition", "--freq", "golden", "--delta", "0.2", "--Q", "20"],
+        ["sweep", "--freq", "golden", "--check", "away", "--deltas", "0.2", "--Q", "20"],
+    ],
+    ids=["partition", "sweep"],
+)
+def test_partition_oracle_catches_a_kernel_defect(monkeypatch, capsys, argv):
     # a divisor off by 1e-9 relative in every row q >= 1 of the kernel: the
     # class sums still add up to the all-cell sum, so only the scalar oracle
-    # sees it
+    # sees it, at the first row q = 1 cell it checks; a kernel defect is an
+    # internal error, not a failed verdict
     box_rows = smalldiv._box_rows
 
     def defective(cf, Q):
@@ -386,11 +395,10 @@ def test_partition_oracle_catches_a_kernel_defect(monkeypatch, capsys):
         return table, floors, f, g
 
     monkeypatch.setattr(smalldiv, "_box_rows", defective)
-    code = main(["partition", "--freq", "golden", "--delta", "0.2", "--Q", "20"])
-    assert code == EXIT_VERDICT
-    report = json.loads(capsys.readouterr().out)
-    assert report["verdicts"] == {"counts_tile_box": True, "oracle_match": False}
-    assert report["results"]["oracle_rel_diff"] <= 1e-15
+    assert main(argv) == EXIT_CRASH
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: RuntimeError: box kernel at (q=1, p=-12): ")
 
 
 def test_report_is_strict_json_with_non_finite_values(capsys):
@@ -502,13 +510,17 @@ def test_solve_names_a_resonant_mode(tmp_path, capsys):
 
 
 def test_thm1_names_a_resonant_mode(capsys):
-    # seed 2^200 + 3 draws the mode (4, 10) into its maps
+    # seed 2^200 + 3 draws the mode (4, 10) into its maps, but the mode
+    # (5, 2) of omega = 2/5 itself makes Gamma0 infinite before any is solved
     seed = str(2**200 + 3)
     for depth in ("64", "200"):
         argv = ["thm1", "--freq", "rational:2/5", "--delta", "0.2", "--count", "3",
                 "--seed", seed, "--depth", depth]
         assert main(argv) == EXIT_INPUT
-        assert capsys.readouterr() == ("", _RESONANT)
+        assert capsys.readouterr() == (
+            "",
+            "error: resonant mode (q=5, p=2): q omega = p exactly, so Gamma0 is infinite\n",
+        )
 
 
 @pytest.mark.parametrize("p", [2**60 + 1, 2**63], ids=["2^60+1", "2^63"])
@@ -963,15 +975,26 @@ def test_sweep_delta_whose_square_overflows_is_no_crash(capsys):
          "the exact expansion of 1/3 ends there, so no deeper one helps"),
         (["legendre", "--freq", "rational:1/2", "--Q", "5"],
          "legendre needs an irrational frequency; 1/2 is rational"),
+        (["gamma", "--freq", "golden", "--delta", "0.1", "--bit-cap", "7"],
+         "bit_cap must be at least 8, got 7"),
+        (["sweep", "--freq", "golden", "--check", "away", "--deltas", ",", "--Q", "5"],
+         "--deltas takes comma-separated numbers, got ','"),
+        (["gamma", "--freq", "rational:1/2", "--delta", "0.1"],
+         "resonant mode (q=2, p=1): q omega = p exactly, so Gamma0 is infinite"),
+        (["thm1", "--freq", "rational:355/1133", "--delta", "0.2", "--count", "3"],
+         "resonant mode (q=1133, p=355): q omega = p exactly, so Gamma0 is infinite"),
     ],
     ids=["classify-rational", "classify-quotients", "classify-depth1", "counterexample",
-         "sweep-deltas", "partition-rational", "sweep-rational", "legendre-rational"],
+         "sweep-deltas", "partition-rational", "sweep-rational", "legendre-rational",
+         "bit-cap", "sweep-empty-deltas", "gamma-rational", "thm1-rational"],
 )
 def test_input_error_names_the_cause(capsys, argv, message):
     # these once read "depth must be >= 1" and "n_max must be >= 1" (the
     # depth and --n-max clipped to the expansion's length less one), "could
-    # not convert string to float", "verify_legendre needs ..." and, for a
-    # rational whose expansion has ended, "expand deeper"
+    # not convert string to float", "verify_legendre needs ...", "bit_cap
+    # too small", "sweep needs a nonempty delta list" and, for a rational
+    # whose expansion has ended, "expand deeper"; gamma and thm1 exited 0
+    # with a finite Gamma0 for a rational
     assert main(argv) == EXIT_INPUT
     out, err = capsys.readouterr()
     assert out == "" and err.endswith(f"error: {message}\n")

@@ -445,7 +445,9 @@ def test_bracket_rational_is_plain_fraction_arithmetic(num, den):
     assert cf.exact == omega
     assert cf.bracket == (omega, omega)
     assert cf.omega_float() == float(omega)
-    assert gamma_delta(cf, 1.0, 0.1).omega_halfwidth == 0.0
+    resonant = rf"resonant mode \(q={omega.denominator}, p={omega.numerator}\):"
+    with pytest.raises(ExpansionError, match=resonant + " .* so Gamma0 is infinite"):
+        gamma_delta(cf, 1.0, 0.1)
     for q in (1, 2, 3, 7, 112, 113, 5000):
         assert floor_mult(cf, q) == (q * num) // den
         for p in (-3, 0, (q * num) // den, 9):

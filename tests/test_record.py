@@ -70,15 +70,15 @@ def _instances(golden) -> list:
 
 
 def _twin_class(cls, cache: dict):
-    """The frozen dataclass the record class stood for: same name, fields,
-    defaults, and fields hidden from repr and ==."""
+    """The frozen dataclass the record class stood for: same name, fields
+    and defaults."""
     if cls not in cache:
         spec = []
         for name in cls._fields:
-            options = {"repr": False, "compare": False} if name not in cls._compared else {}
             if name in cls._defaults:
-                options["default"] = cls._defaults[name]
-            spec.append((name, object, dataclasses.field(**options)))
+                spec.append((name, object, dataclasses.field(default=cls._defaults[name])))
+            else:
+                spec.append((name, object))
         cache[cls] = dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
     return cache[cls]
 
@@ -175,17 +175,6 @@ def test_replace_validates_again():
         spec._replace(not_a_field=1)
 
 
-def test_kernel_sample_is_hidden(golden):
-    sums = smalldiv.partition_sums(golden, 0.2, 12)
-    emptied = sums._replace(kernel_sample=())
-    assert emptied == sums and hash(emptied._replace(counts=None)) == hash(
-        sums._replace(counts=None)
-    )
-    assert "kernel_sample" not in repr(sums) and emptied.kernel_sample == ()
-    assert list(sums._asdict())[-2:] == ["kernel_sample", "away_tail_bound"]
-    assert sums._replace(Q=13) != sums
-
-
 def test_constructor_arguments():
     cls = smalldiv.IndexClass
     assert cls("away", 3) == cls(kind="away", strip=3) == cls("away", strip=3, k=None)
@@ -202,12 +191,11 @@ def test_constructor_arguments():
 
 
 def test_class_definition_errors():
-    class Point(Record, hidden=("note",)):
+    class Point(Record):
         x: int
         y: int = 0
-        note: str = ""
 
-    assert repr(Point(1, note="a")).endswith(".Point(x=1, y=0)")  # the qualified name
+    assert repr(Point(1)).endswith(".Point(x=1, y=0)")  # the qualified name
     with pytest.raises(TypeError, match="subclasses record"):
 
         class Point3(Point):
@@ -218,8 +206,3 @@ def test_class_definition_errors():
         class Bad(Record):
             x: int = 0
             y: int
-
-    with pytest.raises(TypeError, match="hidden names that are not fields"):
-
-        class Hidden(Record, hidden=("z",)):
-            x: int

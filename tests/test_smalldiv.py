@@ -36,7 +36,6 @@ from smalldivlab.smalldiv import (
     away_tail_majorant,
     brjuno_pairs_up_to,
     classify_index,
-    oracle_mismatches,
     partition_dump,
     partition_sums,
     verify_legendre,
@@ -250,30 +249,63 @@ def test_partition_oracle(golden):
 
 
 @pytest.mark.parametrize("Q, cells", [(800, 321), (5, 60)])
-def test_kernel_sample_is_the_oracle_sub_box(golden, Q, cells):
+def test_scan_oracle_checks_the_sub_box(golden, monkeypatch, Q, cells):
     # golden Q=800: 25 x 12 + 12 cells of the sub-box and the 9 Brjuno pairs
     # outside it; Q=5: the 11 x 5 + 5 cells of the whole half box
-    sums = partition_sums(golden, 0.15, Q)
+    seen = {"L_value": [], "classify_index": []}
+    for name, calls in seen.items():
+
+        def recording(q, p, *args, calls=calls, fn=getattr(smalldiv, name)):
+            calls.append((q, p))
+            return fn(q, p, *args)
+
+        monkeypatch.setattr(smalldiv, name, recording)
+    partition_sums(golden, 0.15, Q)
     r = min(Q, 12)
     expected = {(q, p) for q in range(r + 1) for p in range(-r, r + 1) if q or p < 0}
     expected |= set(brjuno_pairs_up_to(golden, Q).pairs)
-    sample = [(q, p) for q, p, _, _ in sums.kernel_sample]
-    assert len(sample) == cells and set(sample) == expected
-    assert oracle_mismatches(golden, sums) == []
+    for calls in seen.values():
+        assert len(calls) == cells and set(calls) == expected
 
 
-def test_oracle_mismatches_catch_a_wrong_class_or_L(golden):
-    sums = partition_sums(golden, 0.2, 40)
-    sample = list(sums.kernel_sample)
-    i = next(i for i, cell in enumerate(sample) if cell[2].kind == "away")
-    q, p, cls, L = sample[i]
-    for wrong in (
-        (q, p, cls._replace(strip=cls.strip + 1), L),
-        (q, p, smalldiv.IndexClass(kind="const_type"), L),
-        (q, p, cls, L * (1.0 + 1e-11)),
-    ):
-        bad = sums._replace(kernel_sample=(*sample[:i], wrong, *sample[i + 1 :]))
-        assert oracle_mismatches(golden, bad) == [(q, p)]
+def _with_defect(monkeypatch, q, p, edit):
+    """Make the kernel's block that holds the canonical cell (q, p) pass
+    through ``edit(block, i, j)`` at that cell's indices."""
+    half_box = smalldiv._half_box
+
+    def defective(cf, delta, Q):
+        for block in half_box(cf, delta, Q):
+            if 0 <= q - block.q0 < block.label.shape[0]:
+                edit(block, q - block.q0, p + Q)
+            yield block
+
+    monkeypatch.setattr(smalldiv, "_half_box", defective)
+
+
+def test_scan_oracle_names_a_kernel_defect(golden, monkeypatch):
+    # (3, -2) lies in strip 3; (21, 13) = (q_7, p_7) is a Brjuno pair
+    # outside the radius-12 sub-box
+    def wrong_strip(block, i, j):
+        block.n[i, j] += 1
+
+    def wrong_class(block, i, j):
+        block.label[i, j] = _CONST
+
+    def wrong_L(block, i, j):
+        block.L[i, j] *= 1.0 + 1e-11
+
+    for (q, p), edit in [
+        ((3, -2), wrong_strip),
+        ((3, -2), wrong_class),
+        ((3, -2), wrong_L),
+        ((21, 13), wrong_class),  # only away cells carry a strip
+        ((21, 13), wrong_L),
+    ]:
+        with monkeypatch.context() as patch:
+            _with_defect(patch, q, p, edit)
+            with pytest.raises(RuntimeError, match=rf"^box kernel at \(q={q}, p={p}\)"):
+                partition_sums(golden, 0.2, 40)
+    partition_sums(golden, 0.2, 40)  # the patches are gone
 
 
 def test_partition_deterministic(golden):
