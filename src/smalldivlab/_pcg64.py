@@ -9,8 +9,10 @@ makes are reproduced, bit for bit:
   numpy's ``bit_generator.pyx``, on 32-bit words;
 - PCG64 (XSL-RR 128/64; O'Neill 2014) seeded with ``init = w0 2^64 + w1``
   and ``seq = w2 2^64 + w3``, with numpy's buffer of one 32-bit half-word;
-- ``Generator.integers(low, high)`` for int64 (Lemire's bounded integers,
-  ACM TOMACS 2019) and ``Generator.uniform(low, high)``.
+- ``Generator.integers(low, high)`` for 2 <= high - low < 2^32, the ranges
+  numpy draws with Lemire's bounded integers (ACM TOMACS 2019) on 32-bit
+  words; ``thm1`` draws only ``integers(-12, 13)``;
+- ``Generator.uniform(low, high)``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 _M32 = 0xFFFFFFFF
 _M64 = 0xFFFFFFFFFFFFFFFF
 _M128 = (1 << 128) - 1
-_INT64 = 1 << 63  # int64 holds [-2^63, 2^63)
 
 # SeedSequence constants
 _POOL_SIZE = 4
@@ -117,25 +118,17 @@ class Generator:
         return x & _M32
 
     def integers(self, low: int, high: int) -> int:
-        """A uniform int64 in [low, high), as ``Generator.integers``."""
-        if not -_INT64 <= low < high <= _INT64:
-            raise ValueError(f"integers needs -2^63 <= low < high <= 2^63, got [{low}, {high})")
-        rng = high - 1 - low  # the inclusive range
-        if rng == 0:
-            return low
-        if rng == _M32:
-            return low + self.next32()
-        if rng == _M64:
-            return low + self.next64()
-        bits, draw = (32, self.next32) if rng < _M32 else (64, self.next64)
-        mask = (1 << bits) - 1
-        excl = rng + 1
-        m = draw() * excl
-        if m & mask < excl:
-            threshold = (mask - rng) % excl
-            while m & mask < threshold:
-                m = draw() * excl
-        return low + (m >> bits)
+        """A uniform int in [low, high), as ``Generator.integers`` draws it
+        for 2 <= high - low < 2^32: Lemire's method on next32."""
+        excl = high - low
+        if not 2 <= excl <= _M32:
+            raise ValueError(f"integers needs 2 <= high - low < 2^32, got [{low}, {high})")
+        m = self.next32() * excl
+        if m & _M32 < excl:
+            threshold = (1 << 32) % excl
+            while m & _M32 < threshold:
+                m = self.next32() * excl
+        return low + (m >> 32)
 
     def uniform(self, low: float, high: float) -> float:
         """``low + (high - low) u`` with u the 53-bit double of one next64."""

@@ -571,11 +571,11 @@ TABLE1_GRID = (
 )
 
 
-def table1_rows(tolerance: float = 1e-8):
+def table1_rows():
     """Constants grid over the standard band-parameter pairs."""
     rows = []
     for t_minus, t_plus in TABLE1_GRID:
-        params = kl_params(t_minus, t_plus, N=1, tolerance=tolerance)
+        params = kl_params(t_minus, t_plus, N=1)
         G1, G21, G22 = kl_bound_constants(params)
         rows.append(
             {

@@ -149,10 +149,8 @@ class KLParams(Record):
         return self.beta_prime / self.beta
 
 
-def kl_params(
-    T_minus: float, T_plus: float, N: int, tolerance: float = 1e-8
-) -> KLParams:
-    c = khintchine_constants(tolerance)
+def kl_params(T_minus: float, T_plus: float, N: int) -> KLParams:
+    c = khintchine_constants()
     return KLParams(
         T_minus=T_minus, T_plus=T_plus, N=N, kappa=c.kappa, kappa_prime=c.kappa_prime
     )

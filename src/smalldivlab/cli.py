@@ -236,8 +236,7 @@ def _cmd_gamma(args) -> dict:
 
 
 def _cmd_table1(args) -> tuple:
-    rows = table1_rows(tolerance=args.tolerance)
-    return format_table1_csv(rows), True
+    return format_table1_csv(table1_rows()), True
 
 
 def _cmd_constants(args) -> dict:
@@ -325,12 +324,17 @@ def _cmd_solve(args) -> dict:
     )
 
 
-def _random_decay_modes(rng, rho: float, count: int, span: int) -> ModeMap:
+# thm1's random maps: MAP_MODES hermitian pairs with |p|, |q| <= MAP_SPAN
+MAP_MODES = 25
+MAP_SPAN = 12
+
+
+def _random_decay_modes(rng, rho: float) -> ModeMap:
     """Seeded random zero-mean hermitian data with enforced strip decay."""
     entries = {}
-    while len(entries) < 2 * count:
-        p = rng.integers(-span, span + 1)
-        q = rng.integers(-span, span + 1)
+    while len(entries) < 2 * MAP_MODES:
+        p = rng.integers(-MAP_SPAN, MAP_SPAN + 1)
+        q = rng.integers(-MAP_SPAN, MAP_SPAN + 1)
         if (p, q) == (0, 0) or (p, q) in entries or (-p, -q) in entries:
             continue
         magnitude = rng.uniform(0.1, 1.0) * math.exp(-(abs(p) + abs(q)) * rho)
@@ -344,25 +348,13 @@ def _random_decay_modes(rng, rho: float, count: int, span: int) -> ModeMap:
 def _cmd_thm1(args) -> dict:
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-    if args.span >= 2**63:
-        # the modes are int64 draws in [-span, span], as through numpy
-        raise ValueError(f"--span must be below 2^63, got {args.span}")
-    cells = (2 * args.span + 1) ** 2 - 1
-    if 2 * args.modes_per_map > cells:
-        raise ValueError(
-            f"--modes-per-map {args.modes_per_map} needs {2 * args.modes_per_map} "
-            f"distinct modes, but --span {args.span} has only {cells} nonzero cells"
-        )
     _check_gamma_inputs(args.rho, args.delta, args.mu)
     # numpy's default_rng(seed) stream, without numpy's random subpackage
     from ._pcg64 import Generator
 
     cf = _expand_freq(args)
     rng = Generator(args.seed)
-    maps = (
-        _random_decay_modes(rng, args.rho, args.modes_per_map, args.span)
-        for _ in range(args.count)
-    )
+    maps = (_random_decay_modes(rng, args.rho) for _ in range(args.count))
     reports = check_thm1(maps, cf, args.rho, args.delta, mu=args.mu)
     failures = sum(not rep.verdict for rep in reports)
     return _report(
@@ -515,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("table1", parents=[io], help="band-constant grid as CSV")
     sp.set_defaults(handler=_cmd_table1)
-    sp.add_argument("--tolerance", type=float, default=1e-8)
 
     sp = sub.add_parser("constants", parents=[io], help="universal constants")
     sp.set_defaults(handler=_cmd_constants)
@@ -542,10 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_thm1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=_positive_int, default=20)
-    sp.add_argument(
-        "--modes-per-map", dest="modes_per_map", type=_positive_int, default=25
-    )
-    sp.add_argument("--span", type=_positive_int, default=12)
 
     sp = sub.add_parser("counterexample", parents=[freq], help="blow-up data and witness")
     sp.set_defaults(handler=_cmd_counterexample)

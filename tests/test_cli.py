@@ -21,7 +21,7 @@ from smalldivlab.cli import (
     main,
 )
 from smalldivlab.cohom import load_modes
-from smalldivlab.contfrac import ExpansionError, parse_frequency
+from smalldivlab.contfrac import ExpansionError, expand, parse_frequency
 
 SRC = Path(smalldivlab.__file__).resolve().parents[1]
 
@@ -301,6 +301,25 @@ def test_text_format_rounds_to_six_digits(tmp_path):
     text = out.read_text()
     assert "kappa = 0.987849" in text
     assert "G_example = 3.96586" in text
+
+
+def test_text_format_renders_a_list_of_records(capsys):
+    argv = ["--format", "text", "counterexample", "--freq", "golden",
+            "--delta-prime", "0.05", "--n-max", "2"]
+    assert main(argv) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    # each witness point is a "-" entry with its fields one level deeper
+    i = lines.index("  witness:")
+    assert lines[i + 1] == lines[i + 7] == "    -"
+    assert lines[i + 2 : i + 7] == [
+        "      log_w_hi = -0.637143",
+        "      log_w_lo = -1.04261",
+        "      n = 1",
+        "      p = 1",
+        "      q = 1",
+    ]
+    assert lines[i + 10] == "      n = 2" and lines[i + 12] == "      q = 2"
+    assert lines[i + 13] == "verdicts:"
 
 
 def test_sweep_const_type(tmp_path):
@@ -600,16 +619,12 @@ def test_solve_rejects_non_finite_R(tmp_path, capsys, R):
 @pytest.mark.parametrize(
     "extra, flag",
     [
-        (["--span", "1"], "--modes-per-map"),  # 50 modes cannot fit in 8 cells
         (["--count", "0"], "--count"),
-        (["--modes-per-map", "0"], "--modes-per-map"),
-        (["--span", "-3", "--modes-per-map", "5"], "--span"),
         (["--mu", "nan"], "mu must be a finite number >= 1, got nan"),
         (["--mu", "inf"], "mu must be a finite number >= 1, got inf"),
         (["--rho", "inf"], "rho must be finite, got inf"),
     ],
-    ids=["span-too-small", "count-zero", "modes-per-map-zero", "span-negative", "mu-nan",
-         "mu-inf", "rho-inf"],
+    ids=["count-zero", "mu-nan", "mu-inf", "rho-inf"],
 )
 def test_thm1_rejects_impossible_inputs_before_computing(extra, flag):
     proc = run_cli("thm1", "--freq", "golden", "--delta", "0.2", *extra, timeout=60)
@@ -679,17 +694,14 @@ def test_unusable_delta_is_an_input_error_before_any_scan(monkeypatch, capsys, a
     "extra, message",
     [
         (["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
-        (["--span", str(2**63)], f"--span must be below 2^63, got {2**63}"),
-        (["--span", str(2**64)], f"--span must be below 2^63, got {2**64}"),
     ],
-    ids=["seed-negative", "span-2^63", "span-2^64"],
+    ids=["seed-negative"],
 )
 def test_thm1_seed_and_span_are_input_errors_before_the_expansion(
     monkeypatch, capsys, extra, message
 ):
     # the expansion once ran first, and numpy then rejected the seed with
-    # "expected non-negative integer" and the span with "high is out of
-    # bounds for int64", naming neither option
+    # "expected non-negative integer", naming no option
     def no_work(*args, **kwargs):
         raise AssertionError("the frequency was expanded")
 
@@ -748,7 +760,7 @@ def test_delta_whose_square_underflows_is_an_input_error(monkeypatch, capsys, ar
     assert "delta**2 underflows to 0" in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("command", ["constants", "table1"])
+@pytest.mark.parametrize("command", ["constants"])
 @pytest.mark.parametrize("tolerance", ["nan", "inf"])
 def test_non_finite_tolerance_is_an_input_error(monkeypatch, capsys, command, tolerance):
     # a NaN tolerance passed "tolerance < 1e-10", and the kappa series then
@@ -930,6 +942,25 @@ def test_truncation_reported_on_stderr(capsys):
     assert "warning" not in out and json.loads(out)["params"]["depth"] == 4
     assert main(["brj", "--freq", "golden", "--Delta", "0.3"]) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "freq, depth, q_bits",
+    [("rule:omega-star(a1=3)", 4, 1425), ("rule:exp-liouville(a1=3,c=2)", 3, 1172)],
+)
+def test_rule_whose_next_exponent_leaves_the_float_range_truncates_loudly(
+    capsys, freq, depth, q_bits
+):
+    # the next quotient needs exp(q_n / n) (omega-star) or exp(c q_n), and
+    # q_n is past the float range: the rule stops there, not with a crash
+    assert expand(parse_frequency(freq), 64).q[-1].bit_length() == q_bits
+    assert main(["classify", "--freq", freq]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == (
+        f"warning: --freq {freq} truncated: {depth} of the 64 requested partial quotients\n"
+    )
+    results = json.loads(out)["results"]
+    assert results["truncated"] is True and len(results["quotients_head"]) == depth
 
 
 def test_depth_past_the_ceiling_reads_10000_quotients(capsys):

@@ -48,7 +48,7 @@ FREQS = (
 )
 
 # the largest value an int option is drawn up to; -1 is the smallest
-INT_CAPS = {"Q": 30, "grid_n": 64, "count": 2, "modes_per_map": 8, "span": 6, "bit_cap": 256}
+INT_CAPS = {"Q": 30, "grid_n": 64, "count": 2, "bit_cap": 256}
 
 # written once per module; "missing.json" is never written
 MODE_FILES = {
